@@ -258,11 +258,19 @@ func Figure11() (Artifact, error) {
 			f("%.3f", p.DollarsPerOp),
 		})
 	}
+	// Silicon cells are unsigned integers, so shorter strings are smaller
+	// numbers and equal lengths compare lexically: numeric order without
+	// parsing, and a strict weak order, so the row order does not depend
+	// on the order of res.Points.
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i][0] != rows[j][0] {
 			return rows[i][0] < rows[j][0]
 		}
-		return len(rows[i][1]) < len(rows[j][1]) || rows[i][1] < rows[j][1]
+		a, b := rows[i][1], rows[j][1]
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		return a < b
 	})
 	return render("fig11", "Bitcoin voltage versus cost-performance",
 		[]string{"voltage_V", "silicon_per_lane_mm2", "W_per_mm2", "dollars_per_GHs"}, rows), nil

@@ -131,6 +131,28 @@ func TestFigure9SeriesOrdering(t *testing.T) {
 	}
 }
 
+// TestFigure11RowOrder pins Figure 11's row order: voltage ascending,
+// then silicon per lane in ascending numeric order within each voltage.
+func TestFigure11RowOrder(t *testing.T) {
+	a, err := Figure11()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(a.Rows) - 1; got != 55 {
+		t.Fatalf("fig11 has %d rows, want 55", got)
+	}
+	vc := findCol(t, a, "voltage_V")
+	sc := findCol(t, a, "silicon_per_lane_mm2")
+	for r := 2; r < len(a.Rows); r++ {
+		if cell(t, a, r, vc) < cell(t, a, r-1, vc) {
+			t.Fatalf("row %d: voltage %s after %s", r, a.Rows[r][vc], a.Rows[r-1][vc])
+		}
+		if a.Rows[r][vc] == a.Rows[r-1][vc] && cell(t, a, r, sc) <= cell(t, a, r-1, sc) {
+			t.Errorf("row %d: silicon %s after %s at %s V", r, a.Rows[r][sc], a.Rows[r-1][sc], a.Rows[r][vc])
+		}
+	}
+}
+
 func TestTable3Structure(t *testing.T) {
 	_, table, err := Figure12Table3()
 	if err != nil {

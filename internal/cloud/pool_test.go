@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,19 +101,39 @@ func TestResultsContent(t *testing.T) {
 }
 
 func TestManyWorkersShareLoad(t *testing.T) {
-	const jobs = 60
+	const jobs, workers = 60, 4
 	p := NewPool(makeJobs(jobs))
 	addr, stop := startPool(t, p)
 	defer stop()
 
+	// Barrier: each worker's first handler call waits until all workers
+	// have entered the handler, so one worker cannot drain the queue
+	// before the others connect. The timeout bounds a worker that never
+	// arrives; the per-worker assertion below then reports it.
+	var entered atomic.Int32
+	allIn := make(chan struct{})
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	total := 0
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			n, err := RunWorker(context.Background(), addr, fmt.Sprintf("w%d", id), echoHandler)
+			first := true
+			h := func(j Job) ([]byte, error) {
+				if first {
+					first = false
+					if entered.Add(1) == workers {
+						close(allIn)
+					}
+					select {
+					case <-allIn:
+					case <-time.After(10 * time.Second):
+					}
+				}
+				return echoHandler(j)
+			}
+			n, err := RunWorker(context.Background(), addr, fmt.Sprintf("w%d", id), h)
 			if err != nil {
 				t.Errorf("worker %d: %v", id, err)
 			}
@@ -130,7 +151,7 @@ func TestManyWorkersShareLoad(t *testing.T) {
 		t.Errorf("pool recorded %d done, want %d", s.JobsDone, jobs)
 	}
 	// With 60 jobs and 4 pullers, everyone should get some work.
-	for w := 0; w < 4; w++ {
+	for w := 0; w < workers; w++ {
 		if s.WorkerResults[fmt.Sprintf("w%d", w)] == 0 {
 			t.Errorf("worker w%d got no jobs", w)
 		}

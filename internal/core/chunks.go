@@ -11,31 +11,40 @@ import (
 	"asiccloud/internal/pareto"
 	"asiccloud/internal/server"
 	"asiccloud/internal/tco"
+	"asiccloud/internal/thermal"
 )
 
-// This file is the sweep's distribution seam. ExploreContext and the
-// distributed coordinator/worker split share three pieces:
+// This file is the sweep's one path. Every sweep — ExploreContext in
+// process, a distributed worker's EvaluateChunk, the coordinator's
+// ResultMerger and the FindTCOOptimal fast path — is built from the
+// same pieces:
 //
 //   - buildGrid resolves a Sweep into the deterministic voltage grid
 //     and deduplicated geometry work list, with grid-construction
 //     prunes (quantization, duplicates) accounted exactly once;
-//   - evalCell evaluates one geometry cell (DRAM subsystem, memoized
-//     thermal plan, voltage column) identically wherever it runs;
-//   - the chunk partition work[c*size : (c+1)*size] is the same one
-//     ExploreContext's workers claim, so a remote worker evaluating
-//     chunk c produces exactly the points a local worker would have.
+//   - setupGeom resolves one geometry (DRAM subsystem, memoized thermal
+//     plan, embodied carbon) and evalCell walks its voltage column,
+//     identically wherever it runs;
+//   - evalChunk evaluates chunk c = work[c*size : (c+1)*size] of the
+//     plan's partition into a sweepAcc, the one fold accumulator.
+//     ExploreContext's workers each fold their chunks into their own
+//     accumulator and merge them once at the end; EvaluateChunk folds
+//     one chunk into a fresh accumulator and ships it as a ChunkResult;
+//     ResultMerger folds ChunkResults back into an accumulator. All of
+//     them finish through sweepAcc.finish.
 //
-// ChunkResult carries a chunk's fold survivors, optimum candidates and
-// prune counts over the wire; ResultMerger folds them back together.
 // Because pareto.Fold merge is associative and order-independent and
-// optAcc merge is commutative, the merged Result is byte-identical to
-// a single-process ExploreContext run regardless of which worker
-// evaluated which chunk, how chunks were requeued, or arrival order.
+// optAcc merge is commutative, the finished Result is byte-identical
+// regardless of worker count, which worker or process evaluated which
+// chunk, how chunks were requeued, or arrival order.
 
-// sweepGrid is the resolved, deterministic form of a Sweep: the
-// normalized voltage grid, the deduplicated geometry work list, and
-// the prune accounting of grid construction itself.
+// sweepGrid is the resolved, deterministic form of a Sweep: the base
+// configuration and economic model, the normalized voltage grid, the
+// deduplicated geometry work list, and the prune accounting of grid
+// construction itself.
 type sweepGrid struct {
+	base           server.Config
+	model          tco.Model
 	voltages       []float64
 	stackedOptions []bool
 	// carbon is the resolved emission model (Sweep.Carbon or the
@@ -52,12 +61,17 @@ type sweepGrid struct {
 	summary PruneSummary
 }
 
-// buildGrid resolves the sweep's grids and geometry work list. The
-// returned error covers voltage-grid problems only; an empty work list
-// is the caller's check (ExploreContext and PlanSweep both report it
-// with the grid summary attached).
-func buildGrid(sweep Sweep) (*sweepGrid, error) {
-	g := &sweepGrid{carbon: carbon.Default()}
+// buildGrid validates the sweep and model and resolves the sweep's
+// grids and geometry work list. An empty work list is not an error
+// here: ExploreContext reports it with the grid summary attached.
+func buildGrid(sweep Sweep, model tco.Model) (*sweepGrid, error) {
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
+	if err := sweep.Base.RCA.Validate(); err != nil {
+		return nil, err
+	}
+	g := &sweepGrid{base: sweep.Base, model: model, carbon: carbon.Default()}
 	if sweep.Carbon != nil {
 		g.carbon = *sweep.Carbon
 	}
@@ -148,45 +162,63 @@ func emptySpaceError(summary PruneSummary) error {
 		summary)
 }
 
-// evalCell evaluates one deduplicated geometry cell: DRAM subsystem
-// construction, the memoized thermal plan, then the per-voltage column
-// walk (evalGeometry). Feasible points are appended to scratch; every
-// candidate the cell generates is accounted in sum. The returned
-// slices are the (possibly grown) scratch buffers.
-func (e *Engine) evalCell(g geom, base server.Config, grid *sweepGrid, model tco.Model,
-	scratch []Point, column []server.Evaluation, sum *PruneSummary, ctr *exploreCounters) ([]Point, []server.Evaluation) {
+// geomSetup is one geometry resolved for evaluation: its configuration with
+// the DRAM subsystem in place, its memoized thermal plan, and its
+// embodied carbon.
+type geomSetup struct {
+	cfg        server.Config
+	plan       thermal.OptimizeResult
+	embodiedKg float64
+}
+
+// setupGeom resolves geometry g of the grid. A non-empty reason names the
+// prune that rules out the whole cell at every voltage. Embodied carbon
+// is a pure function of the geometry — die area and chip count are
+// constant across the voltage column — so it is computed once per cell
+// and amortized per point.
+func (e *Engine) setupGeom(g geom, grid *sweepGrid) (s geomSetup, reason string) {
+	s.cfg = grid.base
+	s.cfg.RCAsPerChip = g.rcasPerChip
+	s.cfg.ChipsPerLane = g.chipsLane
+	s.cfg.DRAM = dram.Subsystem{}
+	if g.dramPerASIC > 0 {
+		sub, err := dram.NewSubsystem(grid.base.DRAM.Device.Kind, g.dramPerASIC)
+		if err != nil {
+			return s, PruneDRAM
+		}
+		s.cfg.DRAM = sub
+	}
+	plan, err := e.thermalPlan(s.cfg)
+	if err != nil {
+		// Geometry does not fit at any voltage.
+		return s, PruneThermal
+	}
+	s.plan = plan
+	s.embodiedKg = grid.carbon.EmbodiedServerKg(s.cfg.Process, s.cfg.DieArea(),
+		s.cfg.ChipsPerLane*s.cfg.Lanes)
+	return s, ""
+}
+
+// evalCell evaluates one deduplicated geometry cell: setupGeom, then the
+// per-voltage column walk (evalGeometry). Feasible points are appended
+// to scratch; every candidate the cell generates is accounted in sum.
+// The returned slices are the (possibly grown) scratch buffers.
+func (e *Engine) evalCell(g geom, grid *sweepGrid, scratch []Point, column []server.Evaluation,
+	sum *PruneSummary, ctr *exploreCounters) ([]Point, []server.Evaluation) {
 
 	sum.Generated += grid.perGeom
 	ctr.configs.Add(grid.perGeom)
-	cfg := base
-	cfg.RCAsPerChip = g.rcasPerChip
-	cfg.ChipsPerLane = g.chipsLane
-	if g.dramPerASIC > 0 {
-		sub, err := dram.NewSubsystem(cfg.DRAM.Device.Kind, g.dramPerASIC)
-		if err != nil {
-			sum.add(PruneDRAM, grid.perGeom)
-			ctr.dramErr.Add(grid.perGeom)
-			return scratch, column
-		}
-		cfg.DRAM = sub
-	} else {
-		cfg.DRAM = dram.Subsystem{}
-	}
-	plan, err := e.thermalPlan(cfg)
-	if err != nil {
-		// Geometry does not fit at any voltage.
-		sum.add(PruneThermal, grid.perGeom)
+	s, reason := e.setupGeom(g, grid)
+	switch reason {
+	case PruneDRAM:
+		ctr.dramErr.Add(grid.perGeom)
+	case PruneThermal:
 		ctr.thermal.Add(grid.perGeom)
-		return scratch, column
+	default:
+		return e.evalGeometry(s, grid, scratch, column, sum, ctr)
 	}
-	// Embodied carbon is a pure function of the geometry — die area and
-	// chip count are constant across the voltage column — so it is
-	// computed once per cell and amortized per point inside
-	// evalGeometry.
-	embodiedKg := grid.carbon.EmbodiedServerKg(cfg.Process, cfg.DieArea(),
-		cfg.ChipsPerLane*cfg.Lanes)
-	return e.evalGeometry(cfg, plan, grid.stackedOptions, grid.voltages, model,
-		grid.carbon, embodiedKg, scratch, column, sum, ctr)
+	sum.add(reason, grid.perGeom)
+	return scratch, column
 }
 
 // SweepPlan is the deterministic partition of a sweep into chunks: the
@@ -202,23 +234,23 @@ type SweepPlan struct {
 // chunkSize <= 0 selects DefaultChunkSize. The "empty design space"
 // failure mode is reported here, exactly as ExploreContext reports it.
 func PlanSweep(sweep Sweep, model tco.Model, chunkSize int) (*SweepPlan, error) {
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	if err := sweep.Base.RCA.Validate(); err != nil {
-		return nil, err
-	}
-	grid, err := buildGrid(sweep)
+	grid, err := buildGrid(sweep, model)
 	if err != nil {
 		return nil, err
 	}
 	if len(grid.work) == 0 {
 		return nil, emptySpaceError(grid.summary)
 	}
+	return grid.plan(chunkSize), nil
+}
+
+// plan partitions the grid's work list into chunks of chunkSize
+// geometries (<= 0 selects DefaultChunkSize).
+func (g *sweepGrid) plan(chunkSize int) *SweepPlan {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	return &SweepPlan{grid: grid, chunkSize: chunkSize}, nil
+	return &SweepPlan{grid: g, chunkSize: chunkSize}
 }
 
 // ChunkSize is the geometry count per chunk (the last chunk may be
@@ -244,7 +276,7 @@ func (p *SweepPlan) GridSummary() PruneSummary {
 }
 
 // ChunkResult is one chunk's contribution to a sweep: the chunk-local
-// Pareto fold survivors, the three chunk-local optimum candidates, and
+// Pareto fold survivors, the four chunk-local optimum candidates, and
 // the chunk's exact per-geometry prune accounting. It is the payload a
 // distributed worker returns, so every field is JSON-serializable and
 // float64 values survive the wire exactly (encoding/json emits the
@@ -272,81 +304,198 @@ type ChunkResult struct {
 	Pruned PruneSummary `json:"pruned"`
 }
 
+// sweepAcc is the sweep's one fold accumulator: the (dollars, watts)
+// and (TCO, CO2e) Pareto folds, the four optimum accumulators and the
+// prune accounting. Memory is O(frontier), however many points flow
+// through. An accumulator is not safe for concurrent use: each sweep
+// worker owns one, and they are merged once the workers are done.
+type sweepAcc struct {
+	fold, cfold                     *pareto.Fold[Point]
+	energy, cost, tcoOpt, carbonOpt optAcc
+	summary                         PruneSummary
+}
+
+// newSweepAcc returns an empty accumulator seeded with summary.
+func newSweepAcc(summary PruneSummary) sweepAcc {
+	return sweepAcc{
+		fold:    pareto.NewFold(pointDollars, pointWatts),
+		cfold:   pareto.NewFold(pointTCO, pointCO2),
+		summary: summary,
+	}
+}
+
+// add folds one feasible point in; the point's feasible count is
+// accounted where it is evaluated. The sweep calls add once per
+// feasible configuration.
+//
+//asic:hotpath
+func (a *sweepAcc) add(p *Point) {
+	a.fold.Add(*p)
+	a.cfold.Add(*p)
+	a.energy.add(p.WattsPerOp, p)
+	a.cost.add(p.DollarsPerOp, p)
+	a.tcoOpt.add(p.TCOPerOp(), p)
+	a.carbonOpt.add(p.CO2PerOp(), p)
+}
+
+// merge folds o's survivors, optimum candidates and accounting into a.
+func (a *sweepAcc) merge(o *sweepAcc) {
+	a.fold.Merge(o.fold)
+	a.cfold.Merge(o.cfold)
+	a.energy.merge(&o.energy)
+	a.cost.merge(&o.cost)
+	a.tcoOpt.merge(&o.tcoOpt)
+	a.carbonOpt.merge(&o.carbonOpt)
+	a.summary.merge(o.summary)
+}
+
+// chunkResult is the accumulator's wire form for chunk c of n.
+func (a *sweepAcc) chunkResult(c, n int) ChunkResult {
+	return ChunkResult{
+		Chunk:          c,
+		NumChunks:      n,
+		Frontier:       a.fold.Points(),
+		CarbonFrontier: a.cfold.Points(),
+		EnergyOptimal:  a.energy.point(),
+		CostOptimal:    a.cost.point(),
+		TCOOptimal:     a.tcoOpt.point(),
+		CarbonOptimal:  a.carbonOpt.point(),
+		Pruned:         a.summary,
+	}
+}
+
+// addChunk folds a chunk's wire form in, the inverse of chunkResult:
+// merging the ChunkResult of accumulator o is merging o.
+func (a *sweepAcc) addChunk(cr ChunkResult) {
+	for _, p := range cr.Frontier {
+		a.fold.Add(p)
+	}
+	for _, p := range cr.CarbonFrontier {
+		a.cfold.Add(p)
+	}
+	if p := cr.EnergyOptimal; p != nil {
+		a.energy.add(p.WattsPerOp, p)
+	}
+	if p := cr.CostOptimal; p != nil {
+		a.cost.add(p.DollarsPerOp, p)
+	}
+	if p := cr.TCOOptimal; p != nil {
+		a.tcoOpt.add(p.TCOPerOp(), p)
+	}
+	if p := cr.CarbonOptimal; p != nil {
+		a.carbonOpt.add(p.CO2PerOp(), p)
+	}
+	a.summary.merge(cr.Pruned)
+}
+
+// finish turns the accumulator into the reported Result; it is the
+// only place a Result's frontiers and optima are made. Each fold's
+// survivor set is order-independent; sorting it by lessPoint and
+// re-running Frontier applies the same duplicate tie-breaking a
+// frontier pass over every sorted point would, so both the (dollars,
+// watts) frontier and the (TCO, CO2e) frontier are byte-identical
+// however the points were folded and merged. Pruned is populated even
+// on the no-feasible-point error.
+//
+//asic:canonical
+func (a *sweepAcc) finish() (Result, error) {
+	res := Result{Pruned: a.summary}
+	if a.summary.Feasible == 0 {
+		return res, fmt.Errorf(
+			"core: no feasible design point in the swept space (%s)", a.summary)
+	}
+	surv := a.fold.Points()
+	sort.Slice(surv, func(i, j int) bool { return lessPoint(&surv[i], &surv[j]) })
+	fr := pareto.Frontier(surv, pointDollars, pointWatts)
+	res.Frontier = pareto.Select(surv, fr)
+	csurv := a.cfold.Points()
+	sort.Slice(csurv, func(i, j int) bool { return lessPoint(&csurv[i], &csurv[j]) })
+	cfr := pareto.Frontier(csurv, pointTCO, pointCO2)
+	res.CarbonFrontier = pareto.Select(csurv, cfr)
+	res.EnergyOptimal = a.energy.p
+	res.CostOptimal = a.cost.p
+	res.TCOOptimal = a.tcoOpt.p
+	res.CarbonOptimal = a.carbonOpt.p
+	return res, nil
+}
+
+// chunkWorker is one evaluator's state, reused across the chunks it
+// runs: the accumulator its points fold into, the sweep's counters, and
+// scratch buffers that stop growing once they have seen the largest
+// geometry (the largest chunk when points are kept), so a steady-state
+// sweep does not allocate per configuration (see BenchmarkRepeatedSweep
+// with -benchmem).
+type chunkWorker struct {
+	acc    sweepAcc
+	ctr    *exploreCounters
+	pts    []Point
+	column []server.Evaluation
+}
+
+// evalChunk is the sweep's one chunk evaluator: it evaluates chunk c of
+// the plan's partition and folds every feasible point into w.acc. It
+// checks ctx between geometries and returns ctx's error on an early
+// stop, with every geometry it did evaluate exactly accounted in
+// w.acc. claimed, when non-nil, runs as each geometry starts. With keep
+// set the chunk's points are also returned, in evaluation order, as an
+// exact-size copy; otherwise the point scratch is reset per geometry.
+func (e *Engine) evalChunk(ctx context.Context, plan *SweepPlan, c int, w *chunkWorker,
+	keep bool, claimed func()) ([]Point, error) {
+
+	lo := c * plan.chunkSize
+	hi := min(lo+plan.chunkSize, len(plan.grid.work))
+	w.pts = w.pts[:0]
+	for _, g := range plan.grid.work[lo:hi] {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if claimed != nil {
+			claimed()
+		}
+		if !keep {
+			w.pts = w.pts[:0]
+		}
+		n := len(w.pts)
+		w.pts, w.column = e.evalCell(g, plan.grid, w.pts, w.column, &w.acc.summary, w.ctr)
+		for i := n; i < len(w.pts); i++ {
+			w.acc.add(&w.pts[i])
+		}
+	}
+	if !keep {
+		return nil, nil
+	}
+	pts := make([]Point, len(w.pts))
+	copy(pts, w.pts)
+	return pts, nil
+}
+
 // EvaluateChunk evaluates one chunk of the sweep's deterministic
-// partition on this engine — the distributed worker's unit of work.
-// The partition is the same one ExploreContext schedules internally,
-// so evaluating every chunk exactly once (on any mix of processes and
-// engines) and merging with ResultMerger reproduces ExploreContext's
-// Result byte for byte. The engine's thermal-plan cache carries over
-// between chunks, so a worker handling many chunks of one sweep warms
-// up just like a local worker goroutine would.
+// partition on this engine — the distributed worker's unit of work. It
+// runs the chunk evaluator ExploreContext's workers run, over the same
+// partition, into a fresh accumulator, so evaluating every chunk
+// exactly once (on any mix of processes and engines) and merging with
+// ResultMerger reproduces ExploreContext's Result byte for byte. The
+// engine's thermal-plan cache carries over between chunks, so a worker
+// handling many chunks of one sweep warms up just like a local worker
+// goroutine would.
 func (e *Engine) EvaluateChunk(ctx context.Context, sweep Sweep, model tco.Model,
 	chunkSize, chunk int) (ChunkResult, error) {
 
-	if err := model.Validate(); err != nil {
-		return ChunkResult{}, err
-	}
-	if err := sweep.Base.RCA.Validate(); err != nil {
-		return ChunkResult{}, err
-	}
-	grid, err := buildGrid(sweep)
+	plan, err := PlanSweep(sweep, model, chunkSize)
 	if err != nil {
 		return ChunkResult{}, err
 	}
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunkSize
-	}
-	numChunks := (len(grid.work) + chunkSize - 1) / chunkSize
-	if chunk < 0 || chunk >= numChunks {
+	if chunk < 0 || chunk >= plan.NumChunks() {
 		return ChunkResult{}, fmt.Errorf(
 			"core: chunk %d out of range (sweep has %d chunks of %d geometries)",
-			chunk, numChunks, chunkSize)
+			chunk, plan.NumChunks(), plan.chunkSize)
 	}
 	ctr := newExploreCounters(e.rec)
-	lo := chunk * chunkSize
-	hi := min(lo+chunkSize, len(grid.work))
-	var (
-		sum     PruneSummary
-		scratch []Point
-		column  []server.Evaluation
-	)
-	fold := pareto.NewFold(pointDollars, pointWatts)
-	cfold := pareto.NewFold(pointTCO, pointCO2)
-	var energy, cost, tcoOpt, carbonOpt optAcc
-	for _, g := range grid.work[lo:hi] {
-		if err := ctx.Err(); err != nil {
-			return ChunkResult{}, fmt.Errorf("core: chunk %d aborted: %w", chunk, err)
-		}
-		scratch = scratch[:0]
-		scratch, column = e.evalCell(g, sweep.Base, grid, model, scratch, column, &sum, &ctr)
-		for _, p := range scratch {
-			fold.Add(p)
-			cfold.Add(p)
-			energy.add(p.WattsPerOp, p)
-			cost.add(p.DollarsPerOp, p)
-			tcoOpt.add(p.TCOPerOp(), p)
-			carbonOpt.add(p.CO2PerOp(), p)
-		}
+	w := chunkWorker{acc: newSweepAcc(PruneSummary{}), ctr: &ctr}
+	if _, err := e.evalChunk(ctx, plan, chunk, &w, false, nil); err != nil {
+		return ChunkResult{}, fmt.Errorf("core: chunk %d aborted: %w", chunk, err)
 	}
-	res := ChunkResult{Chunk: chunk, NumChunks: numChunks,
-		Frontier: fold.Points(), CarbonFrontier: cfold.Points(), Pruned: sum}
-	if energy.ok {
-		p := energy.p
-		res.EnergyOptimal = &p
-	}
-	if cost.ok {
-		p := cost.p
-		res.CostOptimal = &p
-	}
-	if tcoOpt.ok {
-		p := tcoOpt.p
-		res.TCOOptimal = &p
-	}
-	if carbonOpt.ok {
-		p := carbonOpt.p
-		res.CarbonOptimal = &p
-	}
-	return res, nil
+	return w.acc.chunkResult(chunk, plan.NumChunks()), nil
 }
 
 // ResultMerger folds ChunkResults back into one Result. Merging is
@@ -354,95 +503,27 @@ func (e *Engine) EvaluateChunk(ctx context.Context, sweep Sweep, model tco.Model
 // the caller guarantees each chunk index is merged exactly once (the
 // pool's first-result-wins dedup provides this under requeue).
 type ResultMerger struct {
-	fold      *pareto.Fold[Point]
-	cfold     *pareto.Fold[Point]
-	energy    optAcc
-	cost      optAcc
-	tcoOpt    optAcc
-	carbonOpt optAcc
-	summary   PruneSummary
-	merged    int
+	sweepAcc
+	merged int
 }
 
 // NewResultMerger seeds a merger with the plan's grid-build prune
 // accounting (counted exactly once per sweep, never per chunk).
 func NewResultMerger(plan *SweepPlan) *ResultMerger {
-	return &ResultMerger{
-		fold:    pareto.NewFold(pointDollars, pointWatts),
-		cfold:   pareto.NewFold(pointTCO, pointCO2),
-		summary: plan.GridSummary(),
-	}
+	return &ResultMerger{sweepAcc: newSweepAcc(plan.GridSummary())}
 }
 
 // Add folds one chunk's contribution in.
 func (m *ResultMerger) Add(cr ChunkResult) {
-	for _, p := range cr.Frontier {
-		m.fold.Add(p)
-	}
-	for _, p := range cr.CarbonFrontier {
-		m.cfold.Add(p)
-	}
-	if cr.EnergyOptimal != nil {
-		m.energy.add(cr.EnergyOptimal.WattsPerOp, *cr.EnergyOptimal)
-	}
-	if cr.CostOptimal != nil {
-		m.cost.add(cr.CostOptimal.DollarsPerOp, *cr.CostOptimal)
-	}
-	if cr.TCOOptimal != nil {
-		m.tcoOpt.add(cr.TCOOptimal.TCOPerOp(), *cr.TCOOptimal)
-	}
-	if cr.CarbonOptimal != nil {
-		m.carbonOpt.add(cr.CarbonOptimal.CO2PerOp(), *cr.CarbonOptimal)
-	}
-	m.summary.merge(cr.Pruned)
+	m.addChunk(cr)
 	m.merged++
 }
 
 // Merged is how many chunks have been folded in.
 func (m *ResultMerger) Merged() int { return m.merged }
 
-// Finish assembles the final Result: the same sort → Frontier → Select
-// normalization and optimum extraction ExploreContext's streaming path
-// applies, so the output is byte-identical to a single-process run
-// once every chunk has been merged. The Pruned summary is populated
-// even on the no-feasible-point error, mirroring ExploreContext.
-func (m *ResultMerger) Finish() (Result, error) {
-	res := Result{Pruned: m.summary}
-	if m.summary.Feasible == 0 {
-		return res, fmt.Errorf(
-			"core: no feasible design point in the swept space (%s)", m.summary)
-	}
-	finishFold(m.fold, m.cfold, m.energy, m.cost, m.tcoOpt, m.carbonOpt, &res)
-	return res, nil
-}
-
-// finishFold turns fold survivors and optimum accumulators into the
-// reported frontiers and optima. Each fold's survivor set is
-// order-independent; sorting it and re-running Frontier applies the
-// same duplicate tie-breaking the retaining path does, so both the
-// (dollars, watts) frontier and the (TCO, CO2e) frontier are
-// byte-identical however the points were folded.
-//
-//asic:canonical
-func finishFold(fold, cfold *pareto.Fold[Point], energy, cost, tcoOpt, carbonOpt optAcc, res *Result) {
-	surv := fold.Points()
-	sort.Slice(surv, func(i, j int) bool { return lessPoint(surv[i], surv[j]) })
-	fr := pareto.Frontier(surv, pointDollars, pointWatts)
-	res.Frontier = pareto.Select(surv, fr)
-	csurv := cfold.Points()
-	sort.Slice(csurv, func(i, j int) bool { return lessPoint(csurv[i], csurv[j]) })
-	cfr := pareto.Frontier(csurv, pointTCO, pointCO2)
-	res.CarbonFrontier = pareto.Select(csurv, cfr)
-	if energy.ok {
-		res.EnergyOptimal = energy.p
-	}
-	if cost.ok {
-		res.CostOptimal = cost.p
-	}
-	if tcoOpt.ok {
-		res.TCOOptimal = tcoOpt.p
-	}
-	if carbonOpt.ok {
-		res.CarbonOptimal = carbonOpt.p
-	}
-}
+// Finish assembles the final Result through the finish ExploreContext
+// uses, so the output is byte-identical to a single-process run once
+// every chunk has been merged. The Pruned summary is populated even on
+// the no-feasible-point error, mirroring ExploreContext.
+func (m *ResultMerger) Finish() (Result, error) { return m.finish() }

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"asiccloud/internal/carbon"
 	"asiccloud/internal/dram"
 	"asiccloud/internal/obs"
 	"asiccloud/internal/pareto"
@@ -37,18 +36,20 @@ const DefaultChunkSize = 4
 //     engine memoizes its results — and its errors — across successive
 //     sweeps. Repeated sweeps over overlapping grids (studies, figures,
 //     scorecards) stop re-running heat-sink optimization entirely.
-//   - Deterministic chunked scheduling with a streaming Pareto fold, so
-//     frontier-only callers can drop Result.Points retention and run in
-//     O(frontier) memory while getting byte-identical Frontier and
-//     optima.
+//   - One sweep path: deterministic chunked scheduling over the same
+//     plan, chunk evaluator and streaming fold accumulator that
+//     EvaluateChunk and ResultMerger use (see chunks.go), so the
+//     in-process, daemon and distributed sweeps produce byte-identical
+//     frontiers and optima by construction.
 //
 // The zero-value fields select defaults; an Engine must be created with
 // NewEngine. Engines are safe for concurrent use.
 type Engine struct {
-	// DiscardPoints switches the sweep to the streaming Pareto fold:
-	// Result.Points comes back nil and peak memory is bounded by the
-	// frontier size instead of the feasible set. Frontier and the three
-	// optima are byte-identical to a retaining run.
+	// DiscardPoints leaves Result.Points nil. Every sweep folds its
+	// points through the same streaming accumulator either way; this
+	// only decides whether each chunk's points are also copied out,
+	// which costs memory in the feasible-set size. Frontier, optima and
+	// Pruned do not depend on it.
 	DiscardPoints bool
 	// ChunkSize is the number of geometries per scheduling chunk
 	// (0 selects DefaultChunkSize).
@@ -159,22 +160,21 @@ func (e *Engine) Explore(sweep Sweep, model tco.Model) (Result, error) {
 }
 
 // evalGeometry evaluates every (stacking option, voltage) configuration
-// of one geometry against its precomputed thermal plan, appending the
-// feasible points to pts and returning the (possibly grown) scratch
-// slices. This is the sweep's innermost loop — everything here runs
-// once per candidate configuration, millions of times per sweep, and
-// the ROADMAP's configs/sec budget assumes it is allocation-free in
-// steady state; the hotalloc analyzer enforces that transitively.
+// of one resolved geometry cell, appending the feasible points to pts
+// and returning the (possibly grown) scratch slices. This is the
+// sweep's innermost loop — everything here runs once per candidate
+// configuration, millions of times per sweep, and the ROADMAP's
+// configs/sec budget assumes it is allocation-free in steady state;
+// the hotalloc analyzer enforces that transitively.
 //
 //asic:hotpath
-func (e *Engine) evalGeometry(cfg server.Config, plan thermal.OptimizeResult,
-	stackedOptions []bool, voltages []float64, model tco.Model,
-	cm carbon.Model, embodiedKg float64,
+func (e *Engine) evalGeometry(s geomSetup, grid *sweepGrid,
 	pts []Point, column []server.Evaluation, sum *PruneSummary, ctr *exploreCounters) ([]Point, []server.Evaluation) {
 
-	for _, stacked := range stackedOptions {
+	cfg := s.cfg
+	for _, stacked := range grid.stackedOptions {
 		cfg.Stacked = stacked
-		col, thermalPruned, evalPruned := server.EvaluateColumn(cfg, plan, voltages, column[:0])
+		col, thermalPruned, evalPruned := server.EvaluateColumn(cfg, s.plan, grid.voltages, column[:0])
 		column = col
 		if thermalPruned > 0 {
 			sum.add(PruneThermal, int64(thermalPruned))
@@ -188,8 +188,8 @@ func (e *Engine) evalGeometry(cfg server.Config, plan thermal.OptimizeResult,
 			//lint:ignore hotalloc appends into the per-worker scratch; capacity tops out at the largest chunk and growth amortizes to zero
 			pts = append(pts, Point{
 				Evaluation: ev,
-				TCO:        model.Of(ev.DollarsPerOp, ev.WattsPerOp),
-				Carbon:     cm.Of(embodiedKg, ev.Perf, ev.WallPower),
+				TCO:        grid.model.Of(ev.DollarsPerOp, ev.WattsPerOp),
+				Carbon:     grid.carbon.Of(s.embodiedKg, ev.Perf, ev.WallPower),
 			})
 			sum.Feasible++
 			ctr.feasible.Inc()
@@ -209,8 +209,10 @@ func pointCO2(p Point) float64     { return p.CO2PerOp() }
 // ascending $ per op/s, then W per op/s, then the configuration
 // coordinates so exact metric ties still order identically regardless
 // of scheduling. NaN metrics order last (pareto.Compare), keeping the
-// sort a strict weak order even for degenerate points.
-func lessPoint(a, b Point) bool {
+// sort a strict weak order even for degenerate points. It takes
+// pointers: a Point is about a kilobyte, and sorts call it n log n
+// times.
+func lessPoint(a, b *Point) bool {
 	if c := pareto.Compare(a.DollarsPerOp, b.DollarsPerOp); c != 0 {
 		return c < 0
 	}
@@ -234,27 +236,37 @@ func lessPoint(a, b Point) bool {
 
 // optAcc tracks a running argmin with lessPoint as the tie-break, so a
 // streaming fold selects exactly the point pareto.ArgMin would pick
-// from the lessPoint-sorted slice. NaN values never win.
+// from the lessPoint-sorted slice. NaN values never win. Candidates
+// arrive by pointer and are copied only when they win.
 type optAcc struct {
 	ok bool
 	v  float64
 	p  Point
 }
 
-func (a *optAcc) add(v float64, p Point) {
+func (a *optAcc) add(v float64, p *Point) {
 	if math.IsNaN(v) {
 		return
 	}
 	//lint:ignore floatcmp the tie-break must fire on exact metric equality to mirror ArgMin over a sorted slice
-	if !a.ok || v < a.v || (v == a.v && lessPoint(p, a.p)) {
-		a.ok, a.v, a.p = true, v, p
+	if !a.ok || v < a.v || (v == a.v && lessPoint(p, &a.p)) {
+		a.ok, a.v, a.p = true, v, *p
 	}
 }
 
-func (a *optAcc) merge(o optAcc) {
+func (a *optAcc) merge(o *optAcc) {
 	if o.ok {
-		a.add(o.v, o.p)
+		a.add(o.v, &o.p)
 	}
+}
+
+// point returns the winner, or nil when no candidate was offered.
+func (a *optAcc) point() *Point {
+	if !a.ok {
+		return nil
+	}
+	p := a.p
+	return &p
 }
 
 // geom is one deduplicated cell of the geometry grid.
@@ -271,19 +283,15 @@ type geom struct {
 // summary exactly accounts for the configurations evaluated so far
 // (Generated == Feasible + PrunedTotal still holds on abort).
 //
-// Scheduling is deterministic: the geometry list is split into fixed
-// chunks, workers claim chunks dynamically, and results are folded back
-// in chunk order (or through the order-independent streaming Pareto
-// fold when DiscardPoints is set), so Result is identical for any
-// worker count and any scheduling interleave.
+// Scheduling is deterministic: the geometry list is split into the
+// fixed chunks of the sweep's plan, workers claim chunks dynamically
+// and run the chunk evaluator EvaluateChunk runs, each folding into
+// its own accumulator; the accumulators are merged once at the end
+// and finished exactly as ResultMerger finishes. Retained points are
+// concatenated in chunk order and sorted by the result order, so
+// Result is identical for any worker count, chunk size and scheduling
+// interleave.
 func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Model) (Result, error) {
-	if err := model.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := sweep.Base.RCA.Validate(); err != nil {
-		return Result{}, err
-	}
-
 	rec := e.rec
 	// Parent under whatever the context carries (the daemon's job span,
 	// a remote traceparent) so one request is one connected trace; with
@@ -296,156 +304,95 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 	ctr := newExploreCounters(rec)
 
 	gridSpan := root.Child("grid_build")
-	grid, err := buildGrid(sweep)
+	grid, err := buildGrid(sweep, model)
+	gridSpan.End()
 	if err != nil {
-		gridSpan.End()
 		return Result{}, err
 	}
-	work := grid.work
+	plan := grid.plan(e.ChunkSize)
 	// Quantized cells enter (and leave) the pipeline at grid build; the
 	// surviving geometries are counted as workers actually claim them,
 	// so an aborted sweep's accounting stays exact.
-	summary := grid.summary
-	ctr.configs.Add(summary.Generated)
-	ctr.quantized.Add(summary.Reasons[PruneQuantization])
-	ctr.duplicates.Add(summary.Duplicates)
-	gridSpan.End()
-	if len(work) == 0 {
-		return Result{Pruned: summary}, emptySpaceError(summary)
+	total := newSweepAcc(plan.GridSummary())
+	ctr.configs.Add(grid.summary.Generated)
+	ctr.quantized.Add(grid.summary.Reasons[PruneQuantization])
+	ctr.duplicates.Add(grid.summary.Duplicates)
+	if len(grid.work) == 0 {
+		return Result{Pruned: total.summary}, emptySpaceError(total.summary)
 	}
 
 	sweepSpan := root.Child("sweep")
 	sweepCtx := obs.WithSpan(ctx, sweepSpan)
-	chunk := e.ChunkSize
-	if chunk <= 0 {
-		chunk = DefaultChunkSize
-	}
-	numChunks := (len(work) + chunk - 1) / chunk
+	numChunks := plan.NumChunks()
 	keep := !e.DiscardPoints
 	var chunkPoints [][]Point
 	if keep {
 		chunkPoints = make([][]Point, numChunks)
 	}
-	fold := pareto.NewFold(pointDollars, pointWatts)
-	carbonFold := pareto.NewFold(pointTCO, pointCO2)
-	var energyAcc, costAcc, tcoAcc, carbonAcc optAcc
+	n := e.Workers
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	workers := make([]chunkWorker, min(n, numChunks))
 	var (
-		mu        sync.Mutex
 		wg        sync.WaitGroup
 		nextChunk atomic.Int64
 		processed atomic.Int64
 	)
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numChunks {
-		workers = numChunks
+	claimed := func() {
+		done := processed.Add(1)
+		if sweep.Progress != nil {
+			sweep.Progress(int(done), len(grid.work))
+		}
 	}
 	log.LogAttrs(ctx, slog.LevelInfo, "sweep started",
-		slog.Int("geometries", len(work)),
-		slog.Int("workers", workers),
+		slog.Int("geometries", len(grid.work)),
+		slog.Int("workers", len(workers)),
 		slog.Int("chunks", numChunks),
 		slog.Int("voltages", len(grid.voltages)))
-	for w := 0; w < workers; w++ {
+	for i := range workers {
+		w := &workers[i]
+		*w = chunkWorker{acc: newSweepAcc(PruneSummary{}), ctr: &ctr}
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			var (
-				localSum   PruneSummary
-				localFold  *pareto.Fold[Point]
-				localCFold *pareto.Fold[Point]
-				localE     optAcc
-				localC     optAcc
-				localT     optAcc
-				localCO2   optAcc
-				workerFrom = time.Now()
-				busy       time.Duration
-				// Per-worker scratch, reused across every chunk this
-				// worker claims: the point buffer and the evaluation
-				// column buffer stop growing once they have seen the
-				// largest chunk, so the steady-state sweep does not
-				// allocate per configuration (see BenchmarkRepeatedSweep
-				// with -benchmem).
-				scratch []Point
-				column  []server.Evaluation
-			)
-			if !keep {
-				localFold = pareto.NewFold(pointDollars, pointWatts)
-				localCFold = pareto.NewFold(pointTCO, pointCO2)
-			}
+			workerFrom := time.Now()
+			var busy time.Duration
 			for ctx.Err() == nil {
 				c := int(nextChunk.Add(1)) - 1
 				if c >= numChunks {
 					break
 				}
 				_, chunkSpan := rec.StartSpan(sweepCtx, "chunk")
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > len(work) {
-					hi = len(work)
-				}
-				scratch = scratch[:0]
-				for _, g := range work[lo:hi] {
-					if ctx.Err() != nil {
-						break
-					}
-					geomFrom := time.Now()
-					done := processed.Add(1)
-					if sweep.Progress != nil {
-						sweep.Progress(int(done), len(work))
-					}
-					scratch, column = e.evalCell(g, sweep.Base, grid, model,
-						scratch, column, &localSum, &ctr)
-					busy += time.Since(geomFrom)
-				}
-				if keep {
-					// Retained chunks get an exact-size copy so the
-					// scratch stays with the worker and Result.Points
-					// carries no append slack.
-					pts := make([]Point, len(scratch))
-					copy(pts, scratch)
-					chunkPoints[c] = pts
-				} else {
-					for _, p := range scratch {
-						localFold.Add(p)
-						localCFold.Add(p)
-						localE.add(p.WattsPerOp, p)
-						localC.add(p.DollarsPerOp, p)
-						localT.add(p.TCOPerOp(), p)
-						localCO2.add(p.CO2PerOp(), p)
-					}
-				}
+				chunkFrom := time.Now()
+				pts, err := e.evalChunk(ctx, plan, c, w, keep, claimed)
+				busy += time.Since(chunkFrom)
 				chunkSpan.End()
+				if err == nil && keep {
+					chunkPoints[c] = pts
+				}
 			}
-			if total := time.Since(workerFrom); total > 0 {
+			if elapsed := time.Since(workerFrom); elapsed > 0 {
 				rec.Gauge("asiccloud_explore_worker_utilization",
-					"worker", strconv.Itoa(worker)).Set(busy.Seconds() / total.Seconds())
+					"worker", strconv.Itoa(worker)).Set(busy.Seconds() / elapsed.Seconds())
 			}
-			mu.Lock()
-			summary.merge(localSum)
-			if !keep {
-				fold.Merge(localFold)
-				carbonFold.Merge(localCFold)
-				energyAcc.merge(localE)
-				costAcc.merge(localC)
-				tcoAcc.merge(localT)
-				carbonAcc.merge(localCO2)
-			}
-			mu.Unlock()
-		}(w)
+		}(i)
 	}
 	wg.Wait()
 	sweepSpan.End()
+	for i := range workers {
+		total.merge(&workers[i].acc)
+	}
+	summary := total.summary
 
 	if err := ctx.Err(); err != nil {
 		log.LogAttrs(ctx, slog.LevelWarn, "sweep aborted",
 			slog.Int64("processed_geometries", processed.Load()),
-			slog.Int("total_geometries", len(work)),
+			slog.Int("total_geometries", len(grid.work)),
 			slog.String("cause", err.Error()))
 		return Result{Pruned: summary}, fmt.Errorf(
 			"core: exploration aborted after %d of %d geometries (%s): %w",
-			processed.Load(), len(work), summary, err)
+			processed.Load(), len(grid.work), summary, err)
 	}
 	log.LogAttrs(ctx, slog.LevelInfo, "sweep finished",
 		slog.Int64("generated", summary.Generated),
@@ -453,49 +400,22 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 		slog.Int64("plan_cache_hits", e.hits.Load()-hits0),
 		slog.Int64("plan_cache_misses", e.misses.Load()-misses0),
 		slog.Float64("duration_seconds", time.Since(from).Seconds()))
-	if summary.Feasible == 0 {
-		return Result{Pruned: summary}, fmt.Errorf(
-			"core: no feasible design point in the swept space (%s)", summary)
-	}
 
 	paretoSpan := root.Child("pareto")
-	res := Result{Pruned: summary}
-	if keep {
-		var n int
-		for _, pts := range chunkPoints {
-			n += len(pts)
-		}
-		points := make([]Point, 0, n)
+	res, err := total.finish()
+	if err == nil && keep {
+		points := make([]Point, 0, summary.Feasible)
 		for _, pts := range chunkPoints {
 			points = append(points, pts...)
 		}
 		// Deterministic order regardless of scheduling.
-		sort.Slice(points, func(i, j int) bool { return lessPoint(points[i], points[j]) })
+		sort.Slice(points, func(i, j int) bool { return lessPoint(&points[i], &points[j]) })
 		res.Points = points
-		fr := pareto.Frontier(points, pointDollars, pointWatts)
-		res.Frontier = pareto.Select(points, fr)
-		if i := pareto.ArgMin(points, pointWatts); i >= 0 {
-			res.EnergyOptimal = points[i]
-		}
-		if i := pareto.ArgMin(points, pointDollars); i >= 0 {
-			res.CostOptimal = points[i]
-		}
-		if i := pareto.ArgMin(points, Point.TCOPerOp); i >= 0 {
-			res.TCOOptimal = points[i]
-		}
-		if i := pareto.ArgMin(points, Point.CO2PerOp); i >= 0 {
-			res.CarbonOptimal = points[i]
-		}
-		cfr := pareto.Frontier(points, pointTCO, pointCO2)
-		res.CarbonFrontier = pareto.Select(points, cfr)
-	} else {
-		// finishFold applies the same sort → Frontier normalization the
-		// retaining path does, so the frontier is byte-identical; it is
-		// shared with ResultMerger.Finish, which is what keeps a
-		// distributed merge byte-identical to this path too.
-		finishFold(fold, carbonFold, energyAcc, costAcc, tcoAcc, carbonAcc, &res)
 	}
 	paretoSpan.End()
+	if err != nil {
+		return res, err
+	}
 	rec.Gauge("asiccloud_explore_frontier_size").Set(float64(len(res.Frontier)))
 	return res, nil
 }

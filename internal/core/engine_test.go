@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -97,6 +98,9 @@ func TestEngineDiscardPointsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := int64(len(full.Points)); got != full.Pruned.Feasible {
+		t.Fatalf("retained %d points, want Pruned.Feasible = %d", got, full.Pruned.Feasible)
+	}
 	eng := NewEngine(nil)
 	eng.DiscardPoints = true
 	lean, err := eng.Explore(smallSweep(), tco.Default())
@@ -106,16 +110,64 @@ func TestEngineDiscardPointsIdentity(t *testing.T) {
 	if lean.Points != nil {
 		t.Fatalf("DiscardPoints retained %d points", len(lean.Points))
 	}
-	if !reflect.DeepEqual(full.Frontier, lean.Frontier) {
-		t.Fatal("streaming frontier differs from retained frontier")
+	requireResultsIdentical(t, full, lean)
+}
+
+// TestExplorePointsIndependentOfSchedule pins Result.Points, order
+// included, across worker counts and chunk sizes (7 leaves a short
+// final chunk): retained points are the chunk-order concatenation
+// sorted by lessPoint, whoever evaluated each chunk.
+func TestExplorePointsIndependentOfSchedule(t *testing.T) {
+	sweep := smallSweep()
+	sweep.Stacked = true
+	var want Result
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		for _, size := range []int{1, 4, 7} {
+			eng := NewEngine(nil)
+			eng.Workers, eng.ChunkSize = workers, size
+			got, err := eng.Explore(sweep, tco.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := int64(len(got.Points)); n != got.Pruned.Feasible {
+				t.Fatalf("workers %d, chunk %d: %d points, want Pruned.Feasible = %d",
+					workers, size, n, got.Pruned.Feasible)
+			}
+			if want.Points == nil {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("workers %d, chunk %d: result differs from workers 1, chunk 1", workers, size)
+			}
+		}
 	}
-	if !reflect.DeepEqual(full.EnergyOptimal, lean.EnergyOptimal) ||
-		!reflect.DeepEqual(full.CostOptimal, lean.CostOptimal) ||
-		!reflect.DeepEqual(full.TCOOptimal, lean.TCOOptimal) {
-		t.Fatal("streaming optima differ from retained optima")
-	}
-	if !reflect.DeepEqual(full.Pruned, lean.Pruned) {
-		t.Fatalf("prune accounting differs: %s vs %s", full.Pruned, lean.Pruned)
+}
+
+// TestExploreAbortAccounting cancels a sweep from its own Progress
+// callback, so the abort lands mid-sweep on every machine, and checks
+// the partial accounting in both point modes.
+func TestExploreAbortAccounting(t *testing.T) {
+	for _, discard := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		sweep := smallSweep()
+		sweep.Progress = func(done, total int) {
+			if done == total/2 {
+				cancel()
+			}
+		}
+		eng := NewEngine(nil)
+		eng.DiscardPoints = discard
+		res, err := eng.ExploreContext(ctx, sweep, tco.Default())
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("discard=%v: err = %v, want wrapped context.Canceled", discard, err)
+		}
+		checkAccounting(t, res.Pruned)
+		if res.Pruned.Generated == 0 || res.Points != nil || res.Frontier != nil {
+			t.Errorf("discard=%v: aborted result should carry only the partial accounting: %s, %d points, %d frontier",
+				discard, res.Pruned, len(res.Points), len(res.Frontier))
+		}
 	}
 }
 
@@ -182,6 +234,7 @@ func TestInvalidVoltagesRejected(t *testing.T) {
 		{0.5, -0.1},
 		{0.0, 0.5},
 		{0.5, math.NaN()},
+		{0.45, 0.5, 5.0}, // outside the RCA's operating range
 	} {
 		sweep := smallSweep()
 		sweep.Voltages = bad
@@ -191,6 +244,38 @@ func TestInvalidVoltagesRejected(t *testing.T) {
 		if _, err := FindTCOOptimal(sweep, tco.Default()); err == nil {
 			t.Errorf("FindTCOOptimal accepted voltage grid %v", bad)
 		}
+		if _, err := FindCarbonOptimal(sweep, tco.Default()); err == nil {
+			t.Errorf("FindCarbonOptimal accepted voltage grid %v", bad)
+		}
+	}
+}
+
+// TestFastPathHonorsStacked: the fast path resolves the sweep as
+// Explore does, stacking options included, so on the stacked Bitcoin
+// space both fast results equal Explore's optima exactly.
+func TestFastPathHonorsStacked(t *testing.T) {
+	sweep := Sweep{Base: server.Default(bitcoinRCA()), Stacked: true}
+	full, err := Explore(sweep, tco.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fastTCO, err := FindTCOOptimal(sweep, tco.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fastTCO, full.TCOOptimal) {
+		t.Errorf("FindTCOOptimal = %.3f TCO/op (stacked %v), Explore = %.3f (stacked %v)",
+			fastTCO.TCOPerOp(), fastTCO.Config.Stacked,
+			full.TCOOptimal.TCOPerOp(), full.TCOOptimal.Config.Stacked)
+	}
+	fastCO2, err := FindCarbonOptimal(sweep, tco.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fastCO2, full.CarbonOptimal) {
+		t.Errorf("FindCarbonOptimal = %.4g CO2e/op (stacked %v), Explore = %.4g (stacked %v)",
+			fastCO2.CO2PerOp(), fastCO2.Config.Stacked,
+			full.CarbonOptimal.CO2PerOp(), full.CarbonOptimal.Config.Stacked)
 	}
 }
 

@@ -2,14 +2,10 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
-	"asiccloud/internal/carbon"
-	"asiccloud/internal/dram"
 	"asiccloud/internal/server"
 	"asiccloud/internal/tco"
-	"asiccloud/internal/thermal"
 )
 
 // coarseStepV is the minimum spacing (V) of the fast path's first-pass
@@ -48,25 +44,26 @@ func coarseIndices(vs []float64, step float64) []int {
 }
 
 // FindTCOOptimal locates the TCO-optimal design without sweeping every
-// voltage: per geometry it evaluates a coarse subset of the voltage
-// grid spaced at least 0.05 V apart, then refines over the grid points
-// strictly between the coarse neighbors of the winner. TCO is smooth
-// and single-troughed in voltage for a fixed geometry (costs fall and
-// watts rise monotonically), so the refinement finds the same optimum
-// as the brute force roughly five times faster — useful inside
-// sensitivity studies and interactive tools. Tests assert agreement
-// with Explore.
+// voltage: per geometry and stacking option it evaluates a coarse
+// subset of the voltage grid spaced at least 0.05 V apart, then refines
+// over the grid points strictly between the coarse neighbors of the
+// winner. TCO is smooth and single-troughed in voltage for a fixed
+// geometry (costs fall and watts rise monotonically), so the refinement
+// finds the same optimum as the brute force roughly five times faster —
+// useful inside sensitivity studies and interactive tools. Tests assert
+// that the result equals Explore's TCOOptimal.
 //
-// Both passes draw only from the caller's voltage set: a non-empty
-// Sweep.Voltages is sorted, de-duplicated and then used as-is, so the
-// reported optimum always operates at one of the supplied voltages
-// (an earlier version rebuilt dense grids over [min, max], inventing
-// voltages a sparse or irregular list never contained). An empty set
-// selects the paper's dense grid, where the subset/refine split
-// reproduces the classic 0.05 V coarse pass with ±0.04 V refinement
-// exactly. Thermal plans come from the engine's geometry cache, so a
-// fast-path call after an Explore of the same space does no heat-sink
-// optimization at all.
+// The fast path resolves the sweep exactly as Explore does: the same
+// grid build (the sorted, de-duplicated voltage set with its range
+// check, the defaults, the deduplicated geometry work list and the
+// stacking options) and the same per-geometry setup (DRAM subsystem,
+// memoized thermal plan, embodied carbon). Both passes draw only from
+// the caller's voltage set, so the reported optimum always operates at
+// one of the supplied voltages; an empty set selects the paper's dense
+// grid, where the subset/refine split reproduces the classic 0.05 V
+// coarse pass with ±0.04 V refinement exactly. Thermal plans come from
+// the engine's geometry cache, so a fast-path call after an Explore of
+// the same space does no heat-sink optimization at all.
 func (e *Engine) FindTCOOptimal(sweep Sweep, model tco.Model) (Point, error) {
 	return e.findOptimal(sweep, model, Point.TCOPerOp)
 }
@@ -78,140 +75,74 @@ func (e *Engine) FindTCOOptimal(sweep Sweep, model tco.Model) (Point, error) {
 // cuts frequency and therefore throughput, so the fixed embodied
 // emission is amortized over fewer op/s and its per-op share rises —
 // one falling term plus one rising term, single-troughed. Tests assert
-// agreement with Explore's CarbonOptimal.
+// that the result equals Explore's CarbonOptimal.
 func (e *Engine) FindCarbonOptimal(sweep Sweep, model tco.Model) (Point, error) {
 	return e.findOptimal(sweep, model, Point.CO2PerOp)
 }
 
-// findOptimal is the shared coarse+refine scan: it evaluates the
-// geometry grid with full TCO and carbon metrics attached to every
-// point (so the winner is byte-identical to the corresponding Explore
-// optimum) and minimizes the given objective.
+// findOptimal is the shared coarse+refine scan over the sweep's grid:
+// it prices every point it evaluates exactly as the sweep does and
+// keeps the minimum under the sweep's tie-break, so the winner equals
+// the corresponding Explore optimum.
 func (e *Engine) findOptimal(sweep Sweep, model tco.Model, objective func(Point) float64) (Point, error) {
-	if err := model.Validate(); err != nil {
+	grid, err := buildGrid(sweep, model)
+	if err != nil {
 		return Point{}, err
 	}
-	if err := sweep.Base.RCA.Validate(); err != nil {
-		return Point{}, err
-	}
-	cm := carbon.Default()
-	if sweep.Carbon != nil {
-		cm = *sweep.Carbon
-	}
-	if err := cm.Validate(); err != nil {
-		return Point{}, err
-	}
-
-	voltages := sweep.Voltages
-	if len(voltages) > 0 {
-		var err error
-		if voltages, err = NormalizeVoltages(voltages); err != nil {
-			return Point{}, err
-		}
-	} else {
-		voltages = VoltageGrid(sweep.Base.RCA.MinVoltage(), sweep.Base.RCA.MaxVoltage())
-	}
-	if len(voltages) == 0 {
-		return Point{}, fmt.Errorf(
-			"core: empty voltage grid (RCA voltage range %.2f..%.2f V; need 0 <= lo <= hi)",
-			sweep.Base.RCA.MinVoltage(), sweep.Base.RCA.MaxVoltage())
-	}
+	voltages := grid.voltages
 	ci := coarseIndices(voltages, coarseStepV)
-
-	silicon := sweep.SiliconPerLane
-	if len(silicon) == 0 {
-		silicon = DefaultSiliconPerLane()
-	}
-	chips := sweep.ChipsPerLane
-	if len(chips) == 0 {
-		chips = DefaultChipsPerLane()
-	}
-	drams := sweep.DRAMPerASIC
-	if len(drams) == 0 {
-		drams = []int{0}
-	}
-
-	var best *Point
-	var embodiedKg float64 // set per geometry, before the voltage scans
-	consider := func(cfg server.Config, plan thermal.OptimizeResult, v float64) float64 {
+	var best optAcc
+	consider := func(s *geomSetup, v float64) float64 {
+		cfg := s.cfg
 		cfg.Voltage = v
-		ev, err := server.EvaluateWithPlan(cfg, plan)
+		ev, err := server.EvaluateWithPlan(cfg, s.plan)
 		if err != nil {
 			return math.Inf(1)
 		}
 		p := Point{
 			Evaluation: ev,
 			TCO:        model.Of(ev.DollarsPerOp, ev.WattsPerOp),
-			Carbon:     cm.Of(embodiedKg, ev.Perf, ev.WallPower),
+			Carbon:     grid.carbon.Of(s.embodiedKg, ev.Perf, ev.WallPower),
 		}
 		obj := objective(p)
-		if best == nil || obj < objective(*best) {
-			best = &p
-		}
+		best.add(obj, &p)
 		return obj
 	}
-
-	seen := make(map[[3]int]bool)
-	for _, sil := range silicon {
-		for _, n := range chips {
-			r := int(math.Round(sil / float64(n) / sweep.Base.RCA.Area))
-			if r < 1 {
+	for _, g := range grid.work {
+		s, reason := e.setupGeom(g, grid)
+		if reason != "" {
+			continue
+		}
+		for _, stacked := range grid.stackedOptions {
+			s.cfg.Stacked = stacked
+			// Coarse pass over the spaced subset.
+			bestK, bestT := -1, math.Inf(1)
+			for k, i := range ci {
+				if t := consider(&s, voltages[i]); t < bestT {
+					bestT, bestK = t, k
+				}
+			}
+			if bestK < 0 {
 				continue
 			}
-			for _, d := range drams {
-				key := [3]int{r, n, d}
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				cfg := sweep.Base
-				cfg.RCAsPerChip = r
-				cfg.ChipsPerLane = n
-				if d > 0 {
-					sub, err := dram.NewSubsystem(cfg.DRAM.Device.Kind, d)
-					if err != nil {
-						continue
-					}
-					cfg.DRAM = sub
-				} else {
-					cfg.DRAM = dram.Subsystem{}
-				}
-				plan, err := e.thermalPlan(cfg)
-				if err != nil {
-					continue
-				}
-				embodiedKg = cm.EmbodiedServerKg(cfg.Process, cfg.DieArea(),
-					cfg.ChipsPerLane*cfg.Lanes)
-
-				// Coarse pass over the spaced subset.
-				bestK, bestT := -1, math.Inf(1)
-				for k, i := range ci {
-					if t := consider(cfg, plan, voltages[i]); t < bestT {
-						bestT, bestK = t, k
-					}
-				}
-				if bestK < 0 {
-					continue
-				}
-				// Refine over the grid points strictly between the
-				// coarse neighbors of the winner — the only region where
-				// a better trough point can hide, given unimodality.
-				lo := 0
-				if bestK > 0 {
-					lo = ci[bestK-1] + 1
-				}
-				hi := len(voltages) - 1
-				if bestK < len(ci)-1 {
-					hi = ci[bestK+1] - 1
-				}
-				for i := lo; i <= hi; i++ {
-					consider(cfg, plan, voltages[i])
-				}
+			// Refine over the grid points strictly between the coarse
+			// neighbors of the winner — the only region where a better
+			// trough point can hide, given unimodality.
+			lo := 0
+			if bestK > 0 {
+				lo = ci[bestK-1] + 1
+			}
+			hi := len(voltages) - 1
+			if bestK < len(ci)-1 {
+				hi = ci[bestK+1] - 1
+			}
+			for i := lo; i <= hi; i++ {
+				consider(&s, voltages[i])
 			}
 		}
 	}
-	if best == nil {
+	if !best.ok {
 		return Point{}, errors.New("core: no feasible design point in the swept space")
 	}
-	return *best, nil
+	return best.p, nil
 }

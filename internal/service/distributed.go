@@ -258,7 +258,7 @@ func RunOnce(ctx context.Context, req *Request, rec *obs.Recorder, log *slog.Log
 		return nil, err
 	}
 	eng := core.NewEngine(rec)
-	eng.DiscardPoints = true // same streaming path the daemon serves
+	eng.DiscardPoints = true // the result bytes carry no point set, as the daemon's do
 	eng.Log = log
 	res, err := eng.ExploreContext(ctx, sweep, model)
 	if err != nil {

@@ -278,30 +278,31 @@ func (p *SweepPlan) GridSummary() PruneSummary {
 // ChunkResult is one chunk's contribution to a sweep: the chunk-local
 // Pareto fold survivors, the four chunk-local optimum candidates, and
 // the chunk's exact per-geometry prune accounting. It is the payload a
-// distributed worker returns, so every field is JSON-serializable and
-// float64 values survive the wire exactly (encoding/json emits the
-// shortest round-tripping form).
+// distributed worker returns; its JSON form is the compact one
+// MarshalJSON and UnmarshalJSON define (see chunkwire.go), and float64
+// values survive it exactly (encoding/json emits the shortest
+// round-tripping form).
 type ChunkResult struct {
-	Chunk     int `json:"chunk"`
-	NumChunks int `json:"num_chunks"`
+	Chunk     int
+	NumChunks int
 	// Frontier is the chunk-local fold's survivor set in (dollars,
 	// watts) staircase order — not the global frontier; merging every
 	// chunk's survivors reproduces it.
-	Frontier []Point `json:"frontier,omitempty"`
+	Frontier []Point
 	// CarbonFrontier is the chunk-local (TCO per op/s, kg CO2e per
 	// op/s) fold's survivor set, merged the same way Frontier is.
-	CarbonFrontier []Point `json:"carbon_frontier,omitempty"`
+	CarbonFrontier []Point
 	// EnergyOptimal, CostOptimal, TCOOptimal and CarbonOptimal are the
 	// chunk's argmin candidates under the engine's deterministic
 	// tie-break; nil when the chunk has no feasible point.
-	EnergyOptimal *Point `json:"energy_optimal,omitempty"`
-	CostOptimal   *Point `json:"cost_optimal,omitempty"`
-	TCOOptimal    *Point `json:"tco_optimal,omitempty"`
-	CarbonOptimal *Point `json:"carbon_optimal,omitempty"`
+	EnergyOptimal *Point
+	CostOptimal   *Point
+	TCOOptimal    *Point
+	CarbonOptimal *Point
 	// Pruned accounts the chunk's own candidates only (thermal, DRAM
 	// and eval prunes plus feasible counts); grid-build prunes live in
 	// SweepPlan.GridSummary.
-	Pruned PruneSummary `json:"pruned"`
+	Pruned PruneSummary
 }
 
 // sweepAcc is the sweep's one fold accumulator: the (dollars, watts)
@@ -469,22 +470,18 @@ func (e *Engine) evalChunk(ctx context.Context, plan *SweepPlan, c int, w *chunk
 	return pts, nil
 }
 
-// EvaluateChunk evaluates one chunk of the sweep's deterministic
+// EvaluateChunk evaluates one chunk of the plan's deterministic
 // partition on this engine — the distributed worker's unit of work. It
 // runs the chunk evaluator ExploreContext's workers run, over the same
 // partition, into a fresh accumulator, so evaluating every chunk
 // exactly once (on any mix of processes and engines) and merging with
 // ResultMerger reproduces ExploreContext's Result byte for byte. The
-// engine's thermal-plan cache carries over between chunks, so a worker
-// handling many chunks of one sweep warms up just like a local worker
-// goroutine would.
-func (e *Engine) EvaluateChunk(ctx context.Context, sweep Sweep, model tco.Model,
-	chunkSize, chunk int) (ChunkResult, error) {
-
-	plan, err := PlanSweep(sweep, model, chunkSize)
-	if err != nil {
-		return ChunkResult{}, err
-	}
+// plan is read-only here, so a worker builds it once per sweep and
+// shares it across its chunks and goroutines; the engine's
+// thermal-plan cache carries over between chunks, so a worker handling
+// many chunks of one sweep warms up just like a local worker goroutine
+// would.
+func (e *Engine) EvaluateChunk(ctx context.Context, plan *SweepPlan, chunk int) (ChunkResult, error) {
 	if chunk < 0 || chunk >= plan.NumChunks() {
 		return ChunkResult{}, fmt.Errorf(
 			"core: chunk %d out of range (sweep has %d chunks of %d geometries)",

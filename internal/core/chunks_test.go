@@ -35,7 +35,7 @@ func evaluateAllChunks(t *testing.T, sweep Sweep, chunkSize int, viaJSON bool) [
 	out := make([]ChunkResult, 0, plan.NumChunks())
 	for c := 0; c < plan.NumChunks(); c++ {
 		eng := NewEngine(nil)
-		cr, err := eng.EvaluateChunk(context.Background(), sweep, tco.Default(), plan.ChunkSize(), c)
+		cr, err := eng.EvaluateChunk(context.Background(), plan, c)
 		if err != nil {
 			t.Fatalf("chunk %d: %v", c, err)
 		}
@@ -137,14 +137,18 @@ func TestChunkedMergeMatchesExplore(t *testing.T) {
 // TestChunkedMergeSurvivesWire bounces every ChunkResult through JSON —
 // the distributed pool's payload encoding — before merging. Go floats
 // round-trip exactly through encoding/json, so this must still be
-// byte-identical.
+// byte-identical, on a stacked sweep and on one with a DRAM axis.
 func TestChunkedMergeSurvivesWire(t *testing.T) {
-	sweep := smallSweep()
-	sweep.Stacked = true // exercise both stacking options over the wire
-	want := exploreDiscard(t, sweep)
-	chunks := evaluateAllChunks(t, sweep, DefaultChunkSize, true)
-	got := mergeChunks(t, sweep, DefaultChunkSize, chunks)
-	requireResultsIdentical(t, want, got)
+	stacked := smallSweep()
+	stacked.Stacked = true // exercise both stacking options over the wire
+	for name, sweep := range map[string]Sweep{"stacked": stacked, "dram": dramSweep(t)} {
+		t.Run(name, func(t *testing.T) {
+			want := exploreDiscard(t, sweep)
+			chunks := evaluateAllChunks(t, sweep, DefaultChunkSize, true)
+			got := mergeChunks(t, sweep, DefaultChunkSize, chunks)
+			requireResultsIdentical(t, want, got)
+		})
+	}
 }
 
 // TestChunkedMergeOrderIndependent merges the same chunk results in
@@ -196,15 +200,19 @@ func TestPlanSweepPartition(t *testing.T) {
 
 func TestEvaluateChunkErrors(t *testing.T) {
 	eng := NewEngine(nil)
-	if _, err := eng.EvaluateChunk(context.Background(), smallSweep(), tco.Default(), 4, -1); err == nil {
+	plan, err := PlanSweep(smallSweep(), tco.Default(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.EvaluateChunk(context.Background(), plan, -1); err == nil {
 		t.Error("negative chunk index should fail")
 	}
-	if _, err := eng.EvaluateChunk(context.Background(), smallSweep(), tco.Default(), 4, 10000); err == nil {
+	if _, err := eng.EvaluateChunk(context.Background(), plan, plan.NumChunks()); err == nil {
 		t.Error("out-of-range chunk index should fail")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.EvaluateChunk(ctx, smallSweep(), tco.Default(), 4, 0); err == nil {
+	if _, err := eng.EvaluateChunk(ctx, plan, 0); err == nil {
 		t.Error("pre-canceled context should abort the chunk")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"sync"
 	"time"
 
 	"asiccloud/internal/cloud"
@@ -20,11 +21,12 @@ import (
 // (leases, requeue on expiry, first-result-wins dedup). Workers — any
 // process running NewChunkHandler under cloud.RunWorker, typically
 // `asiccloudd -worker -join <addr>` — evaluate chunks on a local
-// core.Engine and return serialized core.ChunkResults. The coordinator
-// merges them with core.ResultMerger and renders the result through
-// the same marshalResult the daemon and RunOnce use, so a distributed
-// sweep's bytes are identical to a single-process run: frontier merge
-// is associative and order-independent, optimum merge is commutative,
+// core.Engine and return core.ChunkResults in their compact wire form
+// (core.ChunkResult.MarshalJSON). The coordinator merges them with
+// core.ResultMerger and renders the result through the same
+// marshalResult the daemon and RunOnce use, so a distributed sweep's
+// bytes are identical to a single-process run: frontier merge is
+// associative and order-independent, optimum merge is commutative,
 // prune accounting counts grid-build prunes once and per-geometry
 // prunes per chunk, and float64s round-trip JSON exactly.
 //
@@ -44,20 +46,56 @@ type chunkPayload struct {
 	// canonicalization disagrees must refuse the chunk.
 	RequestHash string `json:"request_hash"`
 	// ChunkSize and Chunk select one chunk of the deterministic
-	// partition; NumChunks rides along as a consistency check.
+	// partition; a worker whose own partition does not have NumChunks
+	// chunks refuses the chunk.
 	ChunkSize int `json:"chunk_size"`
 	Chunk     int `json:"chunk"`
 	NumChunks int `json:"num_chunks"`
 }
 
+// planMemo is a worker's last sweep plan, keyed by the request hash the
+// handler has just verified and the chunk size. Every chunk of a sweep
+// resolves to the same plan, so a worker builds the grid once per sweep
+// instead of once per chunk. It is shared by every goroutine running
+// the handler.
+type planMemo struct {
+	mu        sync.Mutex
+	hash      string
+	chunkSize int
+	plan      *core.SweepPlan
+}
+
+// get returns the plan of the canonical request can, whose hash the
+// caller has verified to be hash, building it unless it is the last one.
+func (m *planMemo) get(can Canonical, hash string, chunkSize int) (*core.SweepPlan, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.plan != nil && m.hash == hash && m.chunkSize == chunkSize {
+		return m.plan, nil
+	}
+	sweep, model, err := can.Plan()
+	if err != nil {
+		return nil, err
+	}
+	plan, err := core.PlanSweep(sweep, model, chunkSize)
+	if err != nil {
+		return nil, err
+	}
+	m.hash, m.chunkSize, m.plan = hash, chunkSize, plan
+	return plan, nil
+}
+
 // NewChunkHandler returns the cloud.Handler a distributed sweep worker
 // runs: decode the chunk payload, re-canonicalize the request and
-// verify the coordinator's hash, evaluate the chunk on eng (whose
-// thermal-plan cache warms up across chunks of the same sweep), and
-// return the serialized core.ChunkResult. The job's traceparent joins
-// the worker's chunk span to the coordinator's trace.
+// verify the coordinator's hash, check the partition against the
+// worker's own plan of the sweep (built once per sweep and shared by
+// every goroutine running the handler), evaluate the chunk on eng
+// (whose thermal-plan cache warms up across chunks of the same sweep),
+// and return the core.ChunkResult in its wire form. The job's
+// traceparent joins the worker's chunk span to the coordinator's trace.
 func NewChunkHandler(eng *core.Engine, rec *obs.Recorder, log *slog.Logger) cloud.Handler {
 	log = obs.OrNop(log)
+	var plans planMemo
 	return func(j cloud.Job) ([]byte, error) {
 		var p chunkPayload
 		if err := json.Unmarshal(j.Payload, &p); err != nil {
@@ -67,14 +105,20 @@ func NewChunkHandler(eng *core.Engine, rec *obs.Recorder, log *slog.Logger) clou
 		if err != nil {
 			return nil, fmt.Errorf("service: canonicalize chunk request: %w", err)
 		}
-		if h := can.Hash(); h != p.RequestHash {
+		h := can.Hash()
+		if h != p.RequestHash {
 			return nil, fmt.Errorf(
 				"service: request hash mismatch (coordinator %s, worker %s): refusing the chunk — coordinator and worker resolve the request differently (version skew?)",
 				p.RequestHash, h)
 		}
-		sweep, model, err := can.Plan()
+		plan, err := plans.get(can, h, p.ChunkSize)
 		if err != nil {
 			return nil, err
+		}
+		if p.NumChunks != plan.NumChunks() {
+			return nil, fmt.Errorf(
+				"service: chunk payload says %d chunks, worker plan has %d: refusing chunk %d — coordinator and worker partition the sweep differently",
+				p.NumChunks, plan.NumChunks(), p.Chunk)
 		}
 		ctx := context.Background()
 		if sc, ok := obs.ParseTraceparent(j.Traceparent); ok {
@@ -83,7 +127,7 @@ func NewChunkHandler(eng *core.Engine, rec *obs.Recorder, log *slog.Logger) clou
 		ctx, span := rec.StartSpan(ctx, "chunk")
 		defer span.End()
 		from := time.Now()
-		cr, err := eng.EvaluateChunk(ctx, sweep, model, p.ChunkSize, p.Chunk)
+		cr, err := eng.EvaluateChunk(ctx, plan, p.Chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +137,9 @@ func NewChunkHandler(eng *core.Engine, rec *obs.Recorder, log *slog.Logger) clou
 			slog.Int64("generated", cr.Pruned.Generated),
 			slog.Int64("feasible", cr.Pruned.Feasible),
 			slog.Float64("duration_seconds", time.Since(from).Seconds()))
-		out, err := json.Marshal(cr)
+		// The codec directly, not json.Marshal: that would re-scan the
+		// encoded result to validate it.
+		out, err := cr.MarshalJSON()
 		if err != nil {
 			return nil, fmt.Errorf("service: marshal chunk result: %w", err)
 		}
@@ -197,10 +243,19 @@ drain:
 				return nil, fmt.Errorf("service: chunk %d failed on worker %s: %s",
 					r.JobID-1, r.Worker, r.Err)
 			}
+			// The codec directly, not json.Unmarshal: that would scan
+			// the result once more before decoding it.
 			var cr core.ChunkResult
-			if err := json.Unmarshal(r.Output, &cr); err != nil {
+			if err := cr.UnmarshalJSON(r.Output); err != nil {
 				return nil, fmt.Errorf("service: decode chunk %d result from worker %s: %w",
 					r.JobID-1, r.Worker, err)
+			}
+			// Job ID c+1 asks for chunk c of this plan's partition; any
+			// other answer would be merged twice or not at all.
+			if want := int(r.JobID) - 1; cr.Chunk != want || cr.NumChunks != plan.NumChunks() {
+				return nil, fmt.Errorf(
+					"service: worker %s answered chunk %d of %d with chunk %d of %d",
+					r.Worker, want, plan.NumChunks(), cr.Chunk, cr.NumChunks)
 			}
 			merger.Add(cr)
 			log.LogAttrs(ctx, slog.LevelDebug, "chunk merged",

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,13 +64,35 @@ func TestDistributedMatchesRunOnce(t *testing.T) {
 
 	addr, out, errc := startCoordinator(t, ctx, req, CoordinatorOptions{ChunkSize: 2})
 	// Three workers, each with its own engine — separate thermal-plan
-	// caches, as separate processes would have.
+	// caches, as separate processes would have. Barrier: each worker's
+	// first handler call waits until all three have entered the
+	// handler, so two workers cannot finish the three chunks, and the
+	// coordinator close its listener, before the third has dialed. The
+	// timeout bounds a worker that never arrives; its error is then
+	// reported below.
+	const workers = 3
+	var entered atomic.Int32
+	allIn := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			h := NewChunkHandler(core.NewEngine(nil), nil, nil)
+			chunk := NewChunkHandler(core.NewEngine(nil), nil, nil)
+			first := true
+			h := func(j cloud.Job) ([]byte, error) {
+				if first {
+					first = false
+					if entered.Add(1) == workers {
+						close(allIn)
+					}
+					select {
+					case <-allIn:
+					case <-time.After(10 * time.Second):
+					}
+				}
+				return chunk(j)
+			}
 			if _, err := cloud.RunWorker(ctx, addr, "w", h); err != nil {
 				t.Errorf("worker %d: %v", id, err)
 			}
@@ -232,5 +255,139 @@ func TestPlanForPartition(t *testing.T) {
 	}
 	if plan.NumChunks() != 3 {
 		t.Errorf("chunks = %d, want 3", plan.NumChunks())
+	}
+}
+
+// chunkJob is job c+1 of the request's partition into chunks of size
+// geometries, as RunCoordinator would serve it.
+func chunkJob(t *testing.T, req *Request, size, c int) cloud.Job {
+	t.Helper()
+	can, err := Canonicalize(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _, _, err := planFor(req, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(chunkPayload{
+		Request:     *req,
+		RequestHash: can.Hash(),
+		ChunkSize:   size,
+		Chunk:       c,
+		NumChunks:   plan.NumChunks(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cloud.Job{ID: uint64(c + 1), Payload: payload}
+}
+
+// TestChunkHandlerChecksPartition: a worker refuses a chunk whose
+// payload counts a different number of chunks than its own plan of the
+// sweep, and answers a consistent one with that chunk of that plan.
+func TestChunkHandlerChecksPartition(t *testing.T) {
+	req := distRequest(t)
+	h := NewChunkHandler(core.NewEngine(nil), nil, nil)
+	job := chunkJob(t, req, 2, 1)
+	out, err := h(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cr core.ChunkResult
+	if err := json.Unmarshal(out, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if cr.Chunk != 1 || cr.NumChunks != 3 {
+		t.Errorf("answered chunk %d of %d, want 1 of 3", cr.Chunk, cr.NumChunks)
+	}
+
+	var p chunkPayload
+	if err := json.Unmarshal(job.Payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	p.NumChunks = 4
+	if job.Payload, err = json.Marshal(p); err != nil {
+		t.Fatal(err)
+	}
+	_, err = h(job)
+	if err == nil || !strings.Contains(err.Error(), "partition") {
+		t.Errorf("want a partition mismatch error, got %v", err)
+	}
+}
+
+// TestChunkHandlerSharesPlanAcrossGoroutines: one handler, as RunFleet
+// shares it, serves chunks of two sweeps and two partitions from
+// several goroutines at once, switching its plan between them, and
+// every answer equals a fresh handler's.
+func TestChunkHandlerSharesPlanAcrossGoroutines(t *testing.T) {
+	req, other := distRequest(t), distRequest(t)
+	other.Sweep.ChipsPerLane = []int{2, 3}
+	var jobs []cloud.Job
+	for c := 0; c < 3; c++ {
+		jobs = append(jobs, chunkJob(t, req, 2, c), chunkJob(t, other, 2, c))
+	}
+	for c := 0; c < 2; c++ {
+		jobs = append(jobs, chunkJob(t, req, 4, c))
+	}
+	want := make([][]byte, len(jobs))
+	for i, j := range jobs {
+		out, err := NewChunkHandler(core.NewEngine(nil), nil, nil)(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = out
+	}
+
+	h := NewChunkHandler(core.NewEngine(nil), nil, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range jobs {
+				i := (k + g) % len(jobs)
+				out, err := h(jobs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(out, want[i]) {
+					t.Errorf("goroutine %d: job %d answered differently from a fresh handler", g, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCoordinatorRejectsShiftedChunk: a worker that answers job c+1
+// with another chunk (here the next one) fails the sweep instead of
+// having a chunk merged twice and another never.
+func TestCoordinatorRejectsShiftedChunk(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	addr, out, errc := startCoordinator(t, ctx, distRequest(t), CoordinatorOptions{ChunkSize: 2})
+
+	honest := NewChunkHandler(core.NewEngine(nil), nil, nil)
+	shifted := func(j cloud.Job) ([]byte, error) {
+		b, err := honest(j)
+		if err != nil {
+			return nil, err
+		}
+		var cr core.ChunkResult
+		if err := json.Unmarshal(b, &cr); err != nil {
+			return nil, err
+		}
+		cr.Chunk = (cr.Chunk + 1) % cr.NumChunks
+		return json.Marshal(cr)
+	}
+	// As in TestCoordinatorSurfacesChunkFailure, the worker's own exit
+	// depends on when the coordinator tears the pool down.
+	_, _ = cloud.RunWorker(ctx, addr, "shifty", shifted)
+	<-out
+	err := <-errc
+	if err == nil || !strings.Contains(err.Error(), "answered chunk") {
+		t.Errorf("want the shifted chunk refused, got %v", err)
 	}
 }

@@ -10,6 +10,7 @@
 .PHONY: check
 check: build
 	go vet ./...
+	$(MAKE) fmt-check
 	$(MAKE) lint
 	$(MAKE) lint-json
 	go test ./...
@@ -17,6 +18,16 @@ check: build
 	go run ./cmd/benchreport -trajectory
 	./scripts/smoke_service.sh
 	./scripts/smoke_distributed.sh
+
+# Formatting gate: fails when gofmt -l lists any tracked .go file.
+# Files under a testdata/ directory are exempt: the analyzer fixtures'
+# goldens pin line and column positions, so they keep their layout.
+.PHONY: fmt-check
+fmt-check:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -Ev '(^|/)testdata/')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Domain-aware static analysis (unit discipline, float hygiene, error
 # propagation, context/goroutine/lock dataflow). Non-zero exit on any

@@ -27,8 +27,8 @@ import (
 
 	"asiccloud/internal/apps/bitcoin"
 	"asiccloud/internal/cloud"
-	"asiccloud/internal/units"
 	"asiccloud/internal/obs"
+	"asiccloud/internal/units"
 )
 
 func main() {

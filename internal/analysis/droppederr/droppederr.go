@@ -31,12 +31,12 @@ var Analyzer = &analysis.Analyzer{
 // print family (errors only on a broken io.Writer, and our writers are
 // stdout/stderr or in-memory) and the never-failing in-memory writers.
 var exempt = map[string]bool{
-	"fmt.Print":    true,
-	"fmt.Printf":   true,
-	"fmt.Println":  true,
-	"fmt.Fprint":   true,
-	"fmt.Fprintf":  true,
-	"fmt.Fprintln": true,
+	"fmt.Print":                      true,
+	"fmt.Printf":                     true,
+	"fmt.Println":                    true,
+	"fmt.Fprint":                     true,
+	"fmt.Fprintf":                    true,
+	"fmt.Fprintln":                   true,
 	"(*strings.Builder).Write":       true,
 	"(*strings.Builder).WriteByte":   true,
 	"(*strings.Builder).WriteRune":   true,

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -288,8 +289,8 @@ type geom struct {
 // and run the chunk evaluator EvaluateChunk runs, each folding into
 // its own accumulator; the accumulators are merged once at the end
 // and finished exactly as ResultMerger finishes. Retained points are
-// concatenated in chunk order and sorted by the result order, so
-// Result is identical for any worker count, chunk size and scheduling
+// put in the result order (lessPoint) and copied out once, so Result
+// is identical for any worker count, chunk size and scheduling
 // interleave.
 func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Model) (Result, error) {
 	rec := e.rec
@@ -404,13 +405,21 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 	paretoSpan := root.Child("pareto")
 	res, err := total.finish()
 	if err == nil && keep {
-		points := make([]Point, 0, summary.Feasible)
+		// Deterministic order regardless of scheduling: sort pointers
+		// into the chunk copies (lessPoint is a strict total order over
+		// distinct configurations, so any sort yields the same order),
+		// then copy each Point once into the exact-size result.
+		order := make([]*Point, 0, summary.Feasible)
 		for _, pts := range chunkPoints {
-			points = append(points, pts...)
+			for i := range pts {
+				order = append(order, &pts[i])
+			}
 		}
-		// Deterministic order regardless of scheduling.
-		sort.Slice(points, func(i, j int) bool { return lessPoint(&points[i], &points[j]) })
-		res.Points = points
+		sort.Slice(order, func(i, j int) bool { return lessPoint(order[i], order[j]) })
+		res.Points = make([]Point, len(order))
+		for i, p := range order {
+			res.Points[i] = *p
+		}
 	}
 	paretoSpan.End()
 	if err != nil {
@@ -437,14 +446,8 @@ func NormalizeVoltages(vs []float64) ([]float64, error) {
 		out = append(out, v)
 	}
 	sort.Float64s(out)
-	j := 0
-	for i := 1; i < len(out); i++ {
-		//lint:ignore floatcmp dedup targets bit-identical grid entries; distinct near-duplicates are kept by design
-		if out[i] == out[j] {
-			continue
-		}
-		j++
-		out[j] = out[i]
-	}
-	return out[:j+1], nil
+	// Compact drops entries equal (==) to their predecessor: it targets
+	// bit-identical grid entries, and distinct near-duplicates are kept
+	// by design.
+	return slices.Compact(out), nil
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -301,4 +303,63 @@ func TestNormalizeVoltages(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("NormalizeVoltages = %v, want %v", got, want)
 	}
+}
+
+// voltageBytes is FuzzNormalizeVoltages' input encoding of vs: each
+// value's IEEE 754 bits, little-endian, eight bytes apiece.
+func voltageBytes(vs ...float64) []byte {
+	b := make([]byte, 0, 8*len(vs))
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// FuzzNormalizeVoltages checks the canonical form of every voltage grid
+// a request carries: an error exactly when some input is NaN or <= 0;
+// otherwise a strictly ascending grid holding exactly the distinct
+// inputs, left unchanged by a second call, with the input untouched.
+// The fuzz input is read as float64 bit patterns (voltageBytes), so
+// NaN payloads, signed zeros, infinities and subnormals all reach it.
+func FuzzNormalizeVoltages(f *testing.F) {
+	f.Add(voltageBytes(0.5, 0.4, 0.5, 0.45, 0.4))
+	f.Add(voltageBytes(0.45, math.Copysign(0, -1), 0.5))
+	f.Add(voltageBytes(math.Inf(1), 0.4, math.SmallestNonzeroFloat64, math.Inf(1)))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		vs := make([]float64, len(b)/8)
+		for i := range vs {
+			vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		in := slices.Clone(vs)
+		out, err := NormalizeVoltages(vs)
+		if !slices.Equal(voltageBytes(vs...), voltageBytes(in...)) {
+			t.Fatalf("NormalizeVoltages modified its input %v to %v", in, vs)
+		}
+		invalid := slices.ContainsFunc(vs, func(v float64) bool { return math.IsNaN(v) || v <= 0 })
+		if (err != nil) != invalid {
+			t.Fatalf("NormalizeVoltages(%v) error = %v; want an error exactly when an input is NaN or <= 0", vs, err)
+		}
+		if err != nil {
+			return
+		}
+		for i := 1; i < len(out); i++ {
+			if !(out[i-1] < out[i]) {
+				t.Fatalf("NormalizeVoltages(%v) = %v, not strictly ascending", vs, out)
+			}
+		}
+		for _, v := range vs {
+			if !slices.Contains(out, v) {
+				t.Fatalf("NormalizeVoltages(%v) = %v, lost input %v", vs, out, v)
+			}
+		}
+		for _, v := range out {
+			if !slices.Contains(vs, v) {
+				t.Fatalf("NormalizeVoltages(%v) = %v, invented %v", vs, out, v)
+			}
+		}
+		again, err := NormalizeVoltages(out)
+		if err != nil || !slices.Equal(again, out) {
+			t.Fatalf("NormalizeVoltages(%v) = %v, %v; want it unchanged", out, again, err)
+		}
+	})
 }

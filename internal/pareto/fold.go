@@ -30,7 +30,15 @@ type Fold[T any] struct {
 	// pts is sorted by (x asc, y asc). Across distinct retained points y
 	// is strictly decreasing as x increases (the Pareto staircase); the
 	// only coincident entries are exact coordinate duplicates.
-	pts []T
+	pts []foldEntry[T]
+}
+
+// foldEntry is one survivor beside its coordinates, so the search and
+// the dominance tests read stored floats instead of re-running the
+// objective functions on (possibly large) point values.
+type foldEntry[T any] struct {
+	x, y float64
+	p    T
 }
 
 // NewFold returns an empty fold over the two objective functions.
@@ -46,7 +54,8 @@ func (f *Fold[T]) Len() int { return len(f.pts) }
 // every retained point p dominates is dropped. The sweep engine calls
 // Add once per feasible configuration, so it is allocation-sensitive:
 // memory use is bounded by the frontier, not by how many points flow
-// through.
+// through. Each objective function runs once per Add, and p is copied
+// into the fold only when it survives.
 //
 //asic:hotpath
 func (f *Fold[T]) Add(p T) {
@@ -54,22 +63,29 @@ func (f *Fold[T]) Add(p T) {
 	if math.IsNaN(px) || math.IsNaN(py) {
 		return
 	}
+	f.add(px, py, &p)
+}
+
+// add folds in p at the non-NaN coordinates (px, py). It is marked hot
+// itself: the hotalloc analyzer does not reach it through Add.
+//
+//asic:hotpath
+func (f *Fold[T]) add(px, py float64, p *T) {
 	// First retained index at or after p in (x asc, y asc) order.
 	//lint:ignore hotalloc the closure only captures stack locals and f, so escape analysis keeps it off the heap
 	pos := sort.Search(len(f.pts), func(i int) bool {
-		xi := f.x(f.pts[i])
+		e := &f.pts[i]
 		//lint:ignore floatcmp the staircase invariant needs an exact lexicographic order over coordinates
-		if xi != px {
-			return xi > px
+		if e.x != px {
+			return e.x > px
 		}
-		return f.y(f.pts[i]) >= py
+		return e.y >= py
 	})
 	// Only the nearest retained point to the left can dominate p: every
 	// point further left has larger-or-equal y by the staircase
 	// invariant, so it dominates p only if that neighbor does too.
 	if pos > 0 {
-		q := f.pts[pos-1]
-		if Dominates(f.x(q), f.y(q), px, py) {
+		if q := &f.pts[pos-1]; Dominates(q.x, q.y, px, py) {
 			return
 		}
 	}
@@ -77,30 +93,27 @@ func (f *Fold[T]) Add(p T) {
 	// and, until y drops below py, y >= py. Exact duplicates terminate
 	// the run immediately (neither point dominates the other).
 	end := pos
-	for end < len(f.pts) {
-		q := f.pts[end]
-		if !Dominates(px, py, f.x(q), f.y(q)) {
-			break
-		}
+	for end < len(f.pts) && Dominates(px, py, f.pts[end].x, f.pts[end].y) {
 		end++
 	}
 	if end > pos {
-		f.pts[pos] = p
+		f.pts[pos] = foldEntry[T]{x: px, y: py, p: *p}
 		//lint:ignore hotalloc shifts within capacity; growth is bounded by the frontier size, not the point count
 		f.pts = append(f.pts[:pos+1], f.pts[end:]...)
 		return
 	}
-	var zero T
 	//lint:ignore hotalloc growth is bounded by the frontier size, not the point count
-	f.pts = append(f.pts, zero)
+	f.pts = append(f.pts, foldEntry[T]{})
 	copy(f.pts[pos+1:], f.pts[pos:])
-	f.pts[pos] = p
+	f.pts[pos] = foldEntry[T]{x: px, y: py, p: *p}
 }
 
-// Merge folds every point retained by o into f. o is not modified.
+// Merge folds every point retained by o into f, reusing o's stored
+// coordinates. o is not modified.
 func (f *Fold[T]) Merge(o *Fold[T]) {
-	for _, p := range o.pts {
-		f.Add(p)
+	for i := range o.pts {
+		e := &o.pts[i]
+		f.add(e.x, e.y, &e.p)
 	}
 }
 
@@ -108,5 +121,12 @@ func (f *Fold[T]) Merge(o *Fold[T]) {
 // Run Frontier over it to apply the standard duplicate tie-breaking;
 // the result is identical to Frontier over every point ever Added.
 func (f *Fold[T]) Points() []T {
-	return append([]T(nil), f.pts...)
+	if len(f.pts) == 0 {
+		return nil
+	}
+	out := make([]T, len(f.pts))
+	for i := range f.pts {
+		out[i] = f.pts[i].p
+	}
+	return out
 }

@@ -71,18 +71,32 @@ func frontierSet(pts []pt) []pt {
 	return Select(pts, Frontier(pts, xs, ys))
 }
 
-// randomPoints draws a deterministic cloud with exact duplicates, shared
-// coordinates and occasional NaN, the cases a streaming fold can get
-// wrong.
+// randomPoints draws a deterministic cloud with the cases a streaming
+// fold can get wrong: exact duplicates, runs of points sharing x or
+// sharing y, signed zeros, infinities and occasional NaN.
 func randomPoints(rng *rand.Rand, n int) []pt {
+	special := []float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, math.NaN()}
+	coord := func() float64 { return float64(rng.Intn(20)) }
 	pts := make([]pt, 0, n)
 	for i := 0; i < n; i++ {
-		p := pt{float64(rng.Intn(20)), float64(rng.Intn(20))}
-		switch rng.Intn(10) {
+		p := pt{coord(), coord()}
+		switch rng.Intn(12) {
 		case 0:
 			p.x = math.NaN()
 		case 1:
 			pts = append(pts, p) // exact duplicate
+		case 2:
+			p.x = special[rng.Intn(len(special))]
+		case 3:
+			p.y = special[rng.Intn(len(special))]
+		case 4:
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				pts = append(pts, pt{p.x, coord()}) // equal-x run
+			}
+		case 5:
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				pts = append(pts, pt{coord(), p.y}) // equal-y run
+			}
 		}
 		pts = append(pts, p)
 	}
@@ -116,14 +130,20 @@ func TestFoldMergeMatchesSingle(t *testing.T) {
 			single.Add(p)
 			parts[i%len(parts)].Add(p)
 		}
-		merged := NewFold(xs, ys)
-		for _, part := range parts {
-			merged.Merge(part)
-		}
-		got := frontierSet(merged.Points())
-		want := frontierSet(single.Points())
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: merged frontier %v != single-fold frontier %v", trial, got, want)
+		// The survivors, exact duplicates included, are a property of
+		// the point multiset, and Points lists them in (x asc, y asc)
+		// order, so the merged fold must list exactly what the single
+		// one does.
+		want := single.Points()
+		for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
+			merged := NewFold(xs, ys)
+			for _, i := range order {
+				merged.Merge(parts[i])
+			}
+			if got := merged.Points(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, merge order %v: merged survivors %v != single-fold survivors %v",
+					trial, order, got, want)
+			}
 		}
 	}
 }

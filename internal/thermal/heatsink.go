@@ -25,10 +25,10 @@ type HeatSink struct {
 
 // Limits from the paper's Table 2, used by the heat sink optimizer.
 const (
-	MaxSinkWidth  = 0.085 // m
-	MaxSinkHeight = 0.035 // m, limited to 1U, includes 3 mm spreader
-	MaxSinkDepth  = 0.100 // m
-	MinGap        = 0.001 // m between two fins
+	MaxSinkWidth  = 0.085  // m
+	MaxSinkHeight = 0.035  // m, limited to 1U, includes 3 mm spreader
+	MaxSinkDepth  = 0.100  // m
+	MinGap        = 0.001  // m between two fins
 	StdFin        = 0.0005 // m; the paper's standard 0.5 mm fin thickness
 	StdBase       = 0.003  // m; the paper's standard 3 mm spreader base
 )

@@ -162,11 +162,11 @@ func (l Lane) Airflow() (sinkFlow, fanFlow float64) {
 }
 
 // tempCoeffs returns per-chip coefficients k such that the junction
-// temperature of chip i at uniform per-chip power P is InletC + k[i]·P.
-// The linearity of the whole network in power is what lets the explorer
-// evaluate thermal feasibility in closed form.
-func (l Lane) tempCoeffs() []float64 {
-	q, _ := l.Airflow()
+// temperature of chip i at uniform per-chip power P is InletC + k[i]·P,
+// with q (m³/s) flowing through the sinks. The linearity of the whole
+// network in power is what lets the explorer evaluate thermal
+// feasibility in closed form.
+func (l Lane) tempCoeffs(q float64) []float64 {
 	p := l.Layout.params()
 	res := l.Sink.Resistance(q, l.DieArea)
 	rWorst := res.TIM + res.Spreading + res.Convection/p.uniformity
@@ -209,7 +209,8 @@ func (l Lane) tempCoeffs() []float64 {
 // sources — the effect the paper observes in CFD ("heat generation is
 // more evenly spread across the lane").
 func (l Lane) JunctionTemps(powerPerChip float64) []float64 {
-	coeffs := l.tempCoeffs()
+	q, _ := l.Airflow()
+	coeffs := l.tempCoeffs(q)
 	temps := make([]float64, len(coeffs))
 	for i, k := range coeffs {
 		temps[i] = l.InletC + powerPerChip*k
@@ -225,11 +226,18 @@ func (l Lane) MaxChipPower() float64 {
 	if err := l.Validate(); err != nil {
 		return 0
 	}
+	q, _ := l.Airflow()
+	return l.maxChipPowerAt(q)
+}
+
+// maxChipPowerAt is MaxChipPower for a validated lane whose sinks carry
+// q (m³/s), the through-sink flow Airflow solves for. OptimizeSink calls
+// it directly to score several spreader materials at one solved flow.
+func (l Lane) maxChipPowerAt(q float64) float64 {
 	// Junction temperature is linear in power: Tj[i] = inlet + k[i]·P,
 	// so the limit is set by the largest coefficient in closed form.
-	coeffs := l.tempCoeffs()
 	worst := 0.0
-	for _, k := range coeffs {
+	for _, k := range l.tempCoeffs(q) {
 		if k > worst {
 			worst = k
 		}

@@ -71,43 +71,46 @@ func OptimizeSink(fan Fan, chips int, dieAreaMM2 float64, opt OptimizeOptions) (
 			continue
 		}
 		for _, gap := range []float64{0.001, 0.0015, 0.002, 0.003, 0.004} {
+			sink := HeatSink{
+				Width:         width,
+				FinHeight:     MaxSinkHeight - StdBase,
+				Depth:         depth,
+				BaseThickness: StdBase,
+				FinThickness:  StdFin,
+				Gap:           gap,
+				FinMaterial:   Aluminum,
+				TIM:           DefaultTIM(),
+			}
+			if sink.Validate() != nil {
+				continue
+			}
+			lane := NewLane(fan, sink, chips, dieAreaMM2, opt.Layout)
+			lane.InletC = opt.InletC
+			lane.MaxTjC = opt.MaxTjC
+			lane.LaneLen = opt.LaneLen
+			lane.ExtraRow = opt.ExtraRow
+			if lane.Validate() != nil {
+				continue
+			}
+			// The air path is the same for either spreader: neither the
+			// flow network nor the geometry checks read a material, so
+			// one airflow solve serves both.
+			q, _ := lane.Airflow()
 			// Table 2 allows an aluminum or copper heat spreader; the
 			// sweep tries both (copper spreads better, aluminum is
 			// cheaper — thermals decide here, cost ties break to Cu's
 			// better worst-chip margin).
 			for _, base := range []Material{Copper, Aluminum} {
-				sink := HeatSink{
-					Width:         width,
-					FinHeight:     MaxSinkHeight - StdBase,
-					Depth:         depth,
-					BaseThickness: StdBase,
-					FinThickness:  StdFin,
-					Gap:           gap,
-					FinMaterial:   Aluminum,
-					BaseMaterial:  base,
-					TIM:           DefaultTIM(),
-				}
-				if sink.Validate() != nil {
-					continue
-				}
-				lane := NewLane(fan, sink, chips, dieAreaMM2, opt.Layout)
-				lane.InletC = opt.InletC
-				lane.MaxTjC = opt.MaxTjC
-				lane.LaneLen = opt.LaneLen
-				lane.ExtraRow = opt.ExtraRow
-				if lane.Validate() != nil {
-					continue
-				}
-				p := lane.MaxChipPower()
+				lane.Sink.BaseMaterial = base
+				p := lane.maxChipPowerAt(q)
 				if !found || p > best.ChipPower {
-					q, _ := lane.Airflow()
 					best = OptimizeResult{
-						Sink:         sink,
+						Sink:         lane.Sink,
 						Lane:         lane,
 						ChipPower:    p,
 						LanePower:    p * float64(chips),
 						SinkFlow:     q,
-						ResistanceKW: sink.Resistance(q, dieAreaMM2).Total(),
+						ResistanceKW: lane.Sink.Resistance(q, dieAreaMM2).Total(),
 					}
 					found = true
 				}

@@ -218,8 +218,8 @@ func ProvisionForLatency(jobs []workload.Job, speedup, targetP99 float64, maxSer
 	return workload.ProvisionForLatency(jobs, speedup, targetP99, maxServers)
 }
 
-// FindTCOOptimal is the fast (coarse-then-refine) TCO-optimal search;
-// it agrees with Explore's optimum but skips the full Pareto sweep.
+// FindTCOOptimal returns the TCO-optimal design: the TCOOptimal of
+// one streaming sweep, so it equals Explore's by construction.
 func FindTCOOptimal(sweep Sweep, model TCOModel) (DesignPoint, error) {
 	return core.FindTCOOptimal(sweep, model)
 }

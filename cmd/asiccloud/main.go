@@ -18,6 +18,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -54,7 +55,7 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "design":
-		err = cmdDesign(ctx, os.Args[2:])
+		err = cmdDesign(ctx, os.Args[2:], os.Stdout)
 	case "pareto":
 		err = cmdPareto(ctx, os.Args[2:])
 	case "custom":
@@ -137,7 +138,8 @@ func exploreApp(ctx context.Context, eng *core.Engine, app string) (core.Result,
 	}
 }
 
-func cmdDesign(ctx context.Context, args []string) error {
+// cmdDesign runs the design subcommand, writing its report to w.
+func cmdDesign(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("design", flag.ExitOnError)
 	app := fs.String("app", "bitcoin", "application: bitcoin, litecoin, xcode, cnn")
 	verbose := fs.Bool("v", false, "print the TCO-optimal server's full datasheet")
@@ -151,11 +153,11 @@ func cmdDesign(ctx context.Context, args []string) error {
 			return err
 		}
 		energy, cost, tcoOpt := appcnn.Optima(evals)
-		fmt.Printf("energy-optimal: chip %v, %d systems: %.2f W/TOps, $%.2f/TOps, TCO %.2f\n",
+		fmt.Fprintf(w, "energy-optimal: chip %v, %d systems: %.2f W/TOps, $%.2f/TOps, TCO %.2f\n",
 			energy.Shape, energy.Systems, energy.Eval.WattsPerOp, energy.Eval.DollarsPerOp, energy.TCOPerOp())
-		fmt.Printf("TCO-optimal:    chip %v, %d systems: %.2f W/TOps, $%.2f/TOps, TCO %.2f\n",
+		fmt.Fprintf(w, "TCO-optimal:    chip %v, %d systems: %.2f W/TOps, $%.2f/TOps, TCO %.2f\n",
 			tcoOpt.Shape, tcoOpt.Systems, tcoOpt.Eval.WattsPerOp, tcoOpt.Eval.DollarsPerOp, tcoOpt.TCOPerOp())
-		fmt.Printf("cost-optimal:   chip %v, %d systems: %.2f W/TOps, $%.2f/TOps, TCO %.2f\n",
+		fmt.Fprintf(w, "cost-optimal:   chip %v, %d systems: %.2f W/TOps, $%.2f/TOps, TCO %.2f\n",
 			cost.Shape, cost.Systems, cost.Eval.WattsPerOp, cost.Eval.DollarsPerOp, cost.TCOPerOp())
 		return nil
 	}
@@ -167,14 +169,14 @@ func cmdDesign(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("explored %d feasible designs, %d Pareto-optimal\n\n", len(res.Points), len(res.Frontier))
-	fmt.Println("energy-optimal:", res.EnergyOptimal.Describe())
-	fmt.Println("TCO-optimal:   ", res.TCOOptimal.Describe())
-	fmt.Println("cost-optimal:  ", res.CostOptimal.Describe())
-	fmt.Println("carbon-optimal:", res.CarbonOptimal.Describe())
+	fmt.Fprintf(w, "explored %d feasible designs, %d Pareto-optimal\n\n", len(res.Points), len(res.Frontier))
+	fmt.Fprintln(w, "energy-optimal:", res.EnergyOptimal.Describe())
+	fmt.Fprintln(w, "TCO-optimal:   ", res.TCOOptimal.Describe())
+	fmt.Fprintln(w, "cost-optimal:  ", res.CostOptimal.Describe())
+	fmt.Fprintln(w, "carbon-optimal:", res.CarbonOptimal.Describe())
 	if *verbose {
-		fmt.Println()
-		fmt.Print(res.TCOOptimal.Report())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, res.TCOOptimal.Report())
 	}
 	return o.finish(&res)
 }

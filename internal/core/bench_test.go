@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"asiccloud/internal/pareto"
-	"asiccloud/internal/tco"
 )
 
 // Layer microbenchmarks for the distributed sweep's per-chunk stages.
@@ -62,32 +60,20 @@ func BenchmarkResultMergerAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkFoldAddPoint measures pareto.Fold.Add on core.Points, about
-// a kilobyte each, which the fold's metric closures take by value: one
-// op folds every feasible point of the stacked bitcoin sweep, in
-// evaluation order, into a fresh (dollars, watts) fold.
+// BenchmarkFoldAddPoint measures the sweep's fold step: one op folds
+// every feasible row of the stacked bitcoin sweep, in evaluation order,
+// into a fresh (dollars, watts) fold through pareto.Fold.AddAt, the
+// entry sweepAcc.add uses, which takes the row's precomputed
+// coordinates and copies a row only when it survives.
 func BenchmarkFoldAddPoint(b *testing.B) {
-	plan, err := PlanSweep(stackedBitcoinSweep(), tco.Default(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng := NewEngine(nil)
-	ctr := newExploreCounters(nil)
-	w := chunkWorker{acc: newSweepAcc(PruneSummary{}), ctr: &ctr}
-	var pts []Point
-	for c := 0; c < plan.NumChunks(); c++ {
-		chunk, err := eng.evalChunk(context.Background(), plan, c, &w, true, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pts = append(pts, chunk...)
-	}
+	rows := sweepRows(b, stackedBitcoinSweep())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := pareto.NewFold(pointDollars, pointWatts)
-		for _, p := range pts {
-			f.Add(p)
+		f := pareto.NewFold(rowDollars, rowWatts)
+		for j := range rows {
+			r := &rows[j]
+			f.AddAt(r.DollarsPerOp, r.WattsPerOp, r)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/add")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/add")
 }

@@ -15,23 +15,30 @@ import (
 )
 
 // This file is the sweep's one path. Every sweep — ExploreContext in
-// process, a distributed worker's EvaluateChunk, the coordinator's
-// ResultMerger and the FindTCOOptimal fast path — is built from the
-// same pieces:
+// process (and FindTCOOptimal/FindCarbonOptimal, which are streaming
+// ExploreContexts), a distributed worker's EvaluateChunk and the
+// coordinator's ResultMerger — is built from the same pieces:
 //
 //   - buildGrid resolves a Sweep into the deterministic voltage grid
 //     and deduplicated geometry work list, with grid-construction
 //     prunes (quantization, duplicates) accounted exactly once;
 //   - setupGeom resolves one geometry (DRAM subsystem, memoized thermal
-//     plan, embodied carbon) and evalCell walks its voltage column,
-//     identically wherever it runs;
+//     plan, embodied carbon) and evalCell walks its voltage columns,
+//     identically wherever it runs, into rows: each feasible
+//     configuration's per-voltage server.Row with its TCO and carbon,
+//     pointing at its geometry's server.Record, one per geometry and
+//     allocated once per chunk;
 //   - evalChunk evaluates chunk c = work[c*size : (c+1)*size] of the
 //     plan's partition into a sweepAcc, the one fold accumulator.
 //     ExploreContext's workers each fold their chunks into their own
 //     accumulator and merge them once at the end; EvaluateChunk folds
 //     one chunk into a fresh accumulator and ships it as a ChunkResult;
-//     ResultMerger folds ChunkResults back into an accumulator. All of
-//     them finish through sweepAcc.finish.
+//     ResultMerger splits ChunkResults back into rows and folds them
+//     into an accumulator. All of them finish through sweepAcc.finish.
+//
+// Rows are evaluated, priced, folded and compared; full Points exist
+// only at the edges: the frontiers and optima a Result or ChunkResult
+// reports, and keep mode's Result.Points.
 //
 // Because pareto.Fold merge is associative and order-independent and
 // optAcc merge is commutative, the finished Result is byte-identical
@@ -200,11 +207,12 @@ func (e *Engine) setupGeom(g geom, grid *sweepGrid) (s geomSetup, reason string)
 }
 
 // evalCell evaluates one deduplicated geometry cell: setupGeom, then the
-// per-voltage column walk (evalGeometry). Feasible points are appended
-// to scratch; every candidate the cell generates is accounted in sum.
-// The returned slices are the (possibly grown) scratch buffers.
-func (e *Engine) evalCell(g geom, grid *sweepGrid, scratch []Point, column []server.Evaluation,
-	sum *PruneSummary, ctr *exploreCounters) ([]Point, []server.Evaluation) {
+// per-voltage column walk (evalGeometry). Feasible rows, which share
+// *rec, are appended to scratch; every candidate the cell generates is
+// accounted in sum. The returned slices are the (possibly grown)
+// scratch buffers.
+func (e *Engine) evalCell(g geom, grid *sweepGrid, rec *server.Record, scratch []row, column []server.Row,
+	sum *PruneSummary, ctr *exploreCounters) ([]row, []server.Row) {
 
 	sum.Generated += grid.perGeom
 	ctr.configs.Add(grid.perGeom)
@@ -215,7 +223,7 @@ func (e *Engine) evalCell(g geom, grid *sweepGrid, scratch []Point, column []ser
 	case PruneThermal:
 		ctr.thermal.Add(grid.perGeom)
 	default:
-		return e.evalGeometry(s, grid, scratch, column, sum, ctr)
+		return e.evalGeometry(&s, grid, rec, scratch, column, sum, ctr)
 	}
 	sum.add(reason, grid.perGeom)
 	return scratch, column
@@ -307,11 +315,12 @@ type ChunkResult struct {
 
 // sweepAcc is the sweep's one fold accumulator: the (dollars, watts)
 // and (TCO, CO2e) Pareto folds, the four optimum accumulators and the
-// prune accounting. Memory is O(frontier), however many points flow
-// through. An accumulator is not safe for concurrent use: each sweep
-// worker owns one, and they are merged once the workers are done.
+// prune accounting, all over rows. Memory is O(frontier), however many
+// rows flow through. An accumulator is not safe for concurrent use:
+// each sweep worker owns one, and they are merged once the workers are
+// done.
 type sweepAcc struct {
-	fold, cfold                     *pareto.Fold[Point]
+	fold, cfold                     *pareto.Fold[row]
 	energy, cost, tcoOpt, carbonOpt optAcc
 	summary                         PruneSummary
 }
@@ -319,24 +328,26 @@ type sweepAcc struct {
 // newSweepAcc returns an empty accumulator seeded with summary.
 func newSweepAcc(summary PruneSummary) sweepAcc {
 	return sweepAcc{
-		fold:    pareto.NewFold(pointDollars, pointWatts),
-		cfold:   pareto.NewFold(pointTCO, pointCO2),
+		fold:    pareto.NewFold(rowDollars, rowWatts),
+		cfold:   pareto.NewFold(rowTCO, rowCO2),
 		summary: summary,
 	}
 }
 
-// add folds one feasible point in; the point's feasible count is
-// accounted where it is evaluated. The sweep calls add once per
-// feasible configuration.
+// add folds one feasible row in; its feasible count is accounted where
+// it is evaluated. The sweep calls add once per feasible configuration,
+// so each objective is computed once here and no fold or optimum copies
+// the row unless it survives.
 //
 //asic:hotpath
-func (a *sweepAcc) add(p *Point) {
-	a.fold.Add(*p)
-	a.cfold.Add(*p)
-	a.energy.add(p.WattsPerOp, p)
-	a.cost.add(p.DollarsPerOp, p)
-	a.tcoOpt.add(p.TCOPerOp(), p)
-	a.carbonOpt.add(p.CO2PerOp(), p)
+func (a *sweepAcc) add(r *row) {
+	tcoPerOp, co2PerOp := r.TCO.Total(), r.Carbon.Total()
+	a.fold.AddAt(r.DollarsPerOp, r.WattsPerOp, r)
+	a.cfold.AddAt(tcoPerOp, co2PerOp, r)
+	a.energy.add(r.WattsPerOp, r)
+	a.cost.add(r.DollarsPerOp, r)
+	a.tcoOpt.add(tcoPerOp, r)
+	a.carbonOpt.add(co2PerOp, r)
 }
 
 // merge folds o's survivors, optimum candidates and accounting into a.
@@ -355,8 +366,8 @@ func (a *sweepAcc) chunkResult(c, n int) ChunkResult {
 	return ChunkResult{
 		Chunk:          c,
 		NumChunks:      n,
-		Frontier:       a.fold.Points(),
-		CarbonFrontier: a.cfold.Points(),
+		Frontier:       points(a.fold.Points()),
+		CarbonFrontier: points(a.cfold.Points()),
 		EnergyOptimal:  a.energy.point(),
 		CostOptimal:    a.cost.point(),
 		TCOOptimal:     a.tcoOpt.point(),
@@ -365,37 +376,80 @@ func (a *sweepAcc) chunkResult(c, n int) ChunkResult {
 	}
 }
 
-// addChunk folds a chunk's wire form in, the inverse of chunkResult:
-// merging the ChunkResult of accumulator o is merging o.
-func (a *sweepAcc) addChunk(cr ChunkResult) {
-	for _, p := range cr.Frontier {
-		a.fold.Add(p)
+// points builds the Point of each row; no rows give nil.
+func points(rows []row) []Point {
+	if len(rows) == 0 {
+		return nil
 	}
-	for _, p := range cr.CarbonFrontier {
-		a.cfold.Add(p)
+	out := make([]Point, len(rows))
+	for i := range rows {
+		rows[i].writePoint(&out[i])
+	}
+	return out
+}
+
+// addChunk folds a chunk's wire form in, the inverse of chunkResult:
+// merging the ChunkResult of accumulator o is merging o. Each Point is
+// split into a row once; the rows of one geometry share one record.
+func (a *sweepAcc) addChunk(cr ChunkResult) {
+	var recs chunkRecords
+	for i := range cr.Frontier {
+		r := recs.split(&cr.Frontier[i])
+		a.fold.AddAt(r.DollarsPerOp, r.WattsPerOp, &r)
+	}
+	for i := range cr.CarbonFrontier {
+		r := recs.split(&cr.CarbonFrontier[i])
+		a.cfold.AddAt(r.TCO.Total(), r.Carbon.Total(), &r)
 	}
 	if p := cr.EnergyOptimal; p != nil {
-		a.energy.add(p.WattsPerOp, p)
+		r := recs.split(p)
+		a.energy.add(r.WattsPerOp, &r)
 	}
 	if p := cr.CostOptimal; p != nil {
-		a.cost.add(p.DollarsPerOp, p)
+		r := recs.split(p)
+		a.cost.add(r.DollarsPerOp, &r)
 	}
 	if p := cr.TCOOptimal; p != nil {
-		a.tcoOpt.add(p.TCOPerOp(), p)
+		r := recs.split(p)
+		a.tcoOpt.add(r.TCO.Total(), &r)
 	}
 	if p := cr.CarbonOptimal; p != nil {
-		a.carbonOpt.add(p.CO2PerOp(), p)
+		r := recs.split(p)
+		a.carbonOpt.add(r.Carbon.Total(), &r)
 	}
 	a.summary.merge(cr.Pruned)
 }
 
+// chunkRecords holds the distinct geometry records of one incoming
+// chunk, so the rows split from its Points share one record per
+// geometry.
+type chunkRecords []*server.Record
+
+// split turns p into a row whose record is the chunk's one record for
+// p's geometry; only a geometry's first Point allocates its record.
+func (rs *chunkRecords) split(p *Point) row {
+	rec, r := server.Split(&p.Evaluation)
+	out := row{Row: r, TCO: p.TCO, Carbon: p.Carbon}
+	g := geomOf(&rec.Config)
+	for _, have := range *rs {
+		if geomOf(&have.Config) == g && *have == rec {
+			out.rec = have
+			return out
+		}
+	}
+	out.rec = new(server.Record)
+	*out.rec = rec
+	*rs = append(*rs, out.rec)
+	return out
+}
+
 // finish turns the accumulator into the reported Result; it is the
 // only place a Result's frontiers and optima are made. Each fold's
-// survivor set is order-independent; sorting it by lessPoint and
+// survivor set is order-independent; sorting it by lessRow and
 // re-running Frontier applies the same duplicate tie-breaking a
 // frontier pass over every sorted point would, so both the (dollars,
 // watts) frontier and the (TCO, CO2e) frontier are byte-identical
-// however the points were folded and merged. Pruned is populated even
+// however the rows were folded and merged. Pruned is populated even
 // on the no-feasible-point error.
 //
 //asic:canonical
@@ -405,48 +459,59 @@ func (a *sweepAcc) finish() (Result, error) {
 		return res, fmt.Errorf(
 			"core: no feasible design point in the swept space (%s)", a.summary)
 	}
-	surv := a.fold.Points()
-	sort.Slice(surv, func(i, j int) bool { return lessPoint(&surv[i], &surv[j]) })
-	fr := pareto.Frontier(surv, pointDollars, pointWatts)
-	res.Frontier = pareto.Select(surv, fr)
-	csurv := a.cfold.Points()
-	sort.Slice(csurv, func(i, j int) bool { return lessPoint(&csurv[i], &csurv[j]) })
-	cfr := pareto.Frontier(csurv, pointTCO, pointCO2)
-	res.CarbonFrontier = pareto.Select(csurv, cfr)
-	res.EnergyOptimal = a.energy.p
-	res.CostOptimal = a.cost.p
-	res.TCOOptimal = a.tcoOpt.p
-	res.CarbonOptimal = a.carbonOpt.p
+	res.Frontier = frontier(a.fold, rowDollars, rowWatts)
+	res.CarbonFrontier = frontier(a.cfold, rowTCO, rowCO2)
+	res.EnergyOptimal = a.energy.result()
+	res.CostOptimal = a.cost.result()
+	res.TCOOptimal = a.tcoOpt.result()
+	res.CarbonOptimal = a.carbonOpt.result()
 	return res, nil
 }
 
+// frontier is the Pareto frontier of f's survivors under (x, y) in
+// lessRow order, as Points.
+func frontier(f *pareto.Fold[row], x, y func(row) float64) []Point {
+	surv := f.Points()
+	sort.Slice(surv, func(i, j int) bool { return lessRow(&surv[i], &surv[j]) })
+	idx := pareto.Frontier(surv, x, y)
+	out := make([]Point, len(idx))
+	for k, i := range idx {
+		surv[i].writePoint(&out[k])
+	}
+	return out
+}
+
 // chunkWorker is one evaluator's state, reused across the chunks it
-// runs: the accumulator its points fold into, the sweep's counters, and
-// scratch buffers that stop growing once they have seen the largest
-// geometry (the largest chunk when points are kept), so a steady-state
-// sweep does not allocate per configuration (see BenchmarkRepeatedSweep
-// with -benchmem).
+// runs: the accumulator its rows fold into, the sweep's counters, and
+// the row and column scratch buffers. The buffers stop growing once
+// they have seen the largest geometry (the largest chunk when points
+// are kept), so a steady-state sweep does not allocate per
+// configuration, only one geometry-record block per chunk (see
+// BenchmarkRepeatedSweep with -benchmem).
 type chunkWorker struct {
 	acc    sweepAcc
 	ctr    *exploreCounters
-	pts    []Point
-	column []server.Evaluation
+	rows   []row
+	column []server.Row
 }
 
 // evalChunk is the sweep's one chunk evaluator: it evaluates chunk c of
-// the plan's partition and folds every feasible point into w.acc. It
+// the plan's partition and folds every feasible row into w.acc. It
 // checks ctx between geometries and returns ctx's error on an early
 // stop, with every geometry it did evaluate exactly accounted in
-// w.acc. claimed, when non-nil, runs as each geometry starts. With keep
-// set the chunk's points are also returned, in evaluation order, as an
-// exact-size copy; otherwise the point scratch is reset per geometry.
+// w.acc. claimed, when non-nil, runs as each geometry starts. The
+// chunk's geometry records are allocated once, together, because the
+// folded survivors keep pointing at them after the chunk. With keep set
+// the chunk's rows are also returned, in evaluation order, as an
+// exact-size copy; otherwise the row scratch is reset per geometry.
 func (e *Engine) evalChunk(ctx context.Context, plan *SweepPlan, c int, w *chunkWorker,
-	keep bool, claimed func()) ([]Point, error) {
+	keep bool, claimed func()) ([]row, error) {
 
 	lo := c * plan.chunkSize
 	hi := min(lo+plan.chunkSize, len(plan.grid.work))
-	w.pts = w.pts[:0]
-	for _, g := range plan.grid.work[lo:hi] {
+	recs := make([]server.Record, hi-lo)
+	w.rows = w.rows[:0]
+	for i, g := range plan.grid.work[lo:hi] {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -454,20 +519,20 @@ func (e *Engine) evalChunk(ctx context.Context, plan *SweepPlan, c int, w *chunk
 			claimed()
 		}
 		if !keep {
-			w.pts = w.pts[:0]
+			w.rows = w.rows[:0]
 		}
-		n := len(w.pts)
-		w.pts, w.column = e.evalCell(g, plan.grid, w.pts, w.column, &w.acc.summary, w.ctr)
-		for i := n; i < len(w.pts); i++ {
-			w.acc.add(&w.pts[i])
+		n := len(w.rows)
+		w.rows, w.column = e.evalCell(g, plan.grid, &recs[i], w.rows, w.column, &w.acc.summary, w.ctr)
+		for j := n; j < len(w.rows); j++ {
+			w.acc.add(&w.rows[j])
 		}
 	}
 	if !keep {
 		return nil, nil
 	}
-	pts := make([]Point, len(w.pts))
-	copy(pts, w.pts)
-	return pts, nil
+	rows := make([]row, len(w.rows))
+	copy(rows, w.rows)
+	return rows, nil
 }
 
 // EvaluateChunk evaluates one chunk of the plan's deterministic

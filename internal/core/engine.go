@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"asiccloud/internal/carbon"
 	"asiccloud/internal/dram"
 	"asiccloud/internal/obs"
 	"asiccloud/internal/pareto"
@@ -47,10 +48,12 @@ const DefaultChunkSize = 4
 // NewEngine. Engines are safe for concurrent use.
 type Engine struct {
 	// DiscardPoints leaves Result.Points nil. Every sweep folds its
-	// points through the same streaming accumulator either way; this
-	// only decides whether each chunk's points are also copied out,
-	// which costs memory in the feasible-set size. Frontier, optima and
-	// Pruned do not depend on it.
+	// rows through the same streaming accumulator either way; this only
+	// decides whether each chunk's rows are also copied out and turned
+	// into Points at the end, which costs memory in the feasible-set
+	// size (about 300 bytes per row while the sweep runs, then a
+	// kilobyte per Point). Frontier, optima and Pruned do not depend on
+	// it.
 	DiscardPoints bool
 	// ChunkSize is the number of geometries per scheduling chunk
 	// (0 selects DefaultChunkSize).
@@ -160,22 +163,41 @@ func (e *Engine) Explore(sweep Sweep, model tco.Model) (Result, error) {
 	return e.ExploreContext(context.Background(), sweep, model)
 }
 
+// row is one feasible configuration as the sweep evaluates, prices and
+// folds it: the per-voltage server.Row, its TCO and carbon breakdowns,
+// and a pointer to its geometry's shared server.Record. At about 300
+// bytes it is a third of the Point it stands for; Points are built only
+// for what a Result or ChunkResult reports (row.writePoint).
+type row struct {
+	server.Row
+	TCO    tco.Breakdown
+	Carbon carbon.Breakdown
+	rec    *server.Record
+}
+
+// writePoint writes the full Point the row stands for into *p, in
+// place.
+func (r *row) writePoint(p *Point) {
+	server.Join(&p.Evaluation, r.rec, &r.Row)
+	p.TCO, p.Carbon = r.TCO, r.Carbon
+}
+
 // evalGeometry evaluates every (stacking option, voltage) configuration
-// of one resolved geometry cell, appending the feasible points to pts
-// and returning the (possibly grown) scratch slices. This is the
-// sweep's innermost loop — everything here runs once per candidate
-// configuration, millions of times per sweep, and the ROADMAP's
-// configs/sec budget assumes it is allocation-free in steady state;
-// the hotalloc analyzer enforces that transitively.
+// of one resolved geometry cell into rows that share rec, appending the
+// feasible ones to rows and returning the (possibly grown) scratch
+// slices. This is the sweep's innermost loop — everything here runs
+// once per candidate configuration, millions of times per sweep, and
+// the ROADMAP's configs/sec budget assumes it is allocation-free in
+// steady state; the hotalloc analyzer enforces that transitively.
 //
 //asic:hotpath
-func (e *Engine) evalGeometry(s geomSetup, grid *sweepGrid,
-	pts []Point, column []server.Evaluation, sum *PruneSummary, ctr *exploreCounters) ([]Point, []server.Evaluation) {
+func (e *Engine) evalGeometry(s *geomSetup, grid *sweepGrid, rec *server.Record,
+	rows []row, column []server.Row, sum *PruneSummary, ctr *exploreCounters) ([]row, []server.Row) {
 
 	cfg := s.cfg
 	for _, stacked := range grid.stackedOptions {
 		cfg.Stacked = stacked
-		col, thermalPruned, evalPruned := server.EvaluateColumn(cfg, s.plan, grid.voltages, column[:0])
+		col, thermalPruned, evalPruned := server.EvaluateRows(rec, &cfg, &s.plan, grid.voltages, column[:0])
 		column = col
 		if thermalPruned > 0 {
 			sum.add(PruneThermal, int64(thermalPruned))
@@ -185,88 +207,98 @@ func (e *Engine) evalGeometry(s geomSetup, grid *sweepGrid,
 			sum.add(PruneEval, int64(evalPruned))
 			ctr.evalErr.Add(int64(evalPruned))
 		}
-		for _, ev := range col {
+		for i := range col {
+			r := &col[i]
 			//lint:ignore hotalloc appends into the per-worker scratch; capacity tops out at the largest chunk and growth amortizes to zero
-			pts = append(pts, Point{
-				Evaluation: ev,
-				TCO:        grid.model.Of(ev.DollarsPerOp, ev.WattsPerOp),
-				Carbon:     grid.carbon.Of(s.embodiedKg, ev.Perf, ev.WallPower),
+			rows = append(rows, row{
+				Row:    *r,
+				TCO:    grid.model.Of(r.DollarsPerOp, r.WattsPerOp),
+				Carbon: grid.carbon.Of(s.embodiedKg, r.Perf, r.WallPower),
+				rec:    rec,
 			})
 			sum.Feasible++
 			ctr.feasible.Inc()
 		}
 	}
-	return pts, column
+	return rows, column
 }
 
-// pointDollars and pointWatts are the two classic Pareto objectives;
-// pointTCO and pointCO2 are the axes of the carbon frontier.
-func pointDollars(p Point) float64 { return p.DollarsPerOp }
-func pointWatts(p Point) float64   { return p.WattsPerOp }
-func pointTCO(p Point) float64     { return p.TCOPerOp() }
-func pointCO2(p Point) float64     { return p.CO2PerOp() }
+// rowDollars and rowWatts are the two classic Pareto objectives;
+// rowTCO and rowCO2 are the axes of the carbon frontier.
+func rowDollars(r row) float64 { return r.DollarsPerOp }
+func rowWatts(r row) float64   { return r.WattsPerOp }
+func rowTCO(r row) float64     { return r.TCO.Total() }
+func rowCO2(r row) float64     { return r.Carbon.Total() }
 
-// lessPoint is the deterministic total order results are reported in:
+// lessRow is the deterministic total order results are reported in:
 // ascending $ per op/s, then W per op/s, then the configuration
 // coordinates so exact metric ties still order identically regardless
 // of scheduling. NaN metrics order last (pareto.Compare), keeping the
-// sort a strict weak order even for degenerate points. It takes
-// pointers: a Point is about a kilobyte, and sorts call it n log n
-// times.
-func lessPoint(a, b *Point) bool {
+// sort a strict weak order even for degenerate points.
+func lessRow(a, b *row) bool {
 	if c := pareto.Compare(a.DollarsPerOp, b.DollarsPerOp); c != 0 {
 		return c < 0
 	}
 	if c := pareto.Compare(a.WattsPerOp, b.WattsPerOp); c != 0 {
 		return c < 0
 	}
-	if c := pareto.Compare(a.Config.Voltage, b.Config.Voltage); c != 0 {
+	if c := pareto.Compare(a.Voltage, b.Voltage); c != 0 {
 		return c < 0
 	}
-	if a.Config.Stacked != b.Config.Stacked {
-		return !a.Config.Stacked
+	if a.Stacked != b.Stacked {
+		return !a.Stacked
 	}
-	if a.Config.ChipsPerLane != b.Config.ChipsPerLane {
-		return a.Config.ChipsPerLane < b.Config.ChipsPerLane
+	ga, gb := &a.rec.Config, &b.rec.Config
+	if ga.ChipsPerLane != gb.ChipsPerLane {
+		return ga.ChipsPerLane < gb.ChipsPerLane
 	}
-	if a.Config.RCAsPerChip != b.Config.RCAsPerChip {
-		return a.Config.RCAsPerChip < b.Config.RCAsPerChip
+	if ga.RCAsPerChip != gb.RCAsPerChip {
+		return ga.RCAsPerChip < gb.RCAsPerChip
 	}
-	return a.Config.DRAM.PerASIC < b.Config.DRAM.PerASIC
+	return ga.DRAM.PerASIC < gb.DRAM.PerASIC
 }
 
-// optAcc tracks a running argmin with lessPoint as the tie-break, so a
+// optAcc tracks a running argmin with lessRow as the tie-break, so a
 // streaming fold selects exactly the point pareto.ArgMin would pick
-// from the lessPoint-sorted slice. NaN values never win. Candidates
+// from the lessRow-sorted slice. NaN values never win. Candidates
 // arrive by pointer and are copied only when they win.
 type optAcc struct {
 	ok bool
 	v  float64
-	p  Point
+	r  row
 }
 
-func (a *optAcc) add(v float64, p *Point) {
+func (a *optAcc) add(v float64, r *row) {
 	if math.IsNaN(v) {
 		return
 	}
 	//lint:ignore floatcmp the tie-break must fire on exact metric equality to mirror ArgMin over a sorted slice
-	if !a.ok || v < a.v || (v == a.v && lessPoint(p, &a.p)) {
-		a.ok, a.v, a.p = true, v, *p
+	if !a.ok || v < a.v || (v == a.v && lessRow(r, &a.r)) {
+		a.ok, a.v, a.r = true, v, *r
 	}
 }
 
 func (a *optAcc) merge(o *optAcc) {
 	if o.ok {
-		a.add(o.v, &o.p)
+		a.add(o.v, &o.r)
 	}
 }
 
-// point returns the winner, or nil when no candidate was offered.
+// result is the winner's Point, zero when no candidate was offered.
+func (a *optAcc) result() Point {
+	var p Point
+	if a.ok {
+		a.r.writePoint(&p)
+	}
+	return p
+}
+
+// point is result as a pointer, nil when no candidate was offered.
 func (a *optAcc) point() *Point {
 	if !a.ok {
 		return nil
 	}
-	p := a.p
+	p := a.result()
 	return &p
 }
 
@@ -288,11 +320,45 @@ type geom struct {
 // fixed chunks of the sweep's plan, workers claim chunks dynamically
 // and run the chunk evaluator EvaluateChunk runs, each folding into
 // its own accumulator; the accumulators are merged once at the end
-// and finished exactly as ResultMerger finishes. Retained points are
-// put in the result order (lessPoint) and copied out once, so Result
-// is identical for any worker count, chunk size and scheduling
+// and finished exactly as ResultMerger finishes. Retained rows are
+// put in the result order (lessRow) and each becomes a Point once, so
+// Result is identical for any worker count, chunk size and scheduling
 // interleave.
 func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Model) (Result, error) {
+	return e.explore(ctx, sweep, model, !e.DiscardPoints)
+}
+
+// FindTCOOptimal returns the TCO-optimal design of the sweep: the
+// TCOOptimal of one streaming (DiscardPoints) sweep on this engine, so
+// it shares the engine's thermal-plan cache and equals Explore's
+// answer by construction.
+func (e *Engine) FindTCOOptimal(sweep Sweep, model tco.Model) (Point, error) {
+	res, err := e.explore(context.Background(), sweep, model, false)
+	return res.TCOOptimal, err
+}
+
+// FindCarbonOptimal returns the CO2e-optimal design of the sweep, the
+// CarbonOptimal of one streaming sweep (see FindTCOOptimal).
+func (e *Engine) FindCarbonOptimal(sweep Sweep, model tco.Model) (Point, error) {
+	res, err := e.explore(context.Background(), sweep, model, false)
+	return res.CarbonOptimal, err
+}
+
+// FindTCOOptimal is Engine.FindTCOOptimal over a fresh Engine. Callers
+// that also Explore should share one Engine so both reuse the same
+// thermal-plan cache.
+func FindTCOOptimal(sweep Sweep, model tco.Model) (Point, error) {
+	return NewEngine(nil).FindTCOOptimal(sweep, model)
+}
+
+// FindCarbonOptimal is Engine.FindCarbonOptimal over a fresh Engine.
+func FindCarbonOptimal(sweep Sweep, model tco.Model) (Point, error) {
+	return NewEngine(nil).FindCarbonOptimal(sweep, model)
+}
+
+// explore is ExploreContext with point retention chosen per call: keep
+// also returns every feasible point in Result.Points.
+func (e *Engine) explore(ctx context.Context, sweep Sweep, model tco.Model, keep bool) (Result, error) {
 	rec := e.rec
 	// Parent under whatever the context carries (the daemon's job span,
 	// a remote traceparent) so one request is one connected trace; with
@@ -325,10 +391,9 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 	sweepSpan := root.Child("sweep")
 	sweepCtx := obs.WithSpan(ctx, sweepSpan)
 	numChunks := plan.NumChunks()
-	keep := !e.DiscardPoints
-	var chunkPoints [][]Point
+	var chunkRows [][]row
 	if keep {
-		chunkPoints = make([][]Point, numChunks)
+		chunkRows = make([][]row, numChunks)
 	}
 	n := e.Workers
 	if n <= 0 {
@@ -366,11 +431,11 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 				}
 				_, chunkSpan := rec.StartSpan(sweepCtx, "chunk")
 				chunkFrom := time.Now()
-				pts, err := e.evalChunk(ctx, plan, c, w, keep, claimed)
+				rows, err := e.evalChunk(ctx, plan, c, w, keep, claimed)
 				busy += time.Since(chunkFrom)
 				chunkSpan.End()
 				if err == nil && keep {
-					chunkPoints[c] = pts
+					chunkRows[c] = rows
 				}
 			}
 			if elapsed := time.Since(workerFrom); elapsed > 0 {
@@ -406,19 +471,19 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 	res, err := total.finish()
 	if err == nil && keep {
 		// Deterministic order regardless of scheduling: sort pointers
-		// into the chunk copies (lessPoint is a strict total order over
+		// into the chunk copies (lessRow is a strict total order over
 		// distinct configurations, so any sort yields the same order),
-		// then copy each Point once into the exact-size result.
-		order := make([]*Point, 0, summary.Feasible)
-		for _, pts := range chunkPoints {
-			for i := range pts {
-				order = append(order, &pts[i])
+		// then build each Point once in the exact-size result.
+		order := make([]*row, 0, summary.Feasible)
+		for _, rows := range chunkRows {
+			for i := range rows {
+				order = append(order, &rows[i])
 			}
 		}
-		sort.Slice(order, func(i, j int) bool { return lessPoint(order[i], order[j]) })
+		sort.Slice(order, func(i, j int) bool { return lessRow(order[i], order[j]) })
 		res.Points = make([]Point, len(order))
-		for i, p := range order {
-			res.Points[i] = *p
+		for i, r := range order {
+			r.writePoint(&res.Points[i])
 		}
 	}
 	paretoSpan.End()
@@ -432,11 +497,10 @@ func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Mode
 // NormalizeVoltages returns a sorted, de-duplicated copy of a
 // user-supplied voltage grid (V), rejecting non-positive (or NaN)
 // entries outright — operating voltages are physical quantities, and
-// both Explore's thermal early break and FindTCOOptimal's
-// coarse-then-refine pass assume an ascending grid. It is exported so
-// request canonicalizers (the asiccloudd service) can apply exactly the
-// normalization the engine will, making "same grid after normalization"
-// and "same request hash" the same statement.
+// Explore's thermal early break assumes an ascending grid. It is
+// exported so request canonicalizers (the asiccloudd service) can apply
+// exactly the normalization the engine will, making "same grid after
+// normalization" and "same request hash" the same statement.
 func NormalizeVoltages(vs []float64) ([]float64, error) {
 	out := make([]float64, 0, len(vs))
 	for _, v := range vs {

@@ -118,7 +118,7 @@ func TestEngineDiscardPointsIdentity(t *testing.T) {
 // TestExplorePointsIndependentOfSchedule pins Result.Points, order
 // included, across worker counts and chunk sizes (7 leaves a short
 // final chunk): retained points are the chunk-order concatenation
-// sorted by lessPoint, whoever evaluated each chunk.
+// sorted by lessRow, whoever evaluated each chunk.
 func TestExplorePointsIndependentOfSchedule(t *testing.T) {
 	sweep := smallSweep()
 	sweep.Stacked = true

@@ -93,7 +93,12 @@ func VoltageGrid(lo, hi float64) []float64 {
 	return out
 }
 
-// Point is one feasible design with its TCO and carbon footprint.
+// Point is one feasible design with its TCO and carbon footprint: the
+// reported form of a design. At about a kilobyte it is too large to
+// move per configuration, so the sweep evaluates, prices and folds
+// compact rows (a server.Row, TCO, carbon and a pointer to the
+// geometry's shared server.Record) and builds Points only for the
+// frontiers and optima it reports and, in keep mode, Result.Points.
 type Point struct {
 	server.Evaluation
 	TCO    tco.Breakdown

@@ -83,26 +83,49 @@ func (sc SpanContext) Traceparent() string {
 	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-01"
 }
 
-// ParseTraceparent parses a W3C traceparent header value
-// ("00-<32 hex>-<16 hex>-<2 hex>"). It accepts any version byte (per
-// spec, unknown versions parse as version 00 if the tail matches) and
-// rejects all-zero trace or span IDs.
+// ParseTraceparent parses a W3C traceparent header value,
+// "<2 hex version>-<32 hex trace ID>-<16 hex span ID>-<2 hex flags>",
+// as W3C Trace Context reads it: version ff is invalid, version 00 has
+// exactly these four fields, and a later version may append further
+// "-"-separated fields, which are ignored while its first four parse as
+// version 00's. All-zero trace or span IDs are rejected. Hex digits may
+// be of either case. The header comes from untrusted clients, so
+// anything else is rejected rather than guessed at.
 func ParseTraceparent(h string) (SpanContext, bool) {
 	parts := strings.Split(strings.TrimSpace(h), "-")
-	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 {
+	if len(parts) < 4 || !isHexByte(parts[0]) || !isHexByte(parts[3]) ||
+		len(parts[1]) != 32 || len(parts[2]) != 16 {
 		return SpanContext{}, false
+	}
+	switch strings.ToLower(parts[0]) {
+	case "ff":
+		return SpanContext{}, false
+	case "00":
+		if len(parts) != 4 {
+			return SpanContext{}, false
+		}
 	}
 	var sc SpanContext
-	if _, err := hex.Decode(sc.TraceID[:], []byte(strings.ToLower(parts[1]))); err != nil {
+	if _, err := hex.Decode(sc.TraceID[:], []byte(parts[1])); err != nil {
 		return SpanContext{}, false
 	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(strings.ToLower(parts[2]))); err != nil {
+	if _, err := hex.Decode(sc.SpanID[:], []byte(parts[2])); err != nil {
 		return SpanContext{}, false
 	}
 	if !sc.Valid() {
 		return SpanContext{}, false
 	}
 	return sc, true
+}
+
+// isHexByte reports whether s is exactly two hex digits.
+func isHexByte(s string) bool {
+	if len(s) != 2 {
+		return false
+	}
+	var b [1]byte
+	_, err := hex.Decode(b[:], []byte(s))
+	return err == nil
 }
 
 // ctxKey keys the span slot in a context.Context.

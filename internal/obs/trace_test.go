@@ -211,3 +211,66 @@ func TestRuntimeMetricsCollect(t *testing.T) {
 	// Nil registry is a no-op.
 	RegisterRuntimeMetrics(nil)
 }
+
+// TestParseTraceparentW3CRules pins the W3C Trace Context rules the
+// parser enforces on untrusted headers.
+func TestParseTraceparentW3CRules(t *testing.T) {
+	const (
+		trace = "000102030405060708090a0b0c0d0e0f"
+		span  = "0011223344556677"
+	)
+	for _, tc := range []struct {
+		name, h string
+		ok      bool
+	}{
+		{"version 00", "00-" + trace + "-" + span + "-01", true},
+		{"unsampled", "00-" + trace + "-" + span + "-00", true},
+		{"upper-case hex", "00-" + strings.ToUpper(trace) + "-" + span + "-0A", true},
+		{"surrounding space", " 00-" + trace + "-" + span + "-01\t", true},
+		{"future version", "01-" + trace + "-" + span + "-01", true},
+		{"future version, trailing fields", "cc-" + trace + "-" + span + "-01-what-ever", true},
+		{"non-hex version", "zz-" + trace + "-" + span + "-01", false},
+		{"non-hex flags", "00-" + trace + "-" + span + "-zz", false},
+		{"non-hex version and flags", "zz-" + trace + "-" + span + "-zz", false},
+		{"version ff", "ff-" + trace + "-" + span + "-01", false},
+		{"version FF", "FF-" + trace + "-" + span + "-01", false},
+		{"empty flags", "00-" + trace + "-" + span + "-", false},
+		{"4-character flags", "00-" + trace + "-" + span + "-0101", false},
+		{"1-character version", "0-" + trace + "-" + span + "-01", false},
+		{"version 00, trailing field", "00-" + trace + "-" + span + "-01-extra", false},
+		{"version 00, trailing dash", "00-" + trace + "-" + span + "-01-", false},
+		{"three fields", "00-" + trace + "-" + span, false},
+	} {
+		sc, ok := ParseTraceparent(tc.h)
+		if ok != tc.ok {
+			t.Errorf("%s: ParseTraceparent(%q) ok = %v, want %v", tc.name, tc.h, ok, tc.ok)
+			continue
+		}
+		if ok && (sc.TraceID.String() != trace || sc.SpanID.String() != span) {
+			t.Errorf("%s: ParseTraceparent(%q) = %v/%v", tc.name, tc.h, sc.TraceID, sc.SpanID)
+		}
+	}
+}
+
+// FuzzParseTraceparent feeds the parser arbitrary header values: it
+// must never panic, and anything it accepts must be a valid span
+// context that survives a round trip through its own rendering.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("ParseTraceparent(%q) rejected the value but returned %+v", h, sc)
+			}
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted an invalid span context %+v", h, sc)
+		}
+		back, ok := ParseTraceparent(sc.Traceparent())
+		if !ok || back != sc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, which does not round-trip through %q (got %+v, %v)",
+				h, sc, sc.Traceparent(), back, ok)
+		}
+	})
+}

@@ -51,26 +51,25 @@ func (f *Fold[T]) Len() int { return len(f.pts) }
 
 // Add folds one point in: a no-op if p is dominated by (or has a NaN
 // objective alongside) the retained set, otherwise p is inserted and
-// every retained point p dominates is dropped. The sweep engine calls
-// Add once per feasible configuration, so it is allocation-sensitive:
-// memory use is bounded by the frontier, not by how many points flow
-// through. Each objective function runs once per Add, and p is copied
-// into the fold only when it survives.
+// every retained point p dominates is dropped. Memory use is bounded by
+// the frontier, not by how many points flow through. Each objective
+// function runs once per Add; callers that already hold the
+// coordinates, or whose T is too large to pass by value, use AddAt.
+func (f *Fold[T]) Add(p T) {
+	f.AddAt(f.x(p), f.y(p), &p)
+}
+
+// AddAt is Add for a point whose coordinates the caller computed: *p is
+// folded in at (px, py), which must equal the fold's objective
+// functions applied to it. The objective functions do not run, and *p is copied
+// into the fold only when it survives. The sweep engine calls AddAt
+// once per feasible configuration, so it is allocation-sensitive.
 //
 //asic:hotpath
-func (f *Fold[T]) Add(p T) {
-	px, py := f.x(p), f.y(p)
+func (f *Fold[T]) AddAt(px, py float64, p *T) {
 	if math.IsNaN(px) || math.IsNaN(py) {
 		return
 	}
-	f.add(px, py, &p)
-}
-
-// add folds in p at the non-NaN coordinates (px, py). It is marked hot
-// itself: the hotalloc analyzer does not reach it through Add.
-//
-//asic:hotpath
-func (f *Fold[T]) add(px, py float64, p *T) {
 	// First retained index at or after p in (x asc, y asc) order.
 	//lint:ignore hotalloc the closure only captures stack locals and f, so escape analysis keeps it off the heap
 	pos := sort.Search(len(f.pts), func(i int) bool {
@@ -113,7 +112,7 @@ func (f *Fold[T]) add(px, py float64, p *T) {
 func (f *Fold[T]) Merge(o *Fold[T]) {
 	for i := range o.pts {
 		e := &o.pts[i]
-		f.add(e.x, e.y, &e.p)
+		f.AddAt(e.x, e.y, &e.p)
 	}
 }
 

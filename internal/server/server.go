@@ -10,7 +10,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"asiccloud/internal/dram"
 	"asiccloud/internal/interconnect"
@@ -340,231 +339,35 @@ func EvaluateWithPlan(cfg Config, best thermal.OptimizeResult) (Evaluation, erro
 	if err := cfg.Validate(); err != nil {
 		return Evaluation{}, err
 	}
-	var rails [3]power.Rail
-	ev, err := evalPoint(cfg, best, &rails)
-	if err != nil && errors.Is(err, ErrThermal) {
+	var rec Record
+	var r Row
+	c := newColumn(&rec, &cfg, &best)
+	err := c.eval(&cfg, cfg.Voltage, &r)
+	if err != nil && !errors.Is(err, ErrThermal) && !errors.Is(err, errDegenerate) {
+		return Evaluation{}, err
+	}
+	var ev Evaluation
+	Join(&ev, &rec, &r)
+	if errors.Is(err, ErrThermal) {
 		// The hot path returns the bare sentinel; decorate it with the
 		// numbers here, where one error per call is fine.
 		return ev, fmt.Errorf("%w: chip heat %.1f W exceeds %.1f W capacity",
-			ErrThermal, ev.ChipHeat, best.ChipPower)
+			ErrThermal, r.ChipHeat, best.ChipPower)
 	}
 	return ev, err
 }
 
-// EvaluateColumn evaluates one geometry across an ascending, positive
-// voltage grid, sharing the precomputed thermal plan, and appends the
-// feasible evaluations to out (pass a reused scratch slice to keep the
-// sweep's steady state allocation-free). Chip heat grows monotonically
-// with voltage, so the first ErrThermal prunes every higher voltage:
-// thermalPruned counts the points discarded that way, evalPruned the
-// points that failed evaluation individually. The config is validated
-// once for the whole column, and infeasible points cost no error
-// construction at all — this is the entry point the sweep engine's hot
-// loop uses.
+// EvaluateColumn is EvaluateRows with every feasible row joined into a
+// full Evaluation appended to out, for callers that want whole
+// Evaluations; the thermal and eval prune counts are EvaluateRows'.
 func EvaluateColumn(cfg Config, plan thermal.OptimizeResult, voltages []float64, out []Evaluation) (res []Evaluation, thermalPruned, evalPruned int) {
-	if len(voltages) == 0 {
-		return out, 0, 0
+	var rec Record
+	rows, thermalPruned, evalPruned := EvaluateRows(&rec, &cfg, &plan, voltages, nil)
+	for i := range rows {
+		out = append(out, Evaluation{})
+		Join(&out[len(out)-1], &rec, &rows[i])
 	}
-	cfg.Voltage = voltages[0]
-	if err := cfg.Validate(); err != nil {
-		return out, 0, len(voltages)
-	}
-	var rails [3]power.Rail
-	for i, v := range voltages {
-		cfg.Voltage = v
-		ev, err := evalPoint(cfg, plan, &rails)
-		if err != nil {
-			if errors.Is(err, ErrThermal) {
-				return out, len(voltages) - i, evalPruned
-			}
-			evalPruned++
-			continue
-		}
-		out = append(out, ev) //lint:ignore hotalloc appends into the caller's reusable scratch; capacity is reached after the first columns and growth amortizes to zero
-	}
-	return out, 0, evalPruned
-}
-
-// evalPoint is the allocation-free core of the Figure 4 flow: steps 1-7
-// with a caller-provided rail scratch and sentinel errors (bare
-// ErrThermal, errDegenerate) on the paths the sweep hits per
-// configuration. Callers that face humans wrap the sentinels with
-// detail; callers that prune millions of points match them with
-// errors.Is and pay nothing.
-func evalPoint(cfg Config, best thermal.OptimizeResult, rails *[3]power.Rail) (Evaluation, error) {
-	// 1. Voltage scaling model: the RCA's operating point.
-	op, err := cfg.RCA.At(cfg.Voltage)
-	if err != nil {
-		return Evaluation{}, err
-	}
-
-	// 2. Die composition.
-	net := cfg.network()
-	dieArea := cfg.DieArea()
-	if dieArea > cfg.Process.MaxDieArea {
-		//lint:ignore hotalloc ThermalPlan rejects oversized dies before any voltage column starts, so this fires at most once per hand-built call, never per swept configuration
-		return Evaluation{}, fmt.Errorf("%w: die %.0f mm² exceeds %.0f mm²",
-			ErrGeometry, dieArea, cfg.Process.MaxDieArea)
-	}
-
-	// 3. Performance, with the DRAM bandwidth cap. When DRAM binds,
-	// clock down to saturation: dynamic power follows utilization.
-	// (Plain ifs, not a closure: this runs once per swept configuration
-	// and the hot path stays free of allocation machinery.)
-	chipPerf := float64(cfg.RCAsPerChip) * op.Perf
-	utilization := 1.0
-	if cap := cfg.PerfPerDRAM * float64(cfg.DRAM.PerASIC); cfg.DRAM.PerASIC > 0 && cap > 0 && chipPerf > cap {
-		utilization *= cap / chipPerf
-		chipPerf = cap
-	}
-	if cap := cfg.PerfCapPerChip; cap > 0 && chipPerf > cap {
-		utilization *= cap / chipPerf
-		chipPerf = cap
-	}
-
-	// 4. Chip power. Logic and SRAM dynamic power scale with
-	// utilization; leakage and fixed overheads do not, so each rail's
-	// power is railPower · ((1-leak)·util + leak).
-	leakFrac := cfg.RCA.LeakageFraction
-	dynScale := (1-leakFrac)*utilization + leakFrac
-	logicPerChip := op.LogicPower * dynScale * float64(cfg.RCAsPerChip)
-	sramPerChip := op.SRAMPower * dynScale * float64(cfg.RCAsPerChip)
-	fixedPerChip := cfg.DRAM.CtrlPower() + cfg.ExtraFixedPowerPerChip + net.OnPCB.Power
-	chipHeat := logicPerChip + sramPerChip + fixedPerChip
-
-	chips := cfg.ChipsPerLane * cfg.Lanes
-
-	// Size the on-die power grid for this operating point.
-	grid := vlsi.DefaultPowerGrid()
-	gridMetal, gridErr := grid.RequiredMetalFraction(chipHeat/dieArea, op.Voltage)
-	gridOK := gridErr == nil
-	if !gridOK {
-		gridMetal = 1
-	}
-
-	// Provision off-PCB links to the achieved throughput when the
-	// application declares a bandwidth demand per op.
-	if cfg.OffPCBBytesPerOp > 0 {
-		demand := cfg.OffPCBBytesPerOp * chipPerf * float64(chips)
-		links := interconnect.RequiredOffLinks(net.OffPCB, demand)
-		if links < 1 {
-			links = 1
-		}
-		net.OffLinks = links
-	}
-
-	// 5. Thermal feasibility against the precomputed cooling plan.
-	thermalOK := chipHeat <= best.ChipPower+1e-9
-
-	// 6. Power delivery.
-	fanPower := float64(cfg.Lanes) * cfg.Fan.Power
-	if cfg.Immersion {
-		fanPower = 0 // passive two-phase loop; condenser power is in PUE
-	}
-	dramPower := cfg.DRAM.Power() * float64(chips)
-	offPCB := net.Control.Power + float64(net.OffLinks)*net.OffPCB.Power
-	twelveV := fanPower + dramPower + offPCB
-	// Fixed per-chip loads (controllers, PHYs) run on an I/O rail; fold
-	// them into the logic rail's wattage for conversion accounting at
-	// a representative 1.0 V I/O voltage.
-	fixedRail := power.Rail{Name: "io", Voltage: 1.0, Power: fixedPerChip * float64(chips)}
-
-	var delivery power.Delivery
-	var dcdcCost float64
-	if cfg.Stacked {
-		sp, err := power.PlanStack(12, cfg.Voltage)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		railPower := (logicPerChip+sramPerChip)*float64(chips) + fixedRail.Power
-		delivery, err = power.PlanStacked(cfg.PSU, sp, railPower, chips, twelveV)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		dcdcCost = delivery.DCDCCost
-	} else {
-		rails[0] = power.Rail{Name: "logic", Voltage: op.Voltage, Power: logicPerChip * float64(chips)}
-		rails[1] = fixedRail
-		n := 2
-		if sramPerChip > 0 {
-			rails[2] = power.Rail{Name: "sram", Voltage: op.SRAMVoltage, Power: sramPerChip * float64(chips)}
-			n = 3
-		}
-		delivery, err = power.Plan(cfg.PSU, cfg.DCDC, rails[:n], twelveV)
-		if err != nil {
-			return Evaluation{}, err
-		}
-		dcdcCost = delivery.DCDCCost
-	}
-
-	// 7. Bill of materials.
-	dieCost, err := cfg.Process.DieCost(dieArea)
-	if err != nil {
-		//lint:ignore hotalloc die-size errors are geometry properties caught by ThermalPlan before the voltage column; this wrap is for hand-built calls
-		return Evaluation{}, fmt.Errorf("%w: %v", ErrGeometry, err)
-	}
-	chipAmps := (logicPerChip + sramPerChip + fixedPerChip) / op.Voltage
-	extraPins := cfg.DRAM.SignalPins() + cfg.ExtraPinsPerChip + net.PerChipPins()
-	pkgCost, err := cfg.Package.Cost(dieArea, chipAmps, extraPins)
-	if err != nil {
-		return Evaluation{}, err
-	}
-
-	pcb := pcbCost(chips, cfg.DRAM.PerASIC > 0)
-	bom := BOM{
-		Silicon:   dieCost * float64(chips),
-		Packages:  pkgCost * float64(chips),
-		DCDC:      dcdcCost,
-		PSU:       delivery.PSUCost,
-		HeatSinks: best.Sink.Cost() * float64(chips),
-		Fans:      cfg.Fan.Cost * float64(cfg.Lanes),
-		DRAM:      cfg.DRAM.Cost() * float64(chips),
-		PCB:       pcb,
-		Network:   net.Cost(),
-		Other:     otherCost,
-	}
-	if cfg.Immersion {
-		bom.HeatSinks = 0
-		bom.Fans = 0
-		bom.Other += immersionBaseCost + immersionCostPerWatt*delivery.WallPower
-	}
-
-	perf := chipPerf * float64(chips)
-	ev := Evaluation{
-		Config:       cfg,
-		DieArea:      dieArea,
-		Chips:        chips,
-		TotalRCAs:    cfg.RCAsPerChip * chips,
-		Freq:         op.Freq * utilization,
-		Utilization:  utilization,
-		Perf:         perf,
-		WallPower:    delivery.WallPower,
-		SiliconWatts: delivery.RailPower,
-		ChipHeat:     chipHeat,
-		ThermalOK:    thermalOK,
-		LanePowerCap: best.LanePower,
-		Delivery:     delivery,
-		Sink:         best.Sink,
-		BOM:          bom,
-
-		GridMetalFraction: gridMetal,
-		GridOK:            gridOK,
-	}
-	if perf > 0 {
-		ev.DollarsPerOp = bom.Total() / perf
-		ev.WattsPerOp = delivery.WallPower / perf
-	}
-	if !thermalOK {
-		// Bare sentinel: the sweep prunes on this per infeasible
-		// configuration, and error formatting here once dominated the
-		// warm sweep's allocation profile. EvaluateWithPlan adds the
-		// wattage detail for human-facing callers.
-		return ev, ErrThermal
-	}
-	if math.IsNaN(ev.DollarsPerOp) || math.IsInf(ev.DollarsPerOp, 0) {
-		return ev, errDegenerate
-	}
-	return ev, nil
+	return out, thermalPruned, evalPruned
 }
 
 // errDegenerate flags design points whose Pareto metrics come out NaN

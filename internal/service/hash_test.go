@@ -6,7 +6,7 @@ import (
 )
 
 // decode parses a JSON request body exactly as the HTTP handler does.
-func decode(t *testing.T, body string) *Request {
+func decode(t testing.TB, body string) *Request {
 	t.Helper()
 	var req Request
 	if err := json.Unmarshal([]byte(body), &req); err != nil {

@@ -1,72 +1,32 @@
 package obs
 
 import (
+	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
+	"strconv"
 )
-
-// published tracks every registry mounted on an HTTP handler so the
-// single process-wide expvar variable can snapshot all of them
-// (expvar.Publish panics on duplicate names, so it runs exactly once).
-var published struct {
-	once sync.Once
-	mu   sync.Mutex
-	regs []*Registry
-}
-
-func publishExpvar(reg *Registry) {
-	if reg == nil {
-		return
-	}
-	published.mu.Lock()
-	for _, r := range published.regs {
-		if r == reg {
-			published.mu.Unlock()
-			return
-		}
-	}
-	published.regs = append(published.regs, reg)
-	published.mu.Unlock()
-
-	published.once.Do(func() {
-		expvar.Publish("asiccloud_metrics", expvar.Func(func() any {
-			published.mu.Lock()
-			regs := append([]*Registry(nil), published.regs...)
-			published.mu.Unlock()
-			out := map[string]any{}
-			for _, r := range regs {
-				for k, v := range r.Counters() {
-					out[k] = v
-				}
-				for k, v := range r.Gauges() {
-					out[k] = v
-				}
-				for k, v := range r.Histograms() {
-					out[k] = v
-				}
-			}
-			return out
-		}))
-	})
-}
 
 // Handler returns the exposition endpoint for a registry:
 //
 //	/metrics        Prometheus text format
-//	/debug/vars     expvar JSON (includes asiccloud_metrics)
+//	/debug/vars     expvar JSON plus asiccloud_metrics, a snapshot of reg
 //	/debug/pprof/*  net/http/pprof profiles
+//
+// The handler holds the only reference it adds to reg, so a registry
+// is collected with the last handler that serves it.
 func Handler(reg *Registry) http.Handler {
-	publishExpvar(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
+		writeVars(w, reg)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -76,6 +36,33 @@ func Handler(reg *Registry) http.Handler {
 		fmt.Fprintln(w, "asiccloud observability: /metrics /debug/vars /debug/pprof/")
 	})
 	return mux
+}
+
+// writeVars writes what expvar.Handler writes, the process's published
+// variables, with reg's metrics added under asiccloud_metrics.
+func writeVars(w http.ResponseWriter, reg *Registry) {
+	snap := map[string]any{}
+	for k, v := range reg.Counters() {
+		snap[k] = v
+	}
+	for k, v := range reg.Gauges() {
+		snap[k] = v
+	}
+	for k, v := range reg.Histograms() {
+		snap[k] = v
+	}
+	b, err := json.Marshal(snap)
+	if err != nil {
+		// A NaN or infinite gauge has no JSON form; report the error in
+		// the snapshot's place rather than break the document.
+		b = []byte(strconv.Quote(err.Error()))
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	fmt.Fprintf(w, "{\n%q: %s", "asiccloud_metrics", b)
+	expvar.Do(func(kv expvar.KeyValue) {
+		fmt.Fprintf(w, ",\n%q: %s", kv.Key, kv.Value)
+	})
+	fmt.Fprintf(w, "\n}\n")
 }
 
 // Serve mounts Handler(reg) on addr in a background goroutine and

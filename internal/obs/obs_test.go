@@ -6,6 +6,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -217,6 +219,67 @@ func TestHTTPEndpoint(t *testing.T) {
 	if code, body = get("/debug/pprof/cmdline"); code != 200 || body == "" {
 		t.Errorf("/debug/pprof/cmdline = %d", code)
 	}
+}
+
+// TestDebugVarsPerRegistry checks that each handler's /debug/vars
+// shows its own registry, beside the process's expvar variables.
+func TestDebugVarsPerRegistry(t *testing.T) {
+	vars := func(reg *Registry) map[string]json.RawMessage {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		Handler(reg).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+		var v map[string]json.RawMessage
+		if err := json.Unmarshal(rr.Body.Bytes(), &v); err != nil {
+			t.Fatalf("/debug/vars is not JSON: %v\n%s", err, rr.Body)
+		}
+		return v
+	}
+	a, b := NewRegistry(), NewRegistry()
+	a.Counter("a_total").Add(2)
+	b.Counter("b_total").Add(3)
+	for _, c := range []struct {
+		reg      *Registry
+		own, not string
+		ownValue int64
+	}{{a, "a_total", "b_total", 2}, {b, "b_total", "a_total", 3}} {
+		v := vars(c.reg)
+		if _, ok := v["memstats"]; !ok {
+			t.Error("/debug/vars lacks the process variable memstats")
+		}
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(v["asiccloud_metrics"], &m); err != nil {
+			t.Fatalf("asiccloud_metrics: %v", err)
+		}
+		if got := string(m[c.own]); got != strconv.FormatInt(c.ownValue, 10) {
+			t.Errorf("asiccloud_metrics[%s] = %q, want %d", c.own, got, c.ownValue)
+		}
+		if _, ok := m[c.not]; ok {
+			t.Errorf("asiccloud_metrics shows %s from another registry", c.not)
+		}
+	}
+}
+
+// TestHandlerReleasesRegistry checks that mounting a registry keeps
+// no process-wide reference to it: a process that starts and stops
+// many servers must not hold every registry it ever served.
+func TestHandlerReleasesRegistry(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		reg := NewRegistry()
+		reg.Counter("c_total").Inc()
+		runtime.SetFinalizer(reg, func(*Registry) { close(collected) })
+		h := Handler(reg)
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a registry whose handler is gone was never collected")
 }
 
 func TestReportJSONRoundTrip(t *testing.T) {

@@ -6,7 +6,9 @@
 # it, and diffs the daemon's answer against the CLI's; the distributed
 # smoke test byte-diffs a 3-worker coordinator sweep against the
 # single-process run and kills a worker mid-sweep to prove lease
-# requeue recovers its chunks.
+# requeue recovers its chunks. `go test ./...` compiles the benchmarks
+# but never runs them, so every benchmark also runs once (-benchtime
+# 1x), which catches one that fails or panics before `make bench` does.
 .PHONY: check
 check: build
 	go vet ./...
@@ -14,6 +16,7 @@ check: build
 	$(MAKE) lint
 	$(MAKE) lint-json
 	go test ./...
+	go test -run '^$$' -bench . -benchtime 1x ./...
 	go test -race ./internal/core ./internal/cloud ./internal/service
 	go run ./cmd/benchreport -trajectory
 	./scripts/smoke_service.sh

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"asiccloud/internal/pareto"
+	"asiccloud/internal/server"
+	"asiccloud/internal/tco"
 )
 
 // Layer microbenchmarks for the distributed sweep's per-chunk stages.
@@ -76,4 +78,29 @@ func BenchmarkFoldAddPoint(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/add")
+}
+
+// BenchmarkThermalPlan measures the thermal-plan layer alone: one op is
+// a fresh engine planning every geometry of the XCode DRAM 1..9 sweep
+// (2043 plans over 40 lane shapes), the cold plans each design-xcode
+// sweep starts with. Run it with -benchmem.
+func BenchmarkThermalPlan(b *testing.B) {
+	grid, err := buildGrid(xcodeSweep(b), tco.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfgs := make([]server.Config, 0, len(grid.work))
+	for _, g := range grid.work {
+		if cfg, err := grid.config(g); err == nil {
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := NewEngine(nil)
+		for j := range cfgs {
+			e.thermalPlan(cfgs[j])
+		}
+	}
 }

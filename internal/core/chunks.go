@@ -184,17 +184,11 @@ type geomSetup struct {
 // constant across the voltage column — so it is computed once per cell
 // and amortized per point.
 func (e *Engine) setupGeom(g geom, grid *sweepGrid) (s geomSetup, reason string) {
-	s.cfg = grid.base
-	s.cfg.RCAsPerChip = g.rcasPerChip
-	s.cfg.ChipsPerLane = g.chipsLane
-	s.cfg.DRAM = dram.Subsystem{}
-	if g.dramPerASIC > 0 {
-		sub, err := dram.NewSubsystem(grid.base.DRAM.Device.Kind, g.dramPerASIC)
-		if err != nil {
-			return s, PruneDRAM
-		}
-		s.cfg.DRAM = sub
+	cfg, err := grid.config(g)
+	if err != nil {
+		return s, PruneDRAM
 	}
+	s.cfg = cfg
 	plan, err := e.thermalPlan(s.cfg)
 	if err != nil {
 		// Geometry does not fit at any voltage.
@@ -204,6 +198,24 @@ func (e *Engine) setupGeom(g geom, grid *sweepGrid) (s geomSetup, reason string)
 	s.embodiedKg = grid.carbon.EmbodiedServerKg(s.cfg.Process, s.cfg.DieArea(),
 		s.cfg.ChipsPerLane*s.cfg.Lanes)
 	return s, ""
+}
+
+// config is geometry g's configuration: the grid's base with g's RCAs
+// and chips per lane and a DRAM subsystem of g's device count (none for
+// zero). The error is the DRAM catalog's, for a count it cannot build.
+func (grid *sweepGrid) config(g geom) (server.Config, error) {
+	cfg := grid.base
+	cfg.RCAsPerChip = g.rcasPerChip
+	cfg.ChipsPerLane = g.chipsLane
+	cfg.DRAM = dram.Subsystem{}
+	if g.dramPerASIC > 0 {
+		sub, err := dram.NewSubsystem(grid.base.DRAM.Device.Kind, g.dramPerASIC)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.DRAM = sub
+	}
+	return cfg, nil
 }
 
 // evalCell evaluates one deduplicated geometry cell: setupGeom, then the

@@ -33,11 +33,17 @@ const DefaultChunkSize = 4
 //   - Context-aware execution: ExploreContext honors cancellation and
 //     deadlines, checking between geometries so an abort returns within
 //     one geometry's work, with the partial PruneSummary intact.
-//   - A concurrency-safe thermal-plan cache: server.ThermalPlan is a
-//     pure function of the geometry (see server.PlanInputs), so the
+//   - A concurrency-safe two-level thermal-plan cache. server.ThermalPlan
+//     is a pure function of the geometry (see server.PlanInputs), so the
 //     engine memoizes its results — and its errors — across successive
-//     sweeps. Repeated sweeps over overlapping grids (studies, figures,
-//     scorecards) stop re-running heat-sink optimization entirely.
+//     sweeps: repeated sweeps over overlapping grids (studies, figures,
+//     scorecards) stop re-running heat-sink optimization entirely. Below
+//     it, the air side of the heat-sink search (the candidate sinks and
+//     their airflow solves) depends on the lane shape alone (see
+//     server.AirInputs), so a plan miss for a die in a lane shape the
+//     engine has seen only scores the cached candidates at the new die
+//     area: a fresh XCode sweep solves airflow for its 40 lane shapes,
+//     not for each of its 2043 plans.
 //   - One sweep path: deterministic chunked scheduling over the same
 //     plan, chunk evaluator and streaming fold accumulator that
 //     EvaluateChunk and ResultMerger use (see chunks.go), so the
@@ -70,6 +76,9 @@ type Engine struct {
 
 	mu    sync.RWMutex
 	plans map[planKey]planEntry
+	// sinks memoizes server.Config.SinkCandidates per lane shape, under
+	// mu like plans; it is created on its first miss.
+	sinks map[server.AirInputs]*thermal.SinkCandidates
 
 	hits, misses    atomic.Int64
 	hitCtr, missCtr *obs.Counter
@@ -129,10 +138,11 @@ func (e *Engine) CacheStats() CacheStats {
 	return CacheStats{Hits: e.hits.Load(), Misses: e.misses.Load(), Entries: n}
 }
 
-// thermalPlan memoizes server.ThermalPlan per geometry. Concurrent
-// misses on the same key may compute the plan twice; both arrive at the
-// identical value (ThermalPlan is pure), so the last store wins
-// harmlessly.
+// thermalPlan memoizes server.ThermalPlan per geometry; a miss plans
+// from the memoized candidate sinks of the geometry's lane shape
+// (sinkCandidates). Concurrent misses on the same key may compute the
+// plan twice; both arrive at the identical value (ThermalPlan is pure),
+// so the last store wins harmlessly.
 func (e *Engine) thermalPlan(cfg server.Config) (thermal.OptimizeResult, error) {
 	key := planKey{
 		rcasPerChip:  cfg.RCAsPerChip,
@@ -149,13 +159,35 @@ func (e *Engine) thermalPlan(cfg server.Config) (thermal.OptimizeResult, error) 
 		e.hitCtr.Inc()
 		return ent.plan, ent.err
 	}
-	plan, err := server.ThermalPlan(cfg)
+	plan, err := server.ThermalPlanFrom(cfg, e.sinkCandidates)
 	e.misses.Add(1)
 	e.missCtr.Inc()
 	e.mu.Lock()
 	e.plans[key] = planEntry{plan: plan, err: err}
 	e.mu.Unlock()
 	return plan, err
+}
+
+// sinkCandidates memoizes server.Config.SinkCandidates per lane shape
+// (server.AirInputs, by contract exactly the fields it reads), so the
+// airflow of each candidate sink is solved once per engine, not once
+// per plan. Concurrent misses may build a set twice; both are identical.
+func (e *Engine) sinkCandidates(cfg server.Config) *thermal.SinkCandidates {
+	key := cfg.AirInputs()
+	e.mu.RLock()
+	c, ok := e.sinks[key]
+	e.mu.RUnlock()
+	if ok {
+		return c
+	}
+	c = cfg.SinkCandidates()
+	e.mu.Lock()
+	if e.sinks == nil {
+		e.sinks = make(map[server.AirInputs]*thermal.SinkCandidates)
+	}
+	e.sinks[key] = c
+	e.mu.Unlock()
+	return c
 }
 
 // Explore runs the sweep without a deadline; see ExploreContext.

@@ -95,6 +95,37 @@ func TestEnginePlanCacheHitIdentical(t *testing.T) {
 	}
 }
 
+// TestEngineSinkCandidatesPerLaneShape pins where the cold thermal
+// plan's saving comes from: a fresh engine plans every distinct
+// geometry once, but solves airflow only once per lane shape (chips
+// per lane and DRAM-row depth here), however many die areas it plans
+// in that shape. A second sweep on the same engine adds neither.
+func TestEngineSinkCandidatesPerLaneShape(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		sweep         Sweep
+		plans, shapes int
+	}{
+		{"xcode-dram1..9", xcodeSweep(t), 2043, 40},
+		{"bitcoin", Sweep{Base: server.Default(bitcoinRCA())}, 240, 20},
+	} {
+		eng := NewEngine(nil)
+		eng.DiscardPoints = true
+		for range 2 {
+			if _, err := eng.Explore(tc.sweep, tco.Default()); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			eng.mu.RLock()
+			plans, shapes := len(eng.plans), len(eng.sinks)
+			eng.mu.RUnlock()
+			if plans != tc.plans || shapes != tc.shapes {
+				t.Errorf("%s: engine holds %d plans over %d candidate sets, want %d over %d",
+					tc.name, plans, shapes, tc.plans, tc.shapes)
+			}
+		}
+	}
+}
+
 func TestEngineDiscardPointsIdentity(t *testing.T) {
 	full, err := NewEngine(nil).Explore(smallSweep(), tco.Default())
 	if err != nil {

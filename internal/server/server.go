@@ -226,10 +226,6 @@ func (c Config) DieArea() float64 {
 		c.ExtraAreaPerChip + c.network().PerChipArea()
 }
 
-// ThermalPlan optimizes the cooling system for the configuration's
-// geometry. The result is voltage-independent, so explorers sweeping
-// voltage over a fixed geometry can compute it once and pass it to
-// EvaluateWithPlan.
 // Two-phase immersion cooling constants: an enhanced boiling surface
 // sustains roughly 45 W/cm² of critical heat flux, the package lid
 // spreads the die heat over ~1.8× the die area, and the tank, fluid and
@@ -285,7 +281,72 @@ func (c Config) PlanInputs() PlanInputs {
 	}
 }
 
+// AirInputs enumerates every Config field SinkCandidates reads — the
+// air side of the heat-sink search, which is PlanInputs minus the die
+// (its area, the process cap) and the immersion switch. The same
+// contract holds one level down: two configurations with equal
+// AirInputs get identical candidate sets, so explorers can memoize
+// SinkCandidates by it across every die area planned in a lane shape.
+// Keep this in sync with SinkCandidates; a field read there but missing
+// here silently poisons every cache built on top.
+type AirInputs struct {
+	// ChipsPerLane sets the sinks in series and each sink's depth budget.
+	ChipsPerLane int
+	// Layout is the PCB arrangement (normal / staggered / duct).
+	Layout thermal.Layout
+	// DRAMBoardDepthM is the lane depth the DRAM rows consume (m).
+	DRAMBoardDepthM float64
+	// InletTempC is the machine-room inlet override (°C; 0 selects the
+	// paper's 30 °C default).
+	InletTempC float64
+	// Fan is the fan model; its curve bounds the whole air chain.
+	Fan thermal.Fan
+}
+
+// AirInputs projects the configuration onto the fields SinkCandidates
+// reads (see the AirInputs type for the caching contract).
+func (c Config) AirInputs() AirInputs {
+	return AirInputs{
+		ChipsPerLane:    c.ChipsPerLane,
+		Layout:          c.Layout,
+		DRAMBoardDepthM: c.DRAM.BoardDepth(),
+		InletTempC:      c.InletTempC,
+		Fan:             c.Fan,
+	}
+}
+
+// SinkCandidates runs the die-independent half of the configuration's
+// heat-sink search (thermal.NewSinkCandidates): the lane's candidate
+// sinks with their airflow solved. ThermalPlan scores the set at the
+// die area; the result depends on AirInputs alone.
+func (c Config) SinkCandidates() *thermal.SinkCandidates {
+	opt := thermal.DefaultOptimizeOptions()
+	opt.Layout = c.Layout
+	opt.ExtraRow = c.DRAM.BoardDepth()
+	//lint:ignore floatcmp zero is the "unset" sentinel of a user-assigned config field
+	if c.InletTempC != 0 {
+		opt.InletC = c.InletTempC
+	}
+	return thermal.NewSinkCandidates(c.Fan, c.ChipsPerLane, opt)
+}
+
+// ThermalPlan optimizes the cooling system for the configuration's
+// geometry. The result is voltage-independent, so explorers sweeping
+// voltage over a fixed geometry can compute it once and pass it to
+// EvaluateWithPlan. It is ThermalPlanFrom with the candidate sinks
+// built afresh.
 func ThermalPlan(cfg Config) (thermal.OptimizeResult, error) {
+	return ThermalPlanFrom(cfg, Config.SinkCandidates)
+}
+
+// ThermalPlanFrom is ThermalPlan with the air side of the heat-sink
+// search supplied by sinks: when the plan needs the forced-air chain it
+// scores sinks(cfg) at the configuration's die area, so a caller that
+// memoizes candidate sets by AirInputs plans each further die in a known
+// lane shape without solving any airflow. sinks(cfg) must equal
+// cfg.SinkCandidates(); it is not called for dies over the process cap
+// or for immersion cooling.
+func ThermalPlanFrom(cfg Config, sinks func(Config) *thermal.SinkCandidates) (thermal.OptimizeResult, error) {
 	dieArea := cfg.DieArea()
 	if dieArea > cfg.Process.MaxDieArea {
 		return thermal.OptimizeResult{}, fmt.Errorf("%w: die %.0f mm² exceeds %.0f mm²",
@@ -306,14 +367,7 @@ func ThermalPlan(cfg Config) (thermal.OptimizeResult, error) {
 			LanePower: chipCap * float64(cfg.ChipsPerLane),
 		}, nil
 	}
-	opt := thermal.DefaultOptimizeOptions()
-	opt.Layout = cfg.Layout
-	opt.ExtraRow = cfg.DRAM.BoardDepth()
-	//lint:ignore floatcmp zero is the "unset" sentinel of a user-assigned config field
-	if cfg.InletTempC != 0 {
-		opt.InletC = cfg.InletTempC
-	}
-	best, ok := thermal.OptimizeSink(cfg.Fan, cfg.ChipsPerLane, dieArea, opt)
+	best, ok := sinks(cfg).Best(dieArea)
 	if !ok {
 		return thermal.OptimizeResult{}, fmt.Errorf("%w: no heat sink fits %d chips of %.0f mm² in a lane",
 			ErrGeometry, cfg.ChipsPerLane, dieArea)

@@ -16,9 +16,14 @@
 // # Entry points
 //
 // OptimizeSink searches the heat-sink geometry for the maximum
-// sustainable per-chip power at a given lane — core.Engine memoizes its
-// result per geometry, which is the service's warm-sweep fast path.
-// Lane.Airflow couples the fan curve to the duct's pressure drop;
-// Lane.MaxChipPower inverts the resistance network to the paper's
-// per-chip power budget.
+// sustainable per-chip power at a given lane. It is two halves split at
+// the die: NewSinkCandidates keeps the buildable sinks of the search
+// grid with their airflow solved, which depends on the lane shape
+// alone, and SinkCandidates.Best scores them at one die area without
+// allocating. core.Engine memoizes both — plans per geometry, which is
+// the service's warm-sweep fast path, and candidate sets per lane
+// shape, so a cold sweep solves airflow once per shape rather than per
+// geometry. Lane.Airflow couples the fan curve to the duct's pressure
+// drop; Lane.MaxChipPower inverts the resistance network to the
+// paper's per-chip power budget.
 package thermal

@@ -153,8 +153,17 @@ func (r Resistance) Total() float64 { return r.TIM + r.Spreading + r.Convection 
 // paper's Figure 6 shows small dies unable to use a big sink, and the
 // reason more total silicon per lane can dissipate more total heat.
 func (h HeatSink) Resistance(q, dieAreaMM2 float64) Resistance {
-	rTIM := h.TIM.Resistance(dieAreaMM2)
+	return Resistance{
+		TIM:        h.TIM.Resistance(dieAreaMM2),
+		Spreading:  h.spreading(dieAreaMM2),
+		Convection: h.convection(q),
+	}
+}
 
+// spreading is the spreader's constriction plus base-conduction
+// resistance (K/W) under a die of dieAreaMM2; it reads the sink's
+// footprint and base but not the airflow.
+func (h HeatSink) spreading(dieAreaMM2 float64) float64 {
 	// Spreading resistance (maximum-constriction approximation):
 	// R = (1 - r1/r2)^1.5 / (pi * k * r1).
 	dieM2 := units.MM2ToM2(dieAreaMM2)
@@ -168,7 +177,13 @@ func (h HeatSink) Resistance(q, dieAreaMM2 float64) Resistance {
 		// One-dimensional conduction through the base thickness.
 		rSpread += h.BaseThickness / (h.BaseMaterial.Conductivity * baseM2)
 	}
+	return rSpread
+}
 
+// convection is the fin-to-air resistance (K/W) at through-sink flow q
+// (m³/s); it reads the fins and the flow but neither the die nor the
+// spreader, which is what lets SinkCandidates compute it once per sink.
+func (h HeatSink) convection(q float64) float64 {
 	// Convection: channel Nusselt number with a developing-flow
 	// enhancement, fin efficiency from the standard tanh model.
 	v := h.channelVelocity(q)
@@ -187,7 +202,7 @@ func (h HeatSink) Resistance(q, dieAreaMM2 float64) Resistance {
 		}
 		hConv = nu * units.AirConductivity / dh
 	}
-	var rConv float64
+	rConv := math.Inf(1)
 	if hConv > 0 {
 		m := math.Sqrt(2 * hConv / (h.FinMaterial.Conductivity * h.FinThickness))
 		mH := m * h.FinHeight
@@ -198,11 +213,8 @@ func (h HeatSink) Resistance(q, dieAreaMM2 float64) Resistance {
 		finArea := 2 * float64(h.FinCount()) * h.FinHeight * h.Depth
 		baseArea := float64(h.ChannelCount()) * h.Gap * h.Depth
 		rConv = 1 / (hConv * (eta*finArea + baseArea))
-	} else {
-		rConv = math.Inf(1)
 	}
-
-	return Resistance{TIM: rTIM, Spreading: rSpread, Convection: rConv}
+	return rConv
 }
 
 // Mass in kg of the sink (base plate plus fins).

@@ -103,6 +103,13 @@ func (l Lane) Validate() error {
 	if l.DieArea <= 0 {
 		return fmt.Errorf("thermal: lane die area must be positive")
 	}
+	return l.validateAir()
+}
+
+// validateAir is Validate without the chip-count and die-area checks:
+// everything it reads (fan, sink, lane depth, temperatures) is the same
+// for any die, so SinkCandidates checks each candidate sink once.
+func (l Lane) validateAir() error {
 	if err := l.Fan.Validate(); err != nil {
 		return err
 	}
@@ -167,34 +174,78 @@ func (l Lane) Airflow() (sinkFlow, fanFlow float64) {
 // network in power is what lets the explorer evaluate thermal
 // feasibility in closed form.
 func (l Lane) tempCoeffs(q float64) []float64 {
-	p := l.Layout.params()
-	res := l.Sink.Resistance(q, l.DieArea)
-	rWorst := res.TIM + res.Spreading + res.Convection/p.uniformity
-
-	heatCap := units.AirDensity * units.AirSpecificHeat * q // W/K
+	w := newCoeffWalk(l.Chips, l.Layout, l.Sink.Resistance(q, l.DieArea), q)
 	coeffs := make([]float64, l.Chips)
-	upstream := 0.0 // accumulated mean air rise per watt-per-chip
-	for i := 0; i < l.Chips; i++ {
-		r := res.Total()
-		if i == l.Chips-1 {
-			r = rWorst
-		}
-		extra := math.Inf(1)
-		if heatCap > 0 {
-			const plume = 1.5
-			extra = 1 / (2 * heatCap)
-			if i > 0 {
-				extra += plume / heatCap
-			}
-		}
-		coeffs[i] = upstream + extra + r
-		if heatCap > 0 {
-			upstream += 1 / heatCap
-		} else {
-			upstream = math.Inf(1)
-		}
+	for i := range coeffs {
+		coeffs[i] = w.next(i)
 	}
 	return coeffs
+}
+
+// coeffWalk computes tempCoeffs' coefficients one chip at a time, front
+// to back, so the per-chip power limit can take the worst of them
+// without a slice (worstCoeff). The air terms are the same for every
+// chip, so they are divided out once.
+type coeffWalk struct {
+	chips     int
+	r, rWorst float64 // K/W junction to local air; rWorst for the last chip
+	// first and rest are the K/W the air warms by before it reaches the
+	// fins: half the chip's own rise (fins see the mean of inlet and
+	// exit), plus for every chip but the first the unmixed plume of
+	// the one ahead of it.
+	first, rest float64
+	step        float64 // K/W mean air rise each chip adds downstream
+	upstream    float64 // K/W accumulated mean air rise so far
+}
+
+// newCoeffWalk starts the walk over a lane of chips in layout whose
+// sinks present res and carry q (m³/s).
+func newCoeffWalk(chips int, layout Layout, res Resistance, q float64) coeffWalk {
+	p := layout.params()
+	w := coeffWalk{
+		chips:  chips,
+		r:      res.Total(),
+		rWorst: res.TIM + res.Spreading + res.Convection/p.uniformity,
+		first:  math.Inf(1),
+		rest:   math.Inf(1),
+		step:   math.Inf(1),
+	}
+	heatCap := units.AirDensity * units.AirSpecificHeat * q // W/K
+	if heatCap > 0 {
+		const plume = 1.5
+		w.first = 1 / (2 * heatCap)
+		w.rest = w.first + plume/heatCap
+		w.step = 1 / heatCap
+	}
+	return w
+}
+
+// next returns chip i's coefficient (K/W); i must run 0, 1, 2, ...
+func (w *coeffWalk) next(i int) float64 {
+	r, extra := w.r, w.rest
+	if i == w.chips-1 {
+		r = w.rWorst
+	}
+	if i == 0 {
+		extra = w.first
+	}
+	k := w.upstream + extra + r
+	w.upstream += w.step
+	return k
+}
+
+// worstCoeff is the largest of tempCoeffs' coefficients (K/W), by the
+// same arithmetic, for a lane of chips in layout whose sinks present
+// res and carry q (m³/s).
+func worstCoeff(chips int, layout Layout, res Resistance, q float64) float64 {
+	w := newCoeffWalk(chips, layout, res, q)
+	worst := 0.0
+	for i := 0; i < chips; i++ {
+		if k := w.next(i); k > worst {
+			worst = k
+		}
+	}
+	return worst
 }
 
 // JunctionTemps returns the junction temperature of each chip when every
@@ -227,25 +278,19 @@ func (l Lane) MaxChipPower() float64 {
 		return 0
 	}
 	q, _ := l.Airflow()
-	return l.maxChipPowerAt(q)
+	worst := worstCoeff(l.Chips, l.Layout, l.Sink.Resistance(q, l.DieArea), q)
+	return chipPowerLimit(l.MaxTjC-l.InletC, worst)
 }
 
-// maxChipPowerAt is MaxChipPower for a validated lane whose sinks carry
-// q (m³/s), the through-sink flow Airflow solves for. OptimizeSink calls
-// it directly to score several spreader materials at one solved flow.
-func (l Lane) maxChipPowerAt(q float64) float64 {
-	// Junction temperature is linear in power: Tj[i] = inlet + k[i]·P,
-	// so the limit is set by the largest coefficient in closed form.
-	worst := 0.0
-	for _, k := range l.tempCoeffs(q) {
-		if k > worst {
-			worst = k
-		}
-	}
+// chipPowerLimit is the uniform per-chip power (W) at which the worst
+// junction coefficient worst (K/W) reaches headroom kelvin above the
+// inlet. Junction temperature is linear in power, Tj[i] = inlet +
+// k[i]·P, so the largest coefficient sets the limit in closed form.
+func chipPowerLimit(headroom, worst float64) float64 {
 	if worst <= 0 || math.IsInf(worst, 1) {
 		return 0
 	}
-	return (l.MaxTjC - l.InletC) / worst
+	return headroom / worst
 }
 
 // MaxLanePower is the total dissipation capacity of the lane.

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -130,6 +131,41 @@ func TestJunctionTempsMonotoneInPower(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHottestJunctionNeverFallsWithChips is a physics invariant of the
+// lane model: at a fixed sink, die area, per-chip power and layout,
+// adding a chip to the lane never cools its hottest junction. Each
+// extra sink in series costs fan pressure (less flow, so less heat
+// capacity and convection) and pre-heats the air the back chip
+// breathes. The per-chip power limit the sweep prunes by is read off
+// the worst coefficient, so this guards that arithmetic too.
+func TestHottestJunctionNeverFallsWithChips(t *testing.T) {
+	const powerPerChip = 5.0 // W
+	cases := 0
+	for _, layout := range []Layout{LayoutNormal, LayoutStaggered, LayoutDuct} {
+		for _, depth := range []float64{0.005, 0.010, 0.020, 0.040, 0.080} {
+			for _, gap := range []float64{0.001, 0.002, 0.004} {
+				for _, area := range []float64{10, 60, 200, 600} {
+					prev := math.Inf(-1)
+					for chips := 1; chips <= 60; chips++ {
+						l := stdLane(chips, area, layout)
+						l.Sink.Depth, l.Sink.Gap = depth, gap
+						hottest := slices.Max(l.JunctionTemps(powerPerChip))
+						if hottest < prev {
+							t.Errorf("%v depth=%g gap=%g area=%g: hottest junction falls from %v to %v °C at %d chips",
+								layout, depth, gap, area, prev, hottest, chips)
+						}
+						prev = hottest
+						cases++
+					}
+				}
+			}
+		}
+	}
+	if cases != 3*5*3*4*60 {
+		t.Fatalf("checked %d cases, want %d", cases, 3*5*3*4*60)
 	}
 }
 

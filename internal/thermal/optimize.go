@@ -38,29 +38,66 @@ type OptimizeResult struct {
 // heat sink dimensions, material and fin topology." As chips per lane
 // grow, the optimum moves to shallower sinks to keep airflow up.
 //
+// The search is two halves split at the die: NewSinkCandidates walks
+// the (depth, fin gap) grid and solves each buildable sink's airflow,
+// which no die property enters, and SinkCandidates.Best scores those
+// sinks with either spreader at this die area. A caller that plans many
+// dies in one lane shape builds the candidates once and calls Best per
+// die; the answer is the same value bit for bit.
+//
 // OptimizeSink is a pure function of its arguments and the package's
 // material/geometry constants, and OptimizeResult is a plain value with
 // no pointers or slices, so results are safe to memoize and share
 // across goroutines — server.PlanInputs defines the cache key the
 // exploration engine uses for exactly that.
 func OptimizeSink(fan Fan, chips int, dieAreaMM2 float64, opt OptimizeOptions) (OptimizeResult, bool) {
-	if chips <= 0 || dieAreaMM2 <= 0 {
-		return OptimizeResult{}, false
-	}
+	return NewSinkCandidates(fan, chips, opt).Best(dieAreaMM2)
+}
+
+// SinkCandidates is the die-independent half of OptimizeSink's search:
+// every buildable sink of its 30-point (depth, fin gap) grid that fits
+// the lane, in search order, with the through-sink flow Lane.Airflow
+// solves for it and its fin-to-air resistance at that flow. Neither
+// reads the die or the spreader material, so one set serves every die
+// area planned in the lane shape; Best scores it at one. A set is
+// immutable once built and safe to share across goroutines —
+// server.AirInputs is the key the exploration engine memoizes it by.
+type SinkCandidates struct {
+	fan   Fan
+	chips int
+	opt   OptimizeOptions
+	width float64 // sink width (m)
+	sinks []sinkCandidate
+}
+
+// sinkCandidate is one buildable sink of the search grid.
+type sinkCandidate struct {
+	depth, gap float64 // m
+	flow       float64 // through-sink flow (m³/s)
+	conv       float64 // fin-to-air resistance at flow (K/W)
+}
+
+// NewSinkCandidates runs the air side of the sink search for a lane of
+// chips under opt: it keeps each (depth, fin gap) sink that is
+// buildable and fits the lane, and solves the lane's airflow once for
+// it. An impossible lane (no chips, or sinks too shallow to build)
+// yields an empty set, which Best reports as not found.
+func NewSinkCandidates(fan Fan, chips int, opt OptimizeOptions) *SinkCandidates {
 	width := opt.LaneWidth
 	if width > MaxSinkWidth {
 		width = MaxSinkWidth
+	}
+	c := &SinkCandidates{fan: fan, chips: chips, opt: opt, width: width}
+	if chips <= 0 {
+		return c
 	}
 	maxDepth := (opt.LaneLen - opt.ExtraRow) / float64(chips)
 	if maxDepth > MaxSinkDepth {
 		maxDepth = MaxSinkDepth
 	}
 	if maxDepth < 0.004 {
-		return OptimizeResult{}, false // chips don't physically fit
+		return c // chips don't physically fit
 	}
-
-	var best OptimizeResult
-	found := false
 	// Depth candidates from very shallow to the per-chip budget; gap
 	// candidates from the 1 mm minimum up ("generally, the densest
 	// packed fins are preferable", but wide gaps win when pressure is
@@ -71,51 +108,98 @@ func OptimizeSink(fan Fan, chips int, dieAreaMM2 float64, opt OptimizeOptions) (
 			continue
 		}
 		for _, gap := range []float64{0.001, 0.0015, 0.002, 0.003, 0.004} {
-			sink := HeatSink{
-				Width:         width,
-				FinHeight:     MaxSinkHeight - StdBase,
-				Depth:         depth,
-				BaseThickness: StdBase,
-				FinThickness:  StdFin,
-				Gap:           gap,
-				FinMaterial:   Aluminum,
-				TIM:           DefaultTIM(),
-			}
+			sink := c.sink(depth, gap, Material{})
 			if sink.Validate() != nil {
 				continue
 			}
-			lane := NewLane(fan, sink, chips, dieAreaMM2, opt.Layout)
-			lane.InletC = opt.InletC
-			lane.MaxTjC = opt.MaxTjC
-			lane.LaneLen = opt.LaneLen
-			lane.ExtraRow = opt.ExtraRow
-			if lane.Validate() != nil {
+			// Neither the flow network nor the geometry checks read the
+			// die or a material, so one solve serves every die and
+			// spreader Best tries.
+			lane := c.lane(sink, 0)
+			if lane.validateAir() != nil {
 				continue
 			}
-			// The air path is the same for either spreader: neither the
-			// flow network nor the geometry checks read a material, so
-			// one airflow solve serves both.
 			q, _ := lane.Airflow()
-			// Table 2 allows an aluminum or copper heat spreader; the
-			// sweep tries both (copper spreads better, aluminum is
-			// cheaper — thermals decide here, cost ties break to Cu's
-			// better worst-chip margin).
-			for _, base := range []Material{Copper, Aluminum} {
-				lane.Sink.BaseMaterial = base
-				p := lane.maxChipPowerAt(q)
-				if !found || p > best.ChipPower {
-					best = OptimizeResult{
-						Sink:         lane.Sink,
-						Lane:         lane,
-						ChipPower:    p,
-						LanePower:    p * float64(chips),
-						SinkFlow:     q,
-						ResistanceKW: lane.Sink.Resistance(q, dieAreaMM2).Total(),
-					}
-					found = true
-				}
+			c.sinks = append(c.sinks, sinkCandidate{depth: depth, gap: gap, flow: q, conv: sink.convection(q)})
+		}
+	}
+	return c
+}
+
+// sink is the search's heat sink at depth and fin gap (m) with the
+// given spreader.
+func (c *SinkCandidates) sink(depth, gap float64, base Material) HeatSink {
+	return HeatSink{
+		Width:         c.width,
+		FinHeight:     MaxSinkHeight - StdBase,
+		Depth:         depth,
+		BaseThickness: StdBase,
+		FinThickness:  StdFin,
+		Gap:           gap,
+		FinMaterial:   Aluminum,
+		BaseMaterial:  base,
+		TIM:           DefaultTIM(),
+	}
+}
+
+// lane is the candidate lane around sink for dies of dieAreaMM2.
+func (c *SinkCandidates) lane(sink HeatSink, dieAreaMM2 float64) Lane {
+	return Lane{
+		Fan:      c.fan,
+		Sink:     sink,
+		Chips:    c.chips,
+		DieArea:  dieAreaMM2,
+		Layout:   c.opt.Layout,
+		InletC:   c.opt.InletC,
+		MaxTjC:   c.opt.MaxTjC,
+		LaneLen:  c.opt.LaneLen,
+		ExtraRow: c.opt.ExtraRow,
+	}
+}
+
+// Best scores every candidate with each spreader at a die of dieAreaMM2
+// (mm²) and returns the sink that sustains the most power per chip, the
+// first in search order on exact ties; ok is false when no sink fits
+// the lane or the die area is not positive. Only the TIM and spreading
+// terms are computed here — the airflow and convection come from the
+// set — and nothing is allocated, so planning one more die in a known
+// lane shape costs a few dozen closed-form evaluations.
+func (c *SinkCandidates) Best(dieAreaMM2 float64) (OptimizeResult, bool) {
+	if dieAreaMM2 <= 0 || len(c.sinks) == 0 {
+		return OptimizeResult{}, false
+	}
+	rTIM := DefaultTIM().Resistance(dieAreaMM2)
+	headroom := c.opt.MaxTjC - c.opt.InletC
+	var (
+		best         *sinkCandidate
+		bestBase     Material
+		bestP, bestR float64
+	)
+	for i := range c.sinks {
+		cand := &c.sinks[i]
+		// Table 2 allows an aluminum or copper heat spreader; the search
+		// tries both (copper spreads better, aluminum is cheaper —
+		// thermals decide here, and exact ties keep copper for its
+		// better worst-chip margin).
+		for _, base := range [...]Material{Copper, Aluminum} {
+			res := Resistance{
+				TIM:        rTIM,
+				Spreading:  c.sink(cand.depth, cand.gap, base).spreading(dieAreaMM2),
+				Convection: cand.conv,
+			}
+			p := chipPowerLimit(headroom, worstCoeff(c.chips, c.opt.Layout, res, cand.flow))
+			if best == nil || p > bestP {
+				best, bestBase, bestP, bestR = cand, base, p, res.Total()
 			}
 		}
 	}
-	return best, found
+	sink := c.sink(best.depth, best.gap, bestBase)
+	return OptimizeResult{
+		Sink:         sink,
+		Lane:         c.lane(sink, dieAreaMM2),
+		ChipPower:    bestP,
+		LanePower:    bestP * float64(c.chips),
+		SinkFlow:     best.flow,
+		ResistanceKW: bestR,
+	}, true
 }

@@ -168,31 +168,21 @@ func (l Lane) Airflow() (sinkFlow, fanFlow float64) {
 	return sinkFlow, fanFlow
 }
 
-// tempCoeffs returns per-chip coefficients k such that the junction
-// temperature of chip i at uniform per-chip power P is InletC + k[i]·P,
-// with q (m³/s) flowing through the sinks. The linearity of the whole
-// network in power is what lets the explorer evaluate thermal
-// feasibility in closed form.
-func (l Lane) tempCoeffs(q float64) []float64 {
-	w := newCoeffWalk(l.Chips, l.Layout, l.Sink.Resistance(q, l.DieArea), q)
-	coeffs := make([]float64, l.Chips)
-	for i := range coeffs {
-		coeffs[i] = w.next(i)
-	}
-	return coeffs
-}
-
-// coeffWalk computes tempCoeffs' coefficients one chip at a time, front
-// to back, so the per-chip power limit can take the worst of them
-// without a slice (worstCoeff). The air terms are the same for every
+// coeffWalk computes, one chip at a time from front to back, the
+// per-chip coefficients k (K/W) such that the junction temperature of
+// chip i at uniform per-chip power P is InletC + k[i]·P. The linearity
+// of the whole network in power is what lets the explorer evaluate
+// thermal feasibility in closed form: JunctionTemps scales every
+// coefficient, and the per-chip power limit needs only the worst one
+// (worstCoeff), without a slice. The air terms are the same for every
 // chip, so they are divided out once.
 type coeffWalk struct {
 	chips     int
 	r, rWorst float64 // K/W junction to local air; rWorst for the last chip
-	// first and rest are the K/W the air warms by before it reaches the
-	// fins: half the chip's own rise (fins see the mean of inlet and
-	// exit), plus for every chip but the first the unmixed plume of
-	// the one ahead of it.
+	// first and rest are the K/W a chip's fins see above the upstream
+	// mean: half the chip's own air rise (fins see the mean of inlet
+	// and exit), plus, for every chip but the first, the unmixed plume
+	// of the one ahead of it.
 	first, rest float64
 	step        float64 // K/W mean air rise each chip adds downstream
 	upstream    float64 // K/W accumulated mean air rise so far
@@ -234,9 +224,8 @@ func (w *coeffWalk) next(i int) float64 {
 	return k
 }
 
-// worstCoeff is the largest of tempCoeffs' coefficients (K/W), by the
-// same arithmetic, for a lane of chips in layout whose sinks present
-// res and carry q (m³/s).
+// worstCoeff is the largest coefficient (K/W) of a lane of chips in
+// layout whose sinks present res and carry q (m³/s).
 func worstCoeff(chips int, layout Layout, res Resistance, q float64) float64 {
 	w := newCoeffWalk(chips, layout, res, q)
 	worst := 0.0
@@ -261,10 +250,10 @@ func worstCoeff(chips int, layout Layout, res Resistance, q float64) float64 {
 // more evenly spread across the lane").
 func (l Lane) JunctionTemps(powerPerChip float64) []float64 {
 	q, _ := l.Airflow()
-	coeffs := l.tempCoeffs(q)
-	temps := make([]float64, len(coeffs))
-	for i, k := range coeffs {
-		temps[i] = l.InletC + powerPerChip*k
+	w := newCoeffWalk(l.Chips, l.Layout, l.Sink.Resistance(q, l.DieArea), q)
+	temps := make([]float64, l.Chips)
+	for i := range temps {
+		temps[i] = l.InletC + powerPerChip*w.next(i)
 	}
 	return temps
 }

@@ -65,7 +65,8 @@ func run(argv []string) error {
 	once := fs.Bool("once", false, "run one sweep in-process (the single-process baseline for -coordinate)")
 	requestFile := fs.String("request", "", `request JSON file for -coordinate / -once ("-" reads stdin)`)
 	poolAddr := fs.String("pool-addr", "127.0.0.1:0", "pool listen address (with -coordinate)")
-	chunkSize := fs.Int("chunk", 0, "geometries per distributed chunk (0 picks the default)")
+	chunkSize := fs.Int("chunk", 0, fmt.Sprintf(
+		"geometries per distributed chunk, one pool job each (0 picks %d; with -coordinate)", core.DistributedChunkSize))
 	lease := fs.Duration("lease", 10*time.Second, "chunk lease before requeue to the fleet (0 disables; with -coordinate)")
 	outFile := fs.String("o", "", "write the result JSON here instead of stdout (with -coordinate / -once)")
 	if err := fs.Parse(argv); err != nil {

@@ -84,6 +84,7 @@ type Pool struct {
 	mu      sync.Mutex
 	pending []Job
 	leases  map[uint64]lease
+	jobIDs  map[uint64]bool // every job ID NewPool or Add enqueued
 	done    map[uint64]bool
 	issued  map[uint64]time.Time // last hand-out time of outstanding jobs
 	stats   Stats
@@ -111,6 +112,7 @@ func NewPool(jobs []Job) *Pool {
 	p := &Pool{
 		pending: append([]Job(nil), jobs...),
 		leases:  make(map[uint64]lease),
+		jobIDs:  make(map[uint64]bool, len(jobs)),
 		done:    make(map[uint64]bool),
 		issued:  make(map[uint64]time.Time),
 		results: make(chan Result, len(jobs)+16),
@@ -118,6 +120,9 @@ func NewPool(jobs []Job) *Pool {
 		now:     time.Now,
 	}
 	p.resCond = sync.NewCond(&p.mu)
+	for _, j := range jobs {
+		p.jobIDs[j.ID] = true
+	}
 	p.stats.JobsQueued = len(jobs)
 	p.stats.WorkerResults = make(map[string]int)
 	// The pump owns the consumer side of resBuf for the pool's
@@ -313,6 +318,7 @@ func (p *Pool) Add(j Job) error {
 		return errors.New("cloud: pool closed")
 	}
 	p.pending = append(p.pending, j)
+	p.jobIDs[j.ID] = true
 	p.stats.JobsQueued++
 	p.met.queued.Set(float64(len(p.pending)))
 	return nil
@@ -353,12 +359,24 @@ func (p *Pool) next() (Job, bool) {
 	return out, ok
 }
 
-// record stores a result, ignoring duplicates for the same job. The
+// record stores a result, ignoring duplicates for the same job. A
+// result naming a job ID the pool never queued is dropped with a
+// warning: results are untrusted input, and counting one would let a
+// worker drain the pool with answers to jobs that never ran. A late
+// result for a requeued job is still accepted (first result wins). The
 // arriving result always beats its own just-lapsing lease (it is
 // recorded before expired leases are reaped), and reaping here means
 // leases lapse even when no worker is asking for work.
 func (p *Pool) record(r Result) {
 	p.mu.Lock()
+	if !p.jobIDs[r.JobID] {
+		log := p.log
+		p.mu.Unlock()
+		log.LogAttrs(context.Background(), slog.LevelWarn, "result for a job never queued; ignored",
+			slog.Uint64("job_id", r.JobID),
+			slog.String("worker", r.Worker))
+		return
+	}
 	if p.done[r.JobID] {
 		p.mu.Unlock()
 		return

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -288,12 +289,63 @@ func TestWorkerErrors(t *testing.T) {
 }
 
 func TestPoolIgnoresDuplicateResults(t *testing.T) {
-	p := NewPool(nil)
+	p := NewPool([]Job{{ID: 7}})
 	p.record(Result{JobID: 7, Worker: "a"})
 	p.record(Result{JobID: 7, Worker: "b"})
 	s := p.Stats()
 	if s.JobsDone != 1 {
 		t.Errorf("duplicate results counted: %+v", s)
+	}
+}
+
+// TestPoolIgnoresResultsForUnqueuedJobs: results a connection sends for
+// job IDs the pool never queued are acknowledged but neither counted nor
+// delivered, so they cannot drain the pool; the queued jobs still run
+// and are the only results the pool delivers.
+func TestPoolIgnoresResultsForUnqueuedJobs(t *testing.T) {
+	p := NewPool(makeJobs(2))
+	p.Close()
+	addr, stop := startPool(t, p)
+	defer stop()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
+	send := func(m message) {
+		t.Helper()
+		if err := enc.Encode(m); err != nil {
+			t.Fatal(err)
+		}
+		var reply message
+		if err := dec.Decode(&reply); err != nil || reply.Type != "ack" {
+			t.Fatalf("%s: reply %+v, %v; want ack", m.Type, reply, err)
+		}
+	}
+	send(message{Type: "hello", Worker: "forger"})
+	for _, id := range []uint64{100, 101} {
+		send(message{Type: "result", Result: &Result{JobID: id, Output: []byte("forged")}})
+	}
+	if s := p.Stats(); s.JobsQueued != 2 || s.JobsDone != 0 || s.JobsFailed != 0 || len(s.WorkerResults) != 0 {
+		t.Fatalf("results for unqueued jobs were counted: %+v", s)
+	}
+
+	n, err := RunWorker(context.Background(), addr, "honest", echoHandler)
+	if err != nil || n != 2 {
+		t.Fatalf("honest worker ran %d jobs (err %v), want 2", n, err)
+	}
+	var got []uint64
+	for r := range p.Results() {
+		if r.Worker != "honest" {
+			t.Errorf("delivered result %+v, not from the honest worker", r)
+		}
+		got = append(got, r.JobID)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, []uint64{1, 2}) {
+		t.Errorf("delivered job IDs %v, want [1 2]", got)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 
 // Layer microbenchmarks for the distributed sweep's per-chunk stages.
 // One op of the codec and merge benchmarks is one XCode sweep's worth
-// of chunk results (511 chunks at the default chunk size).
+// of chunk results at PlanSweep's default partition (32 chunks of
+// DistributedChunkSize geometries).
 
 // BenchmarkChunkResultCodec encodes and decodes every chunk result of
 // the XCode sweep, as its workers and its coordinator do, and reports

@@ -251,8 +251,10 @@ type SweepPlan struct {
 }
 
 // PlanSweep validates the sweep and resolves its chunk partition.
-// chunkSize <= 0 selects DefaultChunkSize. The "empty design space"
-// failure mode is reported here, exactly as ExploreContext reports it.
+// chunkSize <= 0 selects DistributedChunkSize, since a plan is what a
+// distributed coordinator enumerates (ExploreContext partitions by
+// Engine.ChunkSize instead). The "empty design space" failure mode is
+// reported here, exactly as ExploreContext reports it.
 func PlanSweep(sweep Sweep, model tco.Model, chunkSize int) (*SweepPlan, error) {
 	grid, err := buildGrid(sweep, model)
 	if err != nil {
@@ -260,6 +262,9 @@ func PlanSweep(sweep Sweep, model tco.Model, chunkSize int) (*SweepPlan, error) 
 	}
 	if len(grid.work) == 0 {
 		return nil, emptySpaceError(grid.summary)
+	}
+	if chunkSize <= 0 {
+		chunkSize = DistributedChunkSize
 	}
 	return grid.plan(chunkSize), nil
 }

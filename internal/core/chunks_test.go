@@ -181,13 +181,13 @@ func TestPlanSweepPartition(t *testing.T) {
 	if plan.ChunkSize() != 5 {
 		t.Errorf("ChunkSize = %d, want 5", plan.ChunkSize())
 	}
-	// Default chunk size kicks in for size <= 0.
+	// The distributed default kicks in for size <= 0.
 	plan, err = PlanSweep(smallSweep(), tco.Default(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.ChunkSize() != DefaultChunkSize {
-		t.Errorf("ChunkSize = %d, want DefaultChunkSize", plan.ChunkSize())
+	if plan.ChunkSize() != DistributedChunkSize {
+		t.Errorf("ChunkSize = %d, want DistributedChunkSize", plan.ChunkSize())
 	}
 	// The grid summary must be independent of (and unshared between)
 	// mergers: two mergers from one plan cannot alias one Reasons map.

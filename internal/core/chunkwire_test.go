@@ -58,7 +58,7 @@ var xcodeOnce struct {
 }
 
 // xcodeChunks evaluates every chunk of the XCode sweep once per test
-// binary, on one engine, at the default chunk size.
+// binary, on one engine, at PlanSweep's default partition.
 func xcodeChunks(t testing.TB) (*SweepPlan, []ChunkResult) {
 	t.Helper()
 	sweep := xcodeSweep(t)

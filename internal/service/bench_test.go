@@ -1,13 +1,17 @@
 package service
 
 import (
+	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"asiccloud/internal/core"
 )
 
 // Layer microbenchmarks for the two service steps every cold sweep
-// request runs besides the sweep itself.
+// request runs besides the sweep itself, and the distributed sweep's
+// worker-count scaling curve.
 
 // canonicalOf canonicalizes a JSON request body.
 func canonicalOf(b *testing.B, body string) Canonical {
@@ -67,5 +71,39 @@ func BenchmarkCanonicalHash(b *testing.B) {
 				c.Hash()
 			}
 		})
+	}
+}
+
+// BenchmarkDistributedSweep runs the default XCode request through
+// RunCoordinator over loopback with 1, 2 and 4 pool workers on cold
+// engines, at the coordinator's default partition (32 chunks) and at
+// DefaultChunkSize geometries per chunk (511 chunks). It reports the
+// chunks and the bytes of the workers' results per sweep; ns/op and
+// -benchmem's B/op cover the coordinator and the workers together.
+func BenchmarkDistributedSweep(b *testing.B) {
+	req := &Request{App: "xcode"}
+	for _, workers := range []int{1, 2, 4} {
+		for _, size := range []struct {
+			name  string
+			chunk int
+		}{{"default", 0}, {fmt.Sprint(core.DefaultChunkSize), core.DefaultChunkSize}} {
+			b.Run(fmt.Sprintf("workers=%d/chunk=%s", workers, size.name), func(b *testing.B) {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+				defer cancel()
+				var chunks, resultBytes int64
+				for i := 0; i < b.N; i++ {
+					addr, out, errc := startCoordinator(b, ctx, req, nil, CoordinatorOptions{ChunkSize: size.chunk})
+					c, n := runColdFleet(b, ctx, addr, workers)
+					<-out
+					if err := <-errc; err != nil {
+						b.Fatal(err)
+					}
+					chunks += c
+					resultBytes += n
+				}
+				b.ReportMetric(float64(chunks)/float64(b.N), "chunks/op")
+				b.ReportMetric(float64(resultBytes)/float64(b.N), "result-B/op")
+			})
+		}
 	}
 }

@@ -154,8 +154,9 @@ const drainGrace = 5 * time.Second
 
 // CoordinatorOptions tunes a distributed sweep run.
 type CoordinatorOptions struct {
-	// ChunkSize is geometries per chunk (0 selects
-	// core.DefaultChunkSize).
+	// ChunkSize is geometries per chunk, one pool job each (0 selects
+	// core.DistributedChunkSize, which weighs the fixed cost of
+	// shipping a chunk against the tail the last chunk leaves).
 	ChunkSize int
 	// LeaseDuration bounds how long a worker may hold a chunk before
 	// it is requeued to the fleet (0 disables leasing — a crashed

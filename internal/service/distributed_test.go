@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -32,9 +33,9 @@ func distRequest(t *testing.T) *Request {
 }
 
 // startCoordinator runs RunCoordinator against a fresh loopback
-// listener and returns the pool address plus a channel carrying the
-// rendered result bytes.
-func startCoordinator(t *testing.T, ctx context.Context, req *Request, opts CoordinatorOptions) (string, <-chan []byte, <-chan error) {
+// listener, recording into rec, and returns the pool address plus a
+// channel carrying the rendered result bytes.
+func startCoordinator(t testing.TB, ctx context.Context, req *Request, rec *obs.Recorder, opts CoordinatorOptions) (string, <-chan []byte, <-chan error) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -43,7 +44,7 @@ func startCoordinator(t *testing.T, ctx context.Context, req *Request, opts Coor
 	out := make(chan []byte, 1)
 	errc := make(chan error, 1)
 	go func() {
-		b, err := RunCoordinator(ctx, req, ln, obs.NewRecorder(), opts)
+		b, err := RunCoordinator(ctx, req, ln, rec, opts)
 		out <- b
 		errc <- err
 	}()
@@ -62,16 +63,30 @@ func TestDistributedMatchesRunOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr, out, errc := startCoordinator(t, ctx, req, CoordinatorOptions{ChunkSize: 2})
-	// Three workers, each with its own engine — separate thermal-plan
-	// caches, as separate processes would have. Barrier: each worker's
-	// first handler call waits until all three have entered the
-	// handler, so two workers cannot finish the three chunks, and the
-	// coordinator close its listener, before the third has dialed. The
-	// timeout bounds a worker that never arrives; its error is then
-	// reported below.
-	const workers = 3
+	addr, out, errc := startCoordinator(t, ctx, req, obs.NewRecorder(), CoordinatorOptions{ChunkSize: 2})
+	runColdFleet(t, ctx, addr, 3)
+	got := <-out
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("distributed result differs from single-process run:\nonce: %s\ndist: %s", want, got)
+	}
+}
+
+// runColdFleet runs a fleet of pool workers against addr until the
+// coordinator drains it, each worker on its own cold engine (separate
+// thermal-plan caches, as separate processes would have), and returns
+// the chunks the fleet evaluated and the bytes of the results it sent.
+// Barrier: each worker's first handler call waits until every worker
+// has entered the handler, so no worker can finish the sweep, and the
+// coordinator close its listener, before another has dialed. The
+// timeout bounds a worker that never arrives; its error is then
+// reported.
+func runColdFleet(t testing.TB, ctx context.Context, addr string, workers int) (chunks, resultBytes int64) {
+	t.Helper()
 	var entered atomic.Int32
+	var nChunks, nBytes atomic.Int64
 	allIn := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -83,7 +98,7 @@ func TestDistributedMatchesRunOnce(t *testing.T) {
 			h := func(j cloud.Job) ([]byte, error) {
 				if first {
 					first = false
-					if entered.Add(1) == workers {
+					if entered.Add(1) == int32(workers) {
 						close(allIn)
 					}
 					select {
@@ -91,20 +106,52 @@ func TestDistributedMatchesRunOnce(t *testing.T) {
 					case <-time.After(10 * time.Second):
 					}
 				}
-				return chunk(j)
+				out, err := chunk(j)
+				nChunks.Add(1)
+				nBytes.Add(int64(len(out)))
+				return out, err
 			}
-			if _, err := cloud.RunWorker(ctx, addr, "w", h); err != nil {
+			if _, err := cloud.RunWorker(ctx, addr, fmt.Sprintf("w%d", id), h); err != nil {
 				t.Errorf("worker %d: %v", id, err)
 			}
 		}(w)
 	}
 	wg.Wait()
+	return nChunks.Load(), nBytes.Load()
+}
+
+// TestDistributedDefaultPartition runs the default XCode request through
+// a coordinator with no options over two workers on cold engines: the
+// bytes equal RunOnce's, and the pool serves one job per chunk of
+// core.DistributedChunkSize geometries, ceil(2043/64) = 32.
+func TestDistributedDefaultPartition(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	req := &Request{App: "xcode"}
+	want, err := RunOnce(ctx, req, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, _, _, err := planFor(req, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Geometries() != 2043 {
+		t.Fatalf("xcode sweep has %d geometries, want 2043", plan.Geometries())
+	}
+
+	rec := obs.NewRecorder()
+	addr, out, errc := startCoordinator(t, ctx, req, rec, CoordinatorOptions{})
+	runColdFleet(t, ctx, addr, 2)
 	got := <-out
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, got) {
-		t.Errorf("distributed result differs from single-process run:\nonce: %s\ndist: %s", want, got)
+		t.Errorf("distributed result at the default partition differs from single-process run:\nonce: %s\ndist: %s", want, got)
+	}
+	if done := rec.Registry().Counters()["asiccloud_pool_jobs_done_total"]; done != 32 {
+		t.Errorf("pool served %d jobs, want 32", done)
 	}
 }
 
@@ -120,7 +167,7 @@ func TestDistributedSurvivesWorkerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr, out, errc := startCoordinator(t, ctx, req, CoordinatorOptions{
+	addr, out, errc := startCoordinator(t, ctx, req, obs.NewRecorder(), CoordinatorOptions{
 		ChunkSize:     2,
 		LeaseDuration: 50 * time.Millisecond,
 	})
@@ -214,7 +261,7 @@ func TestChunkHandlerRejectsGarbage(t *testing.T) {
 func TestCoordinatorSurfacesChunkFailure(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	addr, out, errc := startCoordinator(t, ctx, distRequest(t), CoordinatorOptions{ChunkSize: 2})
+	addr, out, errc := startCoordinator(t, ctx, distRequest(t), obs.NewRecorder(), CoordinatorOptions{ChunkSize: 2})
 
 	// The coordinator aborts on the first failed chunk and tears the
 	// pool down, so the worker may see either a clean drain or an
@@ -367,7 +414,7 @@ func TestChunkHandlerSharesPlanAcrossGoroutines(t *testing.T) {
 func TestCoordinatorRejectsShiftedChunk(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	addr, out, errc := startCoordinator(t, ctx, distRequest(t), CoordinatorOptions{ChunkSize: 2})
+	addr, out, errc := startCoordinator(t, ctx, distRequest(t), obs.NewRecorder(), CoordinatorOptions{ChunkSize: 2})
 
 	honest := NewChunkHandler(core.NewEngine(nil), nil, nil)
 	shifted := func(j cloud.Job) ([]byte, error) {

@@ -17,7 +17,9 @@
 // loss surfaces as ErrUnexpectedDisconnect. A coordinator enqueues
 // jobs, calls Close after the last Add, and ranges over Results, which
 // delivers every recorded result losslessly and closes once the pool
-// drains.
+// drains. What a worker sends is untrusted: the first result for each
+// queued job wins, and a result naming a job the pool never queued is
+// acknowledged, logged and ignored.
 //
 // Note the division of labor with package service: cloud distributes
 // the *workload itself* (hashing jobs, sweep chunks) across worker

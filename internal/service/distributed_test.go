@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -111,7 +110,7 @@ func runColdFleet(t testing.TB, ctx context.Context, addr string, workers int) (
 				nBytes.Add(int64(len(out)))
 				return out, err
 			}
-			if _, err := cloud.RunWorker(ctx, addr, fmt.Sprintf("w%d", id), h); err != nil {
+			if _, err := cloud.RunWorker(ctx, addr, "w", h); err != nil {
 				t.Errorf("worker %d: %v", id, err)
 			}
 		}(w)

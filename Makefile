@@ -14,7 +14,6 @@ check: build
 	go vet ./...
 	$(MAKE) fmt-check
 	$(MAKE) lint
-	$(MAKE) lint-json
 	go test ./...
 	go test -run '^$$' -bench . -benchtime 1x ./...
 	go test -race ./internal/core ./internal/cloud ./internal/service
@@ -33,16 +32,13 @@ fmt-check:
 	fi
 
 # Domain-aware static analysis (unit discipline, float hygiene, error
-# propagation, context/goroutine/lock dataflow). Non-zero exit on any
-# diagnostic; see README "Static analysis" for the suppression syntax.
+# propagation, context/goroutine/lock dataflow). One run gates, prints
+# and leaves the report: non-zero exit on any diagnostic, the findings
+# as text on stderr, and the same findings grouped by analyzer in
+# results/lint.json (CI keeps it as an artifact). See README "Static
+# analysis" for the suppression syntax.
 .PHONY: lint
 lint:
-	go run ./cmd/asiclint ./...
-
-# Machine-readable lint report for CI artifact collection. The target
-# still fails on findings; the JSON lands in results/ either way.
-.PHONY: lint-json
-lint-json:
 	mkdir -p results
 	go run ./cmd/asiclint -json ./... > results/lint.json
 
@@ -58,16 +54,6 @@ lint-changed:
 .PHONY: lint-golden
 lint-golden:
 	go test ./internal/analysis/... -update
-
-# Worklist generator: full-suite findings land in results/lint.json
-# bucketed by analyzer, so a cleanup can be tackled one analyzer at a
-# time. Unlike `lint` it exits zero even with findings — it produces
-# the fix list; `lint` is the gate. Exit 2 (load/usage error) still
-# fails the target.
-.PHONY: lint-fix-list
-lint-fix-list:
-	mkdir -p results
-	go run ./cmd/asiclint -json -group ./... > results/lint.json || [ $$? -eq 1 ]
 
 # Paper-table benchmarks plus a measured bitcoin sweep; the structured
 # run report (configs/sec, prune breakdown, frontier size, span timings,

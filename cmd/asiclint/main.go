@@ -11,24 +11,31 @@
 // the committed fingerprint (wirehash). Most are dataflow-aware, built
 // on the control-flow graphs and call graph of internal/analysis/cfg;
 // hotalloc, detflow and foldorder are interprocedural, propagating
-// per-function summaries (allocation counts, taint flows) bounded by
+// per-function summaries (allocation sites, taint flows) bounded by
 // call depth. It is stdlib-only and offline — packages are parsed and
 // type-checked by internal/analysis without external tooling.
 //
 // Usage:
 //
-//	asiclint [-json [-group]] [-analyzers a,b] [-diff ref] [-list] [patterns ...]
+//	asiclint [-json] [-analyzers a,b] [-diff ref] [-list] [patterns ...]
 //
 // Patterns are directories, optionally ending in /... (default ./...).
-// With -diff, whole packages are still loaded and analyzed (dataflow
-// facts need complete packages) but only diagnostics in .go files that
-// changed versus the given git ref — committed, staged, unstaged or
-// untracked — are reported. When git is missing or the lint root is not
-// a git work tree, -diff degrades to whole-module reporting with a
-// warning on stderr rather than failing. Exit status: 0 clean, 1
-// diagnostics reported, 2 usage or load error. Suppress a finding with
-// a trailing or immediately preceding "//lint:ignore analyzer reason"
-// comment.
+// The whole suite always runs: loading the packages costs far more than
+// the analyzers, and every //lint:ignore must name a suite analyzer.
+// -analyzers only narrows what is reported, to the named analyzers plus
+// the framework's own "lint" diagnostics about malformed directives.
+// Likewise with -diff, whole packages are still loaded and analyzed
+// (dataflow facts need complete packages) but only diagnostics in .go
+// files that changed versus the given git ref — committed, staged,
+// unstaged or untracked — are reported. When git is missing or the lint
+// root is not a git work tree, -diff degrades to whole-module reporting
+// with a warning on stderr rather than failing. With -json the
+// diagnostics go to stdout as one JSON document grouped by analyzer and
+// to stderr as text lines, so one run gates, prints and leaves the
+// report (`make lint` writes it to results/lint.json). Exit status: 0
+// clean, 1 diagnostics reported, 2 usage or load error. Suppress a
+// finding with a trailing or immediately preceding
+// "//lint:ignore analyzer reason" comment.
 package main
 
 import (
@@ -50,13 +57,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("asiclint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON")
-	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default all)")
+	jsonOut := fs.Bool("json", false, "write diagnostics as JSON grouped by analyzer to stdout, and as text to stderr")
+	names := fs.String("analyzers", "", "comma-separated analyzers to report (default all); the whole suite still runs")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	diffRef := fs.String("diff", "", "only report diagnostics in files changed since this git ref")
-	group := fs.Bool("group", false, "with -json, bucket diagnostics by analyzer (fix-list form)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: asiclint [-json [-group]] [-analyzers a,b] [-diff ref] [-list] [patterns ...]\n")
+		fmt.Fprintf(stderr, "usage: asiclint [-json] [-analyzers a,b] [-diff ref] [-list] [patterns ...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -70,9 +76,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	var selected []string
 	if *names != "" {
-		picked, unknown := suite.ByName(strings.Split(*names, ","))
-		if unknown != "" {
+		selected = strings.Split(*names, ",")
+		if _, unknown := suite.ByName(selected); unknown != "" {
 			available := make([]string, len(analyzers))
 			for i, a := range analyzers {
 				available[i] = a.Name
@@ -81,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				unknown, strings.Join(available, ", "))
 			return 2
 		}
-		analyzers = picked
 	}
 
 	patterns := fs.Args()
@@ -108,6 +114,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "asiclint:", err)
 		return 2
 	}
+	if selected != nil {
+		diags = analysis.FilterAnalyzers(diags, selected)
+	}
 	if *diffRef != "" {
 		diags, err = filterByDiff(diags, cwd, *diffRef, stderr)
 		if err != nil {
@@ -115,16 +124,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
+	text := stdout
 	if *jsonOut {
-		write := analysis.WriteJSON
-		if *group {
-			write = analysis.WriteGroupedJSON
-		}
-		if err := write(stdout, diags, cwd); err != nil {
+		if err := analysis.WriteGroupedJSON(stdout, diags, cwd); err != nil {
 			fmt.Fprintln(stderr, "asiclint:", err)
 			return 2
 		}
-	} else if err := analysis.WriteText(stdout, diags, cwd); err != nil {
+		text = stderr
+	}
+	if err := analysis.WriteText(text, diags, cwd); err != nil {
 		fmt.Fprintln(stderr, "asiclint:", err)
 		return 2
 	}

@@ -15,18 +15,18 @@
 //     post-filters the diagnostics through //lint:ignore suppression
 //     directives (run.go, suppress.go);
 //   - run-wide dataflow facts shared by all analyzers: lazily built
-//     per-function control-flow graphs, a module-local call graph, a
-//     doc-comment index, and memoized per-function allocation summaries
-//     for interprocedural propagation, exposed as Pass.CFG,
-//     Pass.CallGraph, Pass.DocOf and Pass.AllocSummaryOf (facts.go and
-//     allocfacts.go, backed by internal/analysis/cfg);
-//   - text and JSON diagnostic formatting (flat and grouped-by-analyzer)
-//     shared by cmd/asiclint and the self-test (run.go).
+//     per-function control-flow graphs, a module-local call graph and a
+//     doc-comment index, exposed as Pass.CFG, Pass.CallGraph and
+//     Pass.DocOf (facts.go, backed by internal/analysis/cfg), plus
+//     Pass.Memo, the one run-wide cache an analyzer keeps its own
+//     interprocedural summaries in (the taint engine's, hotalloc's);
+//   - text and JSON diagnostic formatting (the JSON form grouped by
+//     analyzer) shared by cmd/asiclint and the self-test (run.go).
 //
-// The domain analyzers themselves live in subpackages (unitconv, floatcmp,
-// droppederr, unitdoc, ctxflow, goroleak, lockheld, unitflow, hotalloc,
-// spanend, obskeys) and the curated repository-wide suite in
-// internal/analysis/suite.
+// The domain analyzers themselves live in subpackages (ctxflow, detflow,
+// droppederr, floatcmp, foldorder, goroleak, hotalloc, lockheld,
+// obskeys, spanend, unitconv, unitdoc, unitflow, wirehash) and the
+// curated repository-wide suite in internal/analysis/suite.
 package analysis
 
 import (
@@ -34,6 +34,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // An Analyzer describes one static check.
@@ -94,4 +95,21 @@ type Diagnostic struct {
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s",
 		d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+}
+
+// HasDirective reports whether the comment group carries the given
+// machine directive (e.g. "asic:hotpath"). Directives are comments of
+// the form "//name" with no space; CommentGroup.Text strips them, so
+// the raw list is scanned.
+func HasDirective(doc *ast.CommentGroup, name string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		text := strings.TrimPrefix(c.Text, "//")
+		if text == name || strings.HasPrefix(text, name+" ") {
+			return true
+		}
+	}
+	return false
 }

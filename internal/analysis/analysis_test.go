@@ -37,29 +37,38 @@ func TestWriteTextRelativize(t *testing.T) {
 	}
 }
 
+// TestWriteJSON pins the wire form of one diagnostic inside the JSON
+// report: every field present, the file relativized under the base
+// directory and left absolute outside it.
 func TestWriteJSON(t *testing.T) {
 	var buf bytes.Buffer
-	if err := analysis.WriteJSON(&buf, sampleDiags(), "/mod"); err != nil {
+	if err := analysis.WriteGroupedJSON(&buf, sampleDiags(), "/mod"); err != nil {
 		t.Fatal(err)
 	}
+	type diag struct {
+		File     string `json:"file"`
+		Line     int    `json:"line"`
+		Column   int    `json:"column"`
+		Analyzer string `json:"analyzer"`
+		Message  string `json:"message"`
+	}
 	var doc struct {
-		Count       int `json:"count"`
-		Diagnostics []struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		} `json:"diagnostics"`
+		Analyzers map[string]struct {
+			Diagnostics []diag `json:"diagnostics"`
+		} `json:"analyzers"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if doc.Count != 2 || len(doc.Diagnostics) != 2 {
-		t.Fatalf("want count 2 with 2 diagnostics, got %d with %d", doc.Count, len(doc.Diagnostics))
+	want := map[string]diag{
+		"floatcmp": {"internal/thermal/lane.go", 12, 3, "floatcmp", "exact float comparison"},
+		"unitconv": {"/elsewhere/other.go", 1, 1, "unitconv", "magic literal"},
 	}
-	if doc.Diagnostics[0].File != "internal/thermal/lane.go" || doc.Diagnostics[0].Analyzer != "floatcmp" {
-		t.Errorf("first diagnostic mangled: %+v", doc.Diagnostics[0])
+	for name, w := range want {
+		got := doc.Analyzers[name].Diagnostics
+		if len(got) != 1 || got[0] != w {
+			t.Errorf("%s diagnostics = %+v, want [%+v]", name, got, w)
+		}
 	}
 }
 
@@ -105,13 +114,13 @@ func TestWriteGroupedJSON(t *testing.T) {
 
 func TestWriteJSONEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := analysis.WriteJSON(&buf, nil, ""); err != nil {
+	if err := analysis.WriteGroupedJSON(&buf, nil, ""); err != nil {
 		t.Fatal(err)
 	}
-	// The diagnostics key must be an empty array, not null, so downstream
-	// tooling can always range over it.
-	if !strings.Contains(buf.String(), `"diagnostics": []`) {
-		t.Errorf("empty run should emit an empty array:\n%s", buf.String())
+	// A clean run writes an empty object, not null, so downstream
+	// tooling can always range over the analyzers.
+	if want := "{\n  \"count\": 0,\n  \"analyzers\": {}\n}\n"; buf.String() != want {
+		t.Errorf("empty run:\n got %q\nwant %q", buf.String(), want)
 	}
 }
 

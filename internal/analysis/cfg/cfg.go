@@ -1,11 +1,12 @@
 // Package cfg builds intraprocedural control-flow graphs and a
 // lightweight call graph over the already-parsed (and, for the call
 // graph, type-checked) ASTs of internal/analysis. It is the dataflow
-// substrate of the asiclint suite: syntax-only per-function CFGs give
-// analyzers a notion of "every path from A reaches B before C"
-// (lockheld), back edges identify loops precisely where textual scans
-// cannot (ctxflow), and the call graph lets a spawn-site check follow a
-// `go s.worker()` into the worker's body (goroleak).
+// substrate of the asiclint suite: syntax-only per-function CFGs and
+// their one forward path walk (Walk) give analyzers a notion of "every
+// path from A reaches B before C" (lockheld, spanend), back edges
+// identify loops precisely where textual scans cannot (ctxflow), and
+// the call graph lets a spawn-site check follow a `go s.worker()` into
+// the worker's body (goroleak).
 //
 // The CFG is deliberately modest — the shape of golang.org/x/tools/go/cfg
 // rebuilt on the standard library. Each function body becomes a Graph of
@@ -62,6 +63,42 @@ func (g *Graph) Entry() *Block { return g.Blocks[0] }
 func (g *Graph) LoopBlocks(s ast.Stmt) ([]*Block, bool) {
 	b, ok := g.loops[s]
 	return b, ok
+}
+
+// Walk is the forward path walk of the path-sensitive analyzers. It
+// visits the nodes after node i of block b, then the nodes of every
+// block reachable from there, following each path until visit returns
+// true for one of its nodes, which ends that path. Each successor block
+// is entered at most once, depth first, the last successor of a block
+// first. Walk reports whether some path reached a function exit (a
+// block without successors) without visit ending it.
+func Walk(b *Block, i int, visit func(ast.Node) bool) (exited bool) {
+	type item struct {
+		b   *Block
+		idx int
+	}
+	visited := map[*Block]bool{}
+	work := []item{{b, i + 1}}
+next:
+	for len(work) > 0 {
+		it := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, node := range it.b.Nodes[it.idx:] {
+			if visit(node) {
+				continue next
+			}
+		}
+		if len(it.b.Succs) == 0 {
+			exited = true
+		}
+		for _, succ := range it.b.Succs {
+			if !visited[succ] {
+				visited[succ] = true
+				work = append(work, item{succ, 0})
+			}
+		}
+	}
+	return exited
 }
 
 // Loops returns every for/range statement of the function (not of nested

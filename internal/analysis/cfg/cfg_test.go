@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 	"testing"
 
@@ -680,5 +681,69 @@ done:
 	}
 	if !directGoto {
 		t.Error("goto done does not edge directly to the labeled return block")
+	}
+}
+
+// TestWalkEndsPathsAndReportsExit pins Walk's contract: it starts after
+// the given node, a visit that returns true ends only its own path, a
+// loop body is entered once, and the result says whether a path got to
+// a function exit unended.
+func TestWalkEndsPathsAndReportsExit(t *testing.T) {
+	g, _ := buildFirst(t, `package p
+func f(x int, xs []int) {
+	before()
+	if x > 0 {
+		stop()
+		skipped()
+	}
+	for range xs {
+		loop()
+	}
+	after()
+	if x < 0 {
+		stop()
+	} else {
+		stop()
+	}
+	unreached()
+}`)
+	calls := func(stopAt string) (string, bool) {
+		var seen []string
+		exited := cfg.Walk(g.Entry(), 0, func(n ast.Node) bool {
+			es, ok := n.(*ast.ExprStmt)
+			if !ok {
+				return false
+			}
+			name := es.X.(*ast.CallExpr).Fun.(*ast.Ident).Name
+			seen = append(seen, name)
+			return name == stopAt
+		})
+		sort.Strings(seen)
+		return strings.Join(seen, " "), exited
+	}
+	// Ending paths at stop(): the fall-through path skips the first if,
+	// so loop() and after() are visited; every path then ends at a
+	// stop(), so no exit is reached and unreached() is never visited.
+	got, exited := calls("stop")
+	if want := "after loop stop stop stop"; got != want {
+		t.Errorf("visited %q, want %q", got, want)
+	}
+	if exited {
+		t.Error("Walk reported an exit although every path ends at stop()")
+	}
+	// Ending paths at after() instead visits the first if's body in
+	// full and nothing past after(); the node Walk starts after,
+	// before(), is never visited.
+	got, exited = calls("after")
+	if want := "after loop skipped stop"; got != want {
+		t.Errorf("visited %q, want %q", got, want)
+	}
+	if exited {
+		t.Error("Walk reported an exit although every path ends at after()")
+	}
+	// Ending no path reaches the exit through unreached().
+	got, exited = calls("")
+	if !exited || !strings.Contains(got, "unreached") {
+		t.Errorf("Walk without ending a path: visited %q, exited %v; want unreached() and an exit", got, exited)
 	}
 }

@@ -140,20 +140,10 @@ func isBlank(e ast.Expr) bool {
 // (e.g. "fmt.Println" or "(*strings.Builder).WriteString"), or "" when the
 // callee is not a named function.
 func calleeName(pass *analysis.Pass, call *ast.CallExpr) string {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return ""
+	if fn := pass.Callee(call); fn != nil {
+		return fn.FullName()
 	}
-	fn, ok := pass.Info.Uses[id].(*types.Func)
-	if !ok {
-		return ""
-	}
-	return fn.FullName()
+	return ""
 }
 
 // calleeLabel is a short human label for diagnostics: the resolved name if

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"asiccloud/internal/analysis/cfg"
@@ -14,22 +13,16 @@ import (
 // module-local call graph, and a documentation index mapping declared
 // objects (struct fields, constants, variables) to their doc-comment
 // text so annotation-driven analyzers (unitflow) can see declarations
-// from other packages of the same Run.
+// from other packages of the same Run. It holds no analyzer-specific
+// state: an analyzer's own run-wide caches live under Pass.Memo.
 type Facts struct {
 	cfgs      map[ast.Node]*cfg.Graph
 	callgraph *cfg.CallGraph
 	docs      map[types.Object]string
 
-	// Interprocedural allocation facts (allocfacts.go): per-function
-	// summaries memoized across the Run (nil entry = declaration not in
-	// this Run), and the run-wide set of already-reported allocation
-	// sites so analyzers reporting at foreign positions never duplicate.
-	allocs       map[*types.Func]*AllocSummary
-	allocClaimed map[token.Pos]bool
-
-	// memo is the open-ended run-wide store for analyzer substrates
-	// (see Pass.Memo). Keys are substrate-chosen; the framework only
-	// guarantees one value per key per Run.
+	// memo is the open-ended run-wide store for analyzers and their
+	// substrates (see Pass.Memo). Keys are caller-chosen; the framework
+	// only guarantees one value per key per Run.
 	memo map[any]any
 }
 
@@ -37,12 +30,10 @@ type Facts struct {
 // the run. CFGs are built on demand by Pass.CFG.
 func newFacts(pkgs []*Package) *Facts {
 	f := &Facts{
-		cfgs:         make(map[ast.Node]*cfg.Graph),
-		callgraph:    cfg.NewCallGraph(),
-		docs:         make(map[types.Object]string),
-		allocs:       make(map[*types.Func]*AllocSummary),
-		allocClaimed: make(map[token.Pos]bool),
-		memo:         make(map[any]any),
+		cfgs:      make(map[ast.Node]*cfg.Graph),
+		callgraph: cfg.NewCallGraph(),
+		docs:      make(map[types.Object]string),
+		memo:      make(map[any]any),
 	}
 	for _, pkg := range pkgs {
 		f.callgraph.AddPackage(pkg.Info, pkg.Files)
@@ -105,6 +96,12 @@ func (p *Pass) CFG(fn ast.Node) *cfg.Graph {
 	return g
 }
 
+// Callee returns the named function or method call invokes, or nil for
+// calls through function values, builtins and conversions.
+func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
+	return cfg.Callee(p.Info, call)
+}
+
 // CallGraph returns the run-wide call graph covering every package of
 // this Run (not just the Pass's own package).
 func (p *Pass) CallGraph() *cfg.CallGraph {
@@ -118,13 +115,12 @@ func (p *Pass) DocOf(obj types.Object) string {
 }
 
 // Memo returns the run-wide value stored under key, computing it with
-// fn on first request. It is how analyzer substrates built outside this
-// package (the taint engine in internal/analysis/taint) share their
-// interprocedural caches across every Pass of one Run — the same role
-// the allocs map plays for hotalloc — without the framework having to
-// know each substrate's types. Keys follow the comparable-key
-// discipline of context.Value: a substrate passes a private pointer or
-// defined type so two substrates can never collide.
+// fn on first request. It is how analyzers and their substrates (the
+// taint engine's summaries, hotalloc's allocation summaries) share
+// interprocedural caches across every Pass of one Run without the
+// framework having to know their types. Keys follow the comparable-key
+// discipline of context.Value: a caller passes a private pointer or
+// defined type so two callers can never collide.
 func (p *Pass) Memo(key any, fn func() any) any {
 	if v, ok := p.facts.memo[key]; ok {
 		return v

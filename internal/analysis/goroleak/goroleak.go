@@ -74,7 +74,7 @@ func hasCancellationEdge(pass *analysis.Pass, call *ast.CallExpr) bool {
 	// state just as well as through arguments; the body scan below sees
 	// the receiver's channel operations, so nothing extra is needed here.
 	cg := pass.CallGraph()
-	if fn := cfg.Callee(pass.Info, call); fn != nil {
+	if fn := pass.Callee(call); fn != nil {
 		return declHasEvidence(cg, fn, calleeDepth, make(map[*types.Func]bool))
 	}
 	// Calls through function values resolve to nothing; the value itself

@@ -8,10 +8,12 @@
 // per-function allocation summary (composite literals taking the heap,
 // append growth, map/chan/slice makes, closures capturing by
 // reference, interface boxing at call sites, fmt calls and string
-// conversions — see analysis.AllocSummaryOf) and propagates it through
-// the module-local call graph from every annotated root, bounded at
-// maxDepth hops with memoized summaries, so the cost of the check is
-// one AST walk per function no matter how many roots reach it.
+// conversions — see summary.go) and propagates it through the
+// module-local call graph from every annotated root, bounded at
+// maxDepth hops. Summaries are memoized for the whole Run through
+// analysis.Pass.Memo, as the taint engine memoizes its own, so the cost
+// of the check is one AST walk per function no matter how many roots or
+// packages reach it.
 //
 // Every allocation site reachable from a root is reported at the site
 // itself — which is where the fix (preallocate, hoist, switch to a
@@ -63,6 +65,7 @@ func isColdPath(pass *analysis.Pass, fn *types.Func) bool {
 }
 
 func run(pass *analysis.Pass) error {
+	st := stateOf(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -73,7 +76,7 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				continue
 			}
-			propagate(pass, fn)
+			propagate(pass, st, fn)
 		}
 	}
 	return nil
@@ -90,47 +93,47 @@ type pathStep struct {
 // propagate walks the call graph breadth-first from root, reporting
 // every allocation site of every function within maxDepth hops. Each
 // function is visited once per root (cycle-safe) and each site is
-// reported once per run (ClaimAllocSite), so overlapping roots stay
-// quiet the second time.
-func propagate(pass *analysis.Pass, root *types.Func) {
+// reported once per run (state.claim), so overlapping roots stay quiet
+// the second time.
+func propagate(pass *analysis.Pass, st *state, root *types.Func) {
 	visited := map[*types.Func]bool{root: true}
 	work := []pathStep{{fn: root, depth: 0, path: root.Name()}}
 	for len(work) > 0 {
 		step := work[0]
 		work = work[1:]
-		sum, ok := pass.AllocSummaryOf(step.fn)
-		if !ok {
+		sum := st.summaryOf(pass, step.fn)
+		if sum == nil {
 			continue // opaque callee: stdlib or undeclared
 		}
-		for _, site := range sum.Sites {
-			if !pass.ClaimAllocSite(site.Pos) {
+		for _, site := range sum.sites {
+			if !st.claim(site.pos) {
 				continue
 			}
 			if step.depth == 0 {
-				pass.Reportf(site.Pos, "allocation in hot-path function %s: %s — preallocate or hoist "+
+				pass.Reportf(site.pos, "allocation in hot-path function %s: %s — preallocate or hoist "+
 					"it out of the sweep, or //lint:ignore hotalloc with the amortization argument",
-					step.path, site.What)
+					step.path, site.what)
 			} else {
-				pass.Reportf(site.Pos, "allocation reachable from hot path %s (via %s): %s — preallocate "+
+				pass.Reportf(site.pos, "allocation reachable from hot path %s (via %s): %s — preallocate "+
 					"or hoist it out of the sweep, or //lint:ignore hotalloc with the amortization argument",
-					root.Name(), step.path, site.What)
+					root.Name(), step.path, site.what)
 			}
 		}
 		if step.depth == maxDepth {
 			continue
 		}
-		for _, call := range sum.Callees {
-			if visited[call.Callee] {
+		for _, callee := range sum.callees {
+			if visited[callee] {
 				continue
 			}
-			visited[call.Callee] = true
-			if isColdPath(pass, call.Callee) {
+			visited[callee] = true
+			if isColdPath(pass, callee) {
 				continue
 			}
 			work = append(work, pathStep{
-				fn:    call.Callee,
+				fn:    callee,
 				depth: step.depth + 1,
-				path:  step.path + " → " + call.Callee.Name(),
+				path:  step.path + " → " + callee.Name(),
 			})
 		}
 	}

@@ -1,4 +1,4 @@
-package analysis
+package hotalloc
 
 import (
 	"fmt"
@@ -7,16 +7,18 @@ import (
 	"go/types"
 	"strings"
 
+	"asiccloud/internal/analysis"
 	"asiccloud/internal/analysis/cfg"
 )
 
-// This file is the interprocedural half of the fact store: per-function
-// allocation summaries, memoized across the whole Run and shared by
-// every Pass. A summary is computed once per declared function — no
-// matter how many hot-path roots reach it — and records (a) the
-// statically visible heap-allocation sites in the body and (b) the
-// module-local calls the body makes, so an analyzer can propagate
-// "allocates" facts along the call graph without re-walking ASTs.
+// This file holds hotalloc's interprocedural facts: per-function
+// allocation summaries, memoized across the whole Run through
+// analysis.Pass.Memo and shared by every Pass. A summary is computed
+// once per declared function — no matter how many hot-path roots reach
+// it — and records (a) the statically visible heap-allocation sites in
+// the body and (b) the module-local calls the body makes, so the
+// analyzer propagates "allocates" facts along the call graph without
+// re-walking ASTs.
 //
 // The classification is deliberately syntactic: it flags constructs the
 // Go compiler *may* heap-allocate (make, append growth, escaping
@@ -28,82 +30,68 @@ import (
 // review, and the reviewer records the verdict as a //lint:ignore
 // reason the next reader can see.
 
-// An AllocSite is one statically visible potential heap allocation.
-type AllocSite struct {
-	// Pos locates the allocating expression or statement.
-	Pos token.Pos
-	// What describes the allocation in diagnostic-ready form, e.g.
+// An allocSite is one statically visible potential heap allocation.
+type allocSite struct {
+	// pos locates the allocating expression or statement.
+	pos token.Pos
+	// what describes the allocation in diagnostic-ready form, e.g.
 	// "make(map[string]int)" or "append may grow pts".
-	What string
+	what string
 }
 
-// An AllocCall is one resolvable call to a module-local function,
-// recorded so interprocedural analyzers can follow the body's calls
-// with positions for path reporting.
-type AllocCall struct {
-	Pos    token.Pos
-	Callee *types.Func
+// An allocSummary is the per-function allocation fact: the body's own
+// allocation sites plus its outgoing module-local calls. It is a fact
+// about the declaration, independent of any caller.
+type allocSummary struct {
+	sites   []allocSite
+	callees []*types.Func
 }
 
-// An AllocSummary is the per-function allocation fact: the body's own
-// allocation sites plus its outgoing module-local calls. Summaries are
-// memoized in the run-wide fact store; they are facts about the
-// declaration, independent of any caller.
-type AllocSummary struct {
-	Fn      *types.Func
-	Sites   []AllocSite
-	Callees []AllocCall
+// memoKey names hotalloc's run-wide state inside Pass.Memo.
+type memoKey struct{}
+
+// state is hotalloc's run-wide state: the memoized summaries (nil entry
+// = declaration not in this Run) and the allocation sites already
+// reported. Interprocedural reports land at the allocation site — which
+// may be in a different package than the Pass — so without a run-wide
+// claim, two annotated roots reaching the same site would duplicate the
+// diagnostic.
+type state struct {
+	sums    map[*types.Func]*allocSummary
+	claimed map[token.Pos]bool
 }
 
-// AllocSummaryOf returns the memoized allocation summary of fn,
-// computing it on first request from the declaration the run-wide call
-// graph indexed. The second result is false when fn was not declared
-// in any package of this Run (standard library, interface methods) —
-// callers decide how to treat opaque callees.
-func (p *Pass) AllocSummaryOf(fn *types.Func) (*AllocSummary, bool) {
-	if s, ok := p.facts.allocs[fn]; ok {
-		return s, s != nil
+func stateOf(pass *analysis.Pass) *state {
+	return pass.Memo(memoKey{}, func() any {
+		return &state{sums: make(map[*types.Func]*allocSummary), claimed: make(map[token.Pos]bool)}
+	}).(*state)
+}
+
+// summaryOf returns the memoized allocation summary of fn, computing it
+// on first request from the declaration the run-wide call graph
+// indexed. It returns nil when fn was not declared in any package of
+// this Run (standard library, interface methods): such callees are
+// opaque.
+func (st *state) summaryOf(pass *analysis.Pass, fn *types.Func) *allocSummary {
+	if s, ok := st.sums[fn]; ok {
+		return s
 	}
-	cg := p.facts.callgraph
-	decl := cg.DeclOf(fn)
-	info := cg.InfoOf(fn)
-	if decl == nil || decl.Body == nil || info == nil {
-		p.facts.allocs[fn] = nil
-		return nil, false
+	cg := pass.CallGraph()
+	var s *allocSummary
+	if decl, info := cg.DeclOf(fn), cg.InfoOf(fn); decl != nil && decl.Body != nil && info != nil {
+		s = summarizeAllocs(decl, info)
 	}
-	s := summarizeAllocs(fn, decl, info)
-	p.facts.allocs[fn] = s
-	return s, true
+	st.sums[fn] = s
+	return s
 }
 
-// ClaimAllocSite records pos as reported and returns true exactly once
-// per Run. Interprocedural analyzers report at the allocation site —
-// which may be in a different package than the Pass — so without a
-// run-wide claim, two annotated roots reaching the same site would
-// duplicate the diagnostic.
-func (p *Pass) ClaimAllocSite(pos token.Pos) bool {
-	if p.facts.allocClaimed[pos] {
+// claim records pos as reported and returns true exactly once per Run.
+func (st *state) claim(pos token.Pos) bool {
+	if st.claimed[pos] {
 		return false
 	}
-	p.facts.allocClaimed[pos] = true
+	st.claimed[pos] = true
 	return true
-}
-
-// HasDirective reports whether the comment group carries the given
-// machine directive (e.g. "asic:hotpath"). Directives are comments of
-// the form "//name" with no space; CommentGroup.Text strips them, so
-// the raw list is scanned.
-func HasDirective(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		if text == name || strings.HasPrefix(text, name+" ") {
-			return true
-		}
-	}
-	return false
 }
 
 // allocators curates standard-library callees that allocate on every
@@ -139,8 +127,8 @@ var allocators = map[string]string{
 // on behalf of this function when the literal is invoked), and a
 // literal that captures enclosing variables is itself a closure
 // allocation site.
-func summarizeAllocs(fn *types.Func, decl *ast.FuncDecl, info *types.Info) *AllocSummary {
-	s := &AllocSummary{Fn: fn}
+func summarizeAllocs(decl *ast.FuncDecl, info *types.Info) *allocSummary {
+	s := &allocSummary{}
 	seenCallee := make(map[*types.Func]bool)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -172,15 +160,15 @@ func summarizeAllocs(fn *types.Func, decl *ast.FuncDecl, info *types.Info) *Allo
 	return s
 }
 
-func (s *AllocSummary) add(pos token.Pos, what string) {
-	s.Sites = append(s.Sites, AllocSite{Pos: pos, What: what})
+func (s *allocSummary) add(pos token.Pos, what string) {
+	s.sites = append(s.sites, allocSite{pos: pos, what: what})
 }
 
 // summarizeCall classifies one call expression: builtin allocators
 // (make, new, append), string/byte conversions, fmt and curated stdlib
 // allocators, interface boxing of its arguments, and module-local
 // callees for propagation.
-func summarizeCall(call *ast.CallExpr, s *AllocSummary, info *types.Info, seen map[*types.Func]bool) {
+func summarizeCall(call *ast.CallExpr, s *allocSummary, info *types.Info, seen map[*types.Func]bool) {
 	fun := ast.Unparen(call.Fun)
 
 	// Builtins.
@@ -222,7 +210,7 @@ func summarizeCall(call *ast.CallExpr, s *AllocSummary, info *types.Info, seen m
 		default:
 			if !seen[fn] {
 				seen[fn] = true
-				s.Callees = append(s.Callees, AllocCall{Pos: call.Pos(), Callee: fn})
+				s.callees = append(s.callees, fn)
 			}
 			boxedArgs(call, fn, s, info)
 		}
@@ -240,7 +228,7 @@ func summarizeCall(call *ast.CallExpr, s *AllocSummary, info *types.Info, seen m
 // it. fmt and the curated allocators are already flagged wholesale, so
 // this fires for the quiet cases — a slice handed to sort.Interface, a
 // struct passed as any.
-func boxedArgs(call *ast.CallExpr, fn *types.Func, s *AllocSummary, info *types.Info) {
+func boxedArgs(call *ast.CallExpr, fn *types.Func, s *allocSummary, info *types.Info) {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return
@@ -248,7 +236,7 @@ func boxedArgs(call *ast.CallExpr, fn *types.Func, s *AllocSummary, info *types.
 	boxedSigArgs(call, sig, s, info)
 }
 
-func boxedSigArgs(call *ast.CallExpr, sig *types.Signature, s *AllocSummary, info *types.Info) {
+func boxedSigArgs(call *ast.CallExpr, sig *types.Signature, s *allocSummary, info *types.Info) {
 	params := sig.Params()
 	if params.Len() == 0 {
 		return

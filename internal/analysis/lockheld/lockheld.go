@@ -1,18 +1,23 @@
-// Package lockheld flags mutexes held across blocking operations, plus
-// locks copied by value.
+// Package lockheld flags mutexes held across blocking operations or log
+// calls, plus locks copied by value.
 //
 // A sync.Mutex guards shared state for nanoseconds; the moment a
 // blocking operation — a channel send or receive, WaitGroup.Wait,
 // time.Sleep, network I/O — executes between Lock and Unlock, every
 // other goroutine contending for that state stalls for the full
 // duration, and a receive that never fires turns the whole process into
-// a deadlock. The analyzer walks each function's control-flow graph
-// forward from every Lock/RLock call until the matching Unlock and
-// reports the first blocking node on any path. Sends and receives that
-// are comm cases of a select with a default clause are exempt (they
-// cannot block by construction), as are nested function literals (they
-// run on their own goroutine or call). A second Lock of the same mutex
-// while it is held — a guaranteed self-deadlock — is reported as well.
+// a deadlock. A log/slog call is one more such operation: handlers
+// format and write I/O, and serialising that under a lock turns a
+// diagnostic into a contention point. The analyzer walks each
+// function's control-flow graph forward (cfg.Walk) from every
+// Lock/RLock call until the matching Unlock and reports, on any path,
+// the first log call and the first other blocking node, each on its
+// own, so a suppressed finding of one kind never hides the other. Sends
+// and receives that are comm cases of a select with a default clause
+// are exempt (they cannot block by construction), as are nested
+// function literals (they run on their own goroutine or call). A second
+// Lock of the same mutex while it is held — a guaranteed self-deadlock
+// — is reported as well.
 //
 // Separately, value receivers and parameters whose type directly or
 // transitively contains a sync.Mutex/RWMutex are flagged: copying a
@@ -33,7 +38,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "lockheld",
 	Doc: "flags mutexes held across blocking operations (channel ops, Wait, Sleep, network I/O) " +
-		"and mutex-bearing types passed by value",
+		"or log/slog calls, and mutex-bearing types passed by value",
 	Match: func(pkgPath string) bool {
 		return strings.Contains(pkgPath, "internal/") || strings.Contains(pkgPath, "cmd/")
 	},
@@ -67,6 +72,14 @@ var blockingCalls = map[string]string{
 	"net/http.Post":           "http.Post",
 	"(*os/exec.Cmd).Run":      "exec.Cmd.Run",
 	"(*os/exec.Cmd).Wait":     "exec.Cmd.Wait",
+}
+
+// logCalls names the log/slog entry points, as package functions and as
+// *slog.Logger methods, that a lock region must not reach.
+var logCalls = map[string]bool{
+	"Debug": true, "Info": true, "Warn": true, "Error": true,
+	"DebugContext": true, "InfoContext": true, "WarnContext": true, "ErrorContext": true,
+	"Log": true, "LogAttrs": true, "With": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -124,11 +137,9 @@ func checkFunc(pass *analysis.Pass, fn ast.Node, body *ast.BlockStmt) {
 	g := pass.CFG(fn)
 	for _, b := range g.Blocks {
 		for i, node := range b.Nodes {
-			recv, release, ok := lockAcquisition(pass, node)
-			if !ok {
-				continue
+			if recv, release, ok := lockAcquisition(pass, node); ok {
+				scanHeld(pass, b, i, recv, release, nonblocking, rangeChan)
 			}
-			scanHeld(pass, g, b, i+1, recv, release, nonblocking, rangeChan)
 		}
 	}
 }
@@ -137,23 +148,11 @@ func checkFunc(pass *analysis.Pass, fn ast.Node, body *ast.BlockStmt) {
 // returns the receiver's identity (its printed expression) and the name
 // of the releasing method.
 func lockAcquisition(pass *analysis.Pass, node ast.Node) (recv, release string, ok bool) {
-	es, ok := node.(*ast.ExprStmt)
+	call, sel, ok := methodStmt(node)
 	if !ok {
 		return "", "", false
 	}
-	return lockCall(pass, es.X)
-}
-
-func lockCall(pass *analysis.Pass, e ast.Expr) (recv, release string, ok bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", "", false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	fn := cfg.Callee(pass.Info, call)
+	fn := pass.Callee(call)
 	if fn == nil {
 		return "", "", false
 	}
@@ -164,65 +163,57 @@ func lockCall(pass *analysis.Pass, e ast.Expr) (recv, release string, ok bool) {
 	return types.ExprString(sel.X), release, true
 }
 
-// unlockMatches reports whether stmt releases recv via the given method.
-func unlockMatches(pass *analysis.Pass, stmt ast.Stmt, recv, release string) bool {
-	var call *ast.CallExpr
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		call, _ = ast.Unparen(s.X).(*ast.CallExpr)
-	case *ast.DeferStmt:
-		call = s.Call
-	}
-	if call == nil {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != release {
-		return false
-	}
-	return types.ExprString(sel.X) == recv
+// releases reports whether node is the statement `recv.release()`. A
+// deferred release keeps the lock held to function return, so it does
+// not count.
+func releases(node ast.Node, recv, release string) bool {
+	_, sel, ok := methodStmt(node)
+	return ok && sel.Sel.Name == release && types.ExprString(sel.X) == recv
 }
 
-// scanHeld walks forward from the statement after the acquisition and
-// reports the first blocking operation reached while recv is held. The
-// walk stops along paths that release the lock; a deferred release keeps
-// the lock held to function return, so the walk continues through it.
-func scanHeld(pass *analysis.Pass, g *cfg.Graph, start *cfg.Block, startIdx int,
-	recv, release string, nonblocking map[ast.Stmt]bool, rangeChan map[ast.Expr]bool) {
-
-	type item struct {
-		b   *cfg.Block
-		idx int
+// methodStmt matches a statement of the form `x.m(...)`.
+func methodStmt(node ast.Node) (*ast.CallExpr, *ast.SelectorExpr, bool) {
+	es, ok := node.(*ast.ExprStmt)
+	if !ok {
+		return nil, nil, false
 	}
-	visited := map[*cfg.Block]bool{}
-	work := []item{{start, startIdx}}
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		released := false
-		for _, node := range it.b.Nodes[it.idx:] {
-			if stmt, ok := node.(ast.Stmt); ok {
-				if _, isDefer := stmt.(*ast.DeferStmt); !isDefer && unlockMatches(pass, stmt, recv, release) {
-					released = true
-					break
-				}
-			}
+	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
+	if !ok {
+		return nil, nil, false
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	return call, sel, ok
+}
+
+// scanHeld walks forward from the acquisition at node i of block b,
+// ending each path where it releases recv, and reports the first
+// blocking operation and the first log call reached while recv is
+// held, each on its own.
+func scanHeld(pass *analysis.Pass, b *cfg.Block, i int, recv, release string,
+	nonblocking map[ast.Stmt]bool, rangeChan map[ast.Expr]bool) {
+
+	var blocked, logged bool
+	cfg.Walk(b, i, func(node ast.Node) bool {
+		if releases(node, recv, release) {
+			return true
+		}
+		if !blocked {
 			if msg, pos, found := blockingOp(pass, node, recv, nonblocking, rangeChan); found {
 				pass.Reportf(pos, "%s is held across %s; release the lock before blocking, or "+
 					"//lint:ignore with the reason the wait is bounded", recv, msg)
-				return
+				blocked = true
 			}
 		}
-		if released {
-			continue
-		}
-		for _, succ := range it.b.Succs {
-			if !visited[succ] {
-				visited[succ] = true
-				work = append(work, item{succ, 0})
+		if !logged {
+			if name, pos, found := logCall(pass, node); found {
+				pass.Reportf(pos, "%s call while %s is held — handlers format and write I/O; "+
+					"release the lock first, or //lint:ignore lockheld with the reason the handler is in-memory",
+					name, recv)
+				logged = true
 			}
 		}
-	}
+		return blocked && logged
+	})
 }
 
 // blockingOp classifies one CFG node: channel send/receive (unless a
@@ -258,7 +249,7 @@ func blockingOp(pass *analysis.Pass, node ast.Node, recv string,
 				return false
 			}
 		case *ast.CallExpr:
-			if fn := cfg.Callee(pass.Info, n); fn != nil {
+			if fn := pass.Callee(n); fn != nil {
 				if label, ok := blockingCalls[fn.FullName()]; ok {
 					msg, pos = "a call to "+label, n.Pos()
 					return false
@@ -268,6 +259,34 @@ func blockingOp(pass *analysis.Pass, node ast.Node, recv string,
 		return true
 	})
 	return msg, pos, msg != ""
+}
+
+// logCall finds the first log/slog entry-point call inside one CFG
+// node.
+func logCall(pass *analysis.Pass, node ast.Node) (name string, pos token.Pos, found bool) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		if _, isLit := n.(*ast.FuncLit); isLit {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		fn := pass.Callee(call)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "log/slog" || !logCalls[fn.Name()] {
+			return true
+		}
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil &&
+			types.TypeString(recv.Type(), nil) != "*log/slog.Logger" {
+			return true
+		}
+		name, pos, found = "slog."+fn.Name(), call.Pos(), true
+		return false
+	})
+	return name, pos, found
 }
 
 // checkByValue flags value receivers and parameters whose type contains

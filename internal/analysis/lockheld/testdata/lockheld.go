@@ -1,12 +1,12 @@
-// Package fixture exercises lockheld: blocking operations between Lock
-// and Unlock, nonblocking select exemptions, and locks copied by value.
+// Package fixture exercises lockheld: blocking and log calls under Lock, select exemptions, locks by value.
 package fixture
 
 import (
+	"context"
+	"log/slog"
 	"sync"
 	"time"
 )
-
 type store struct {
 	mu      sync.Mutex
 	rw      sync.RWMutex
@@ -111,3 +111,45 @@ func (c *lockedConfig) byPtr() int { return c.n }
 
 // takesByValue copies the mutex through a parameter: flagged.
 func takesByValue(c lockedConfig) int { return c.n }
+
+// lockedLog logs while holding the mutex: flagged.
+func (s *store) lockedLog(log *slog.Logger) {
+	s.mu.Lock()
+	s.data["state"]++
+	log.Info("state bumped", "state", s.data["state"]) // flagged: slog under s.mu
+	s.mu.Unlock()
+}
+
+// unlockedLog releases first: clean.
+func (s *store) unlockedLog(log *slog.Logger) {
+	s.mu.Lock()
+	s.data["state"]++
+	v := s.data["state"]
+	s.mu.Unlock()
+	log.Info("state bumped", "state", v)
+}
+
+// justifiedLog documents an in-memory handler: suppressed.
+func (s *store) justifiedLog(log *slog.Logger) {
+	s.mu.Lock()
+	log.Info("buffered", "state", s.data["state"]) //lint:ignore lockheld handler writes to an in-memory ring, no I/O under the lock
+	s.mu.Unlock()
+}
+
+// attrsHeld logs through LogAttrs while the deferred RUnlock keeps the
+// read lock held: flagged.
+func (s *store) attrsHeld(ctx context.Context, log *slog.Logger) {
+	s.rw.RLock()
+	defer s.rw.RUnlock()
+	log.LogAttrs(ctx, slog.LevelInfo, "snapshot", slog.Int("entries", len(s.data)))
+}
+
+// sleepThenLog suppresses its sleep, which must not hide the log call
+// after it: the log call is flagged.
+func (s *store) sleepThenLog(log *slog.Logger) {
+	s.mu.Lock()
+	time.Sleep(time.Millisecond) //lint:ignore lockheld a one-millisecond backoff is bounded
+	s.data["retries"]++
+	log.Warn("retrying", "retries", s.data["retries"])
+	s.mu.Unlock()
+}

@@ -3,7 +3,7 @@
 // in either breaks every dashboard and grep that depends on it —
 // silently, because slog and the metrics registry accept any string.
 //
-// Three checks:
+// Two checks:
 //
 //   - slog attribute keys — in Logger.Debug/Info/Warn/Error (and the
 //     Context/Log variants), the package-level slog functions, and the
@@ -14,29 +14,26 @@
 //     Recorder or Registry must be constant strings matching the
 //     asiccloud_snake_case convention, and metric label keys must be
 //     constant snake_case, mirroring the exported Prometheus surface.
-//   - no logging while a sync.Mutex/RWMutex is held: slog handlers do
-//     formatting and I/O, and serialising that under a lock turns a
-//     diagnostic into a contention point. The check walks the CFG from
-//     each Lock to its Unlock, the same way lockheld does.
+//
+// Both are syntactic. Logging while a mutex is held is lockheld's
+// check: a log call is one more blocking operation in a lock region.
 package obskeys
 
 import (
 	"go/ast"
 	"go/constant"
-	"go/token"
 	"go/types"
 	"regexp"
 	"strings"
 
 	"asiccloud/internal/analysis"
-	"asiccloud/internal/analysis/cfg"
 )
 
 // Analyzer is the obskeys analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "obskeys",
-	Doc: "flags non-constant or non-snake_case slog keys, metric names outside the " +
-		"asiccloud_ convention, and log calls made while a mutex is held",
+	Doc: "flags non-constant or non-snake_case slog keys and metric names outside the " +
+		"asiccloud_ convention",
 	Match: func(pkgPath string) bool {
 		return strings.Contains(pkgPath, "internal/") || strings.Contains(pkgPath, "cmd/")
 	},
@@ -97,13 +94,6 @@ var metricMethods = map[string]int{
 	"SetHelp":   -1,
 }
 
-// lockMethods mirrors lockheld's acquisition table.
-var lockMethods = map[string]string{
-	"(*sync.Mutex).Lock":    "Unlock",
-	"(*sync.RWMutex).Lock":  "Unlock",
-	"(*sync.RWMutex).RLock": "RUnlock",
-}
-
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -120,17 +110,6 @@ func run(pass *analysis.Pass) error {
 			checkCall(pass, call)
 			return true
 		})
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkLockedLogging(pass, n)
-				}
-			case *ast.FuncLit:
-				checkLockedLogging(pass, n)
-			}
-			return true
-		})
 	}
 	return nil
 }
@@ -138,7 +117,7 @@ func run(pass *analysis.Pass) error {
 // checkCall classifies one call: slog entry point, attr constructor, or
 // metric creation.
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := cfg.Callee(pass.Info, call)
+	fn := pass.Callee(call)
 	if fn == nil {
 		return
 	}
@@ -262,125 +241,4 @@ func isAttr(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "Attr" && obj.Pkg() != nil && obj.Pkg().Path() == "log/slog"
-}
-
-// checkLockedLogging walks fn's CFG from each Lock acquisition and
-// flags the first slog call on any path before the matching Unlock —
-// the same forward walk lockheld uses for blocking operations.
-func checkLockedLogging(pass *analysis.Pass, fn ast.Node) {
-	g := pass.CFG(fn)
-	for _, b := range g.Blocks {
-		for i, node := range b.Nodes {
-			recv, release, ok := lockAcquisition(pass, node)
-			if !ok {
-				continue
-			}
-			scanHeld(pass, g, b, i+1, recv, release)
-		}
-	}
-}
-
-func lockAcquisition(pass *analysis.Pass, node ast.Node) (recv, release string, ok bool) {
-	es, ok := node.(*ast.ExprStmt)
-	if !ok {
-		return "", "", false
-	}
-	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
-	if !ok {
-		return "", "", false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", "", false
-	}
-	fn := cfg.Callee(pass.Info, call)
-	if fn == nil {
-		return "", "", false
-	}
-	release, ok = lockMethods[fn.FullName()]
-	if !ok {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), release, true
-}
-
-func unlockMatches(stmt ast.Stmt, recv, release string) bool {
-	var call *ast.CallExpr
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		call, _ = ast.Unparen(s.X).(*ast.CallExpr)
-	case *ast.DeferStmt:
-		call = s.Call
-	}
-	if call == nil {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != release {
-		return false
-	}
-	return types.ExprString(sel.X) == recv
-}
-
-func scanHeld(pass *analysis.Pass, g *cfg.Graph, start *cfg.Block, startIdx int, recv, release string) {
-	type item struct {
-		b   *cfg.Block
-		idx int
-	}
-	visited := map[*cfg.Block]bool{}
-	work := []item{{start, startIdx}}
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		released := false
-		for _, node := range it.b.Nodes[it.idx:] {
-			if stmt, ok := node.(ast.Stmt); ok {
-				if _, isDefer := stmt.(*ast.DeferStmt); !isDefer && unlockMatches(stmt, recv, release) {
-					released = true
-					break
-				}
-			}
-			if name, pos, found := logUnder(pass, node); found {
-				pass.Reportf(pos, "%s call while %s is held — handlers format and write I/O; "+
-					"release the lock first, or //lint:ignore obskeys with the reason the handler is in-memory",
-					name, recv)
-				return
-			}
-		}
-		if released {
-			continue
-		}
-		for _, succ := range it.b.Succs {
-			if !visited[succ] {
-				visited[succ] = true
-				work = append(work, item{succ, 0})
-			}
-		}
-	}
-}
-
-// logUnder finds the first slog entry-point call inside one CFG node.
-func logUnder(pass *analysis.Pass, node ast.Node) (name string, pos token.Pos, found bool) {
-	ast.Inspect(node, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := cfg.Callee(pass.Info, call)
-		if fn == nil {
-			return true
-		}
-		if _, ok := logMethods[fn.FullName()]; ok {
-			name, pos, found = "slog."+fn.Name(), call.Pos(), true
-			return false
-		}
-		return true
-	})
-	return name, pos, found
 }

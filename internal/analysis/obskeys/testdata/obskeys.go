@@ -1,6 +1,6 @@
 // Package fixture exercises obskeys: dynamic and wrongly-cased slog
-// keys, metric names off the asiccloud_ convention, bad label keys,
-// and logging under a held mutex.
+// keys, metric names off the asiccloud_ convention and bad label keys
+// (logging under a held mutex is lockheld's check).
 package fixture
 
 import (
@@ -45,28 +45,4 @@ func metricNames(r *Recorder, kind string) {
 	r.Histogram("asiccloud_chunk_seconds", nil, "chunkId", kind) // flagged: camelCase label key
 	r.SetHelp("asiccloud_sweeps_total", "completed sweeps")      // clean
 	r.SetHelp("sweep.count", "dotted name")                      // flagged: off-convention name
-}
-
-// lockedLog logs while holding the mutex.
-func lockedLog(r *Recorder, log *slog.Logger) {
-	r.mu.Lock()
-	r.state++
-	log.Info("state bumped", "state", r.state) // flagged: slog under r.mu
-	r.mu.Unlock()
-}
-
-// unlockedLog releases first: clean.
-func unlockedLog(r *Recorder, log *slog.Logger) {
-	r.mu.Lock()
-	r.state++
-	v := r.state
-	r.mu.Unlock()
-	log.Info("state bumped", "state", v)
-}
-
-// justifiedLog documents an in-memory handler.
-func justifiedLog(r *Recorder, log *slog.Logger) {
-	r.mu.Lock()
-	log.Info("buffered", "state", r.state) //lint:ignore obskeys handler writes to an in-memory ring, no I/O under the lock
-	r.mu.Unlock()
 }

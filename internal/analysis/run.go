@@ -49,6 +49,25 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
+// FilterAnalyzers keeps only diagnostics of the named analyzers, plus
+// the framework's own suppression-directive diagnostics (pseudo-
+// analyzer "lint"), which no analyzer selection hides. It narrows a run
+// of the whole suite, so a //lint:ignore naming an analyzer outside the
+// selection still names a known one.
+func FilterAnalyzers(diags []Diagnostic, names []string) []Diagnostic {
+	keep := map[string]bool{lintName: true}
+	for _, n := range names {
+		keep[n] = true
+	}
+	var out []Diagnostic
+	for _, d := range diags {
+		if keep[d.Analyzer] {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -88,34 +107,15 @@ type jsonDiagnostic struct {
 	Message  string `json:"message"`
 }
 
-// WriteJSON emits the diagnostics as a single JSON document:
-// {"count": N, "diagnostics": [...]}.
-func WriteJSON(w io.Writer, diags []Diagnostic, baseDir string) error {
-	out := struct {
-		Count       int              `json:"count"`
-		Diagnostics []jsonDiagnostic `json:"diagnostics"`
-	}{Count: len(diags), Diagnostics: []jsonDiagnostic{}}
-	for _, d := range diags {
-		out.Diagnostics = append(out.Diagnostics, jsonDiagnostic{
-			File:     relativize(d.Pos.Filename, baseDir),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // WriteGroupedJSON emits the diagnostics bucketed by analyzer:
 // {"count": N, "analyzers": {"hotalloc": {"count": n, "diagnostics":
-// [...]}, ...}}. This is the fix-list form (`make lint-fix-list`): a
-// worklist is tackled one analyzer at a time, so the grouping puts
-// every finding of a kind side by side instead of interleaved by file.
-// Within a group, diagnostics keep the file/line/column order of the
-// flat report; map keys serialize sorted, so output is deterministic.
+// [...]}, ...}}. It is asiclint's one JSON form (`make lint` keeps it
+// as results/lint.json): a worklist is tackled one analyzer at a time,
+// so the grouping puts every finding of a kind side by side instead of
+// interleaved by file. Within a group, diagnostics keep the
+// file/line/column order of the text report; map keys serialize
+// sorted, so output is deterministic. A clean run writes an empty
+// analyzers object.
 func WriteGroupedJSON(w io.Writer, diags []Diagnostic, baseDir string) error {
 	type group struct {
 		Count       int              `json:"count"`

@@ -10,13 +10,13 @@
 // The analyzer recognises span creation structurally: a call to a
 // method named Span, StartSpan or Child whose results include a
 // pointer to a type named Span carrying an End method. From each
-// creation it walks the function's control-flow graph forward; a path
-// is satisfied when it executes recv.End() or registers defer
-// recv.End(), and the diagnostic fires at the creation site when any
-// path reaches a function exit unsatisfied. Spans that escape local
-// reasoning — returned, stored into a structure, passed to another
-// function, captured by a function literal, or re-assigned — are
-// skipped: their End legitimately lives elsewhere, and guessing would
+// creation it walks the function's control-flow graph forward
+// (cfg.Walk); a path is satisfied when it executes recv.End() or
+// registers defer recv.End(), and the diagnostic fires at the creation
+// site when any path reaches a function exit unsatisfied. Spans that
+// escape local reasoning — returned, stored into a structure, passed to
+// another function, captured by a function literal, or re-assigned —
+// are skipped: their End legitimately lives elsewhere, and guessing would
 // trade one silent bug for a noisy false positive.
 package spanend
 
@@ -72,7 +72,7 @@ func checkFunc(pass *analysis.Pass, fn ast.Node, body *ast.BlockStmt) {
 					"and End it on every path, or chain defer .End() onto the creation", creator)
 				continue
 			}
-			if !endsOnAllPaths(pass, g, b, i+1, name) {
+			if cfg.Walk(b, i, func(n ast.Node) bool { return endCall(n, name) }) {
 				pass.Reportf(node.Pos(), "span %s (from %s) can reach a function exit without %s.End() — "+
 					"defer the End next to the creation or End it on every path, or //lint:ignore spanend "+
 					"with the reason the span outlives this function", name, creator, name)
@@ -136,7 +136,7 @@ func spanCreation(pass *analysis.Pass, node ast.Node, body *ast.BlockStmt) (name
 // Span, StartSpan or Child and some result is a *Span with an End
 // method. It returns the callee and the index of the span result.
 func spanCall(pass *analysis.Pass, call *ast.CallExpr) (*types.Func, int, bool) {
-	fn := cfg.Callee(pass.Info, call)
+	fn := pass.Callee(call)
 	if fn == nil {
 		return nil, 0, false
 	}
@@ -215,46 +215,10 @@ func escapes(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object, decl *a
 	return esc
 }
 
-// endsOnAllPaths walks forward from the statement after the creation
-// and reports whether every path to a function exit executes name.End()
-// or registers it with defer.
-func endsOnAllPaths(pass *analysis.Pass, g *cfg.Graph, start *cfg.Block, startIdx int, name string) bool {
-	type item struct {
-		b   *cfg.Block
-		idx int
-	}
-	visited := map[*cfg.Block]bool{}
-	work := []item{{start, startIdx}}
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		ended := false
-		for _, node := range it.b.Nodes[it.idx:] {
-			if stmt, ok := node.(ast.Stmt); ok && endCall(stmt, name) {
-				ended = true
-				break
-			}
-		}
-		if ended {
-			continue
-		}
-		if len(it.b.Succs) == 0 {
-			return false // reached an exit still holding an open span
-		}
-		for _, succ := range it.b.Succs {
-			if !visited[succ] {
-				visited[succ] = true
-				work = append(work, item{succ, 0})
-			}
-		}
-	}
-	return true
-}
-
 // endCall matches `name.End()` as a plain statement or a defer.
-func endCall(stmt ast.Stmt, name string) bool {
+func endCall(node ast.Node, name string) bool {
 	var call *ast.CallExpr
-	switch s := stmt.(type) {
+	switch s := node.(type) {
 	case *ast.ExprStmt:
 		call, _ = ast.Unparen(s.X).(*ast.CallExpr)
 	case *ast.DeferStmt:

@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"asiccloud/internal/analysis"
-	"asiccloud/internal/analysis/cfg"
 )
 
 // Analyzer is the unitflow analyzer.
@@ -231,7 +230,7 @@ func (c *checker) objUnit(obj types.Object) string {
 // conversionOf matches a call against the internal/units helper table:
 // right name, float64 → float64.
 func conversionOf(pass *analysis.Pass, call *ast.CallExpr) (conversion, bool) {
-	fn := cfg.Callee(pass.Info, call)
+	fn := pass.Callee(call)
 	if fn == nil {
 		return conversion{}, false
 	}

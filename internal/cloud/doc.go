@@ -8,7 +8,9 @@
 // RCAs in a scale-out fashion."
 //
 // The protocol is line-delimited JSON. Workers pull: they connect, say
-// hello, then alternate getwork requests and result submissions. A
+// hello, then alternate getwork requests and result submissions; a
+// getwork sent while the connection still holds an unanswered job
+// drops the connection, and that job goes back to the queue. A
 // getwork that cannot be answered immediately blocks server-side while
 // jobs are still outstanding — an expired lease or a dead connection
 // can requeue work at any moment — and the pool answers nojob only when

@@ -166,10 +166,6 @@ func (p *Pool) drainedLocked() bool {
 	return p.closed && p.stats.JobsDone+p.stats.JobsFailed >= p.stats.JobsQueued
 }
 
-// idleLocked reports whether the pool has nothing to hand out and
-// nothing outstanding that could be requeued: pending is empty and no
-// issued job is in flight. Distinct from drained — an idle pool may
-// receive more work via Add. Callers hold p.mu.
 // drained reports whether the pool is closed with every queued job
 // resolved — the state in which a closed listener means graceful
 // shutdown, not failure.
@@ -179,6 +175,10 @@ func (p *Pool) drained() bool {
 	return p.drainedLocked()
 }
 
+// idleLocked reports whether the pool has nothing to hand out and
+// nothing outstanding that could be requeued: pending is empty and no
+// issued job is in flight. Distinct from drained — an idle pool may
+// receive more work via Add. Callers hold p.mu.
 func (p *Pool) idleLocked() bool {
 	return len(p.pending) == 0 && len(p.issued) == 0
 }
@@ -522,7 +522,10 @@ func (p *Pool) serveConn(ctx context.Context, conn net.Conn) {
 	worker := "anonymous"
 	// held is the job this connection was handed and has not answered;
 	// if the connection dies holding it, a lease-less pool requeues it
-	// immediately (a leased pool lets the lease timer decide).
+	// immediately (a leased pool lets the lease timer decide). A worker
+	// holds one job at a time, so a getwork while holding one drops the
+	// connection: handing out a second job would forget the first, and
+	// on a lease-less pool nothing would ever requeue it.
 	var held *Job
 	defer func() {
 		if held != nil {
@@ -552,6 +555,9 @@ func (p *Pool) serveConn(ctx context.Context, conn net.Conn) {
 				return
 			}
 		case "getwork":
+			if held != nil {
+				return // the deferred release requeues the held job
+			}
 			j, ok := p.waitNext(ctx)
 			if !ok {
 				// Truly out of work — drained, idle, or shutting down —

@@ -11,10 +11,10 @@ import (
 )
 
 // stallGrace is how long FuzzServeConn lets the pool sit on unread
-// input before it cancels. Only a getwork that waits on the connection's
-// own outstanding job stops reading, and on a lease-less pool with one
-// connection nothing but cancellation ends that wait, so the input left
-// unread would never be read anyway.
+// input before it cancels. Only a getwork that waits on outstanding work
+// stops reading; with one connection the only outstanding job is the
+// connection's own, and a getwork while holding it drops the connection,
+// so the grace is a backstop, not a path the protocol takes.
 const stallGrace = 50 * time.Millisecond
 
 // fuzzConn is the pool's end of a fuzzed worker connection over
@@ -39,10 +39,12 @@ func (c *fuzzConn) Read(b []byte) (int, error) {
 }
 
 // FuzzServeConn serves the fuzzed bytes as one worker connection of a
-// closed pool with three queued jobs and cancels the context once the
-// input is read. Whatever the bytes, serveConn returns, no more than the
-// queued jobs resolve, every delivered result names a queued job, and
-// the pool reports drained only when each queued job has a result.
+// closed lease-less pool with three queued jobs and cancels the context
+// once the input is read. Whatever the bytes, serveConn returns, no job
+// is left issued once the connection has ended (otherwise nothing could
+// ever requeue it), no more than the queued jobs resolve, every
+// delivered result names a queued job, and the pool reports drained
+// only when each queued job has a result.
 func FuzzServeConn(f *testing.F) {
 	const jobs = 3
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -77,6 +79,12 @@ func FuzzServeConn(f *testing.F) {
 		peer.Close()
 		<-peerDone
 
+		p.mu.Lock()
+		stranded := len(p.issued)
+		p.mu.Unlock()
+		if stranded > 0 {
+			t.Fatalf("%d jobs left issued after the only connection ended", stranded)
+		}
 		s := p.Stats()
 		resolved := s.JobsDone + s.JobsFailed
 		if resolved > jobs {

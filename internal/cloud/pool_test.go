@@ -298,6 +298,54 @@ func TestPoolIgnoresDuplicateResults(t *testing.T) {
 	}
 }
 
+// TestGetworkWhileHoldingRequeues: a connection that asks for work again
+// before answering the job it holds is dropped, and the held job goes
+// back to the queue. Before, the second getwork overwrote the held job,
+// so on a lease-less pool the first job stayed issued forever and the
+// pool never drained.
+func TestGetworkWhileHoldingRequeues(t *testing.T) {
+	p := NewPool(makeJobs(2))
+	p.Close()
+	addr, stop := startPool(t, p)
+	defer stop()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
+	var m message
+	for _, step := range []struct{ send, want string }{{"hello", "ack"}, {"getwork", "job"}} {
+		if err := enc.Encode(message{Type: step.send, Worker: "greedy"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dec.Decode(&m); err != nil || m.Type != step.want {
+			t.Fatalf("%s: reply %+v, %v; want %s", step.send, m, err, step.want)
+		}
+	}
+	if err := enc.Encode(message{Type: "getwork"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Decode(&m); err == nil {
+		t.Errorf("getwork while holding a job was answered with %+v; want the connection dropped", m)
+	}
+	conn.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	n, err := RunWorker(ctx, addr, "honest", echoHandler)
+	if err != nil || n != 2 {
+		t.Fatalf("honest worker completed %d jobs (err %v), want both", n, err)
+	}
+	got := 0
+	for range p.Results() {
+		got++
+	}
+	if got != 2 {
+		t.Fatalf("pool delivered %d results, want 2", got)
+	}
+}
+
 // TestPoolIgnoresResultsForUnqueuedJobs: results a connection sends for
 // job IDs the pool never queued are acknowledged but neither counted nor
 // delivered, so they cannot drain the pool; the queued jobs still run

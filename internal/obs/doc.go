@@ -32,8 +32,10 @@
 // trace — and returns ctx with the new span installed, so one request
 // threads a single connected trace through HTTP handler → job → engine
 // chunks. Recorder.Trace(id) returns the retained spans of one trace
-// for JSON rendering (BuildSpanTree nests them); retention is bounded
-// per trace and by trace count, with overflow counted in
+// for JSON rendering (BuildSpanTree nests them), and the CLI views
+// Slowest and TraceTree read the same store. Retention is bounded per
+// trace and by trace count (whole traces are evicted oldest first);
+// spans dropped to the per-trace bound are counted in
 // asiccloud_spans_truncated_total.
 //
 // # Logs

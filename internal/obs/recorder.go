@@ -3,15 +3,14 @@ package obs
 import "time"
 
 // Recorder bundles a metrics registry with span tracing for one run of
-// an instrumented subsystem: a flat start-order span set backing the
-// CLI-oriented Slowest/TraceTree views, and a per-trace store backing
-// the Trace(id) lookup the daemon's trace endpoint serves. A nil
-// *Recorder is a valid no-op: every method (and every metric or span
-// it returns) is nil-safe, so functions take an optional recorder
-// without guarding call sites.
+// an instrumented subsystem: one per-trace span store backs both the
+// Trace(id) lookup the daemon's trace endpoint serves and the
+// CLI-oriented Slowest/TraceTree views. A nil *Recorder is a valid
+// no-op: every method (and every metric or span it returns) is
+// nil-safe, so functions take an optional recorder without guarding
+// call sites.
 type Recorder struct {
 	reg    *Registry
-	spans  spanSet
 	traces traceStore
 	start  time.Time
 }
@@ -20,7 +19,7 @@ type Recorder struct {
 func NewRecorder() *Recorder {
 	rec := &Recorder{reg: NewRegistry(), start: time.Now()}
 	rec.reg.SetHelp("asiccloud_spans_truncated_total",
-		"spans dropped from trace retention by the flat-set or per-trace bounds")
+		"spans dropped from trace retention by the per-trace bound")
 	return rec
 }
 
@@ -78,12 +77,8 @@ func (r *Recorder) startSpan(path, name string, depth int, sc SpanContext, paren
 		return nil
 	}
 	s := &Span{rec: r, path: path, name: name, depth: depth, sc: sc, parent: parent, start: time.Now()}
-	dropped := r.traces.add(s)
-	if !r.spans.add(s) {
-		dropped++
-	}
-	if dropped > 0 {
-		r.Counter("asiccloud_spans_truncated_total").Add(int64(dropped))
+	if r.traces.add(s) {
+		r.Counter("asiccloud_spans_truncated_total").Inc()
 	}
 	return s
 }

@@ -8,12 +8,6 @@ import (
 	"time"
 )
 
-// maxSpans bounds how many finished spans a recorder retains in the
-// flat start-order set backing Slowest and TraceTree; beyond it spans
-// still update metrics and the per-trace store but are dropped from the
-// flat set, counted in the asiccloud_spans_truncated_total metric.
-const maxSpans = 4096
-
 // Span is one timed region of work. Spans nest: children created with
 // Child carry a slash-separated path ("explore/sweep") and inherit the
 // parent's trace ID, forming a tree addressable by SpanContext. A Span
@@ -127,46 +121,12 @@ type SpanTiming struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// spanSet holds the spans a recorder has handed out, in start order.
-type spanSet struct {
-	mu    sync.Mutex
-	spans []*Span
-}
-
-// add files the span; it reports false when the set is full and the
-// span was dropped (the caller counts the truncation).
-func (ss *spanSet) add(s *Span) bool {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if len(ss.spans) >= maxSpans {
-		return false
-	}
-	ss.spans = append(ss.spans, s)
-	return true
-}
-
-// finished returns all ended spans.
-func (ss *spanSet) finished() []*Span {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	out := make([]*Span, 0, len(ss.spans))
-	for _, s := range ss.spans {
-		s.mu.Lock()
-		ended := s.ended
-		s.mu.Unlock()
-		if ended {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Slowest returns the n slowest finished spans, descending by duration.
 func (r *Recorder) Slowest(n int) []SpanTiming {
 	if r == nil || n <= 0 {
 		return nil
 	}
-	spans := r.spans.finished()
+	spans := r.traces.finished()
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Duration() > spans[j].Duration() })
 	if len(spans) > n {
 		spans = spans[:n]
@@ -178,13 +138,14 @@ func (r *Recorder) Slowest(n int) []SpanTiming {
 	return out
 }
 
-// TraceTree renders the finished spans as an indented tree in start
-// order, for the -trace CLI flag.
+// TraceTree renders the finished spans as an indented tree, trace by
+// trace in creation order and each trace's spans in start order, for
+// the -trace CLI flag.
 func (r *Recorder) TraceTree() string {
 	if r == nil {
 		return ""
 	}
-	spans := r.spans.finished()
+	spans := r.traces.finished()
 	var b strings.Builder
 	for _, s := range spans {
 		name := s.path

@@ -253,9 +253,9 @@ const maxTraces = 256
 const maxSpansPerTrace = 4096
 
 // traceStore groups spans by trace ID with whole-trace LRU-by-creation
-// eviction, independently of the flat spanSet the CLI report uses: a
-// long-lived daemon keeps recent jobs' traces retrievable even after
-// the flat set fills.
+// eviction. It is the recorder's one span store: the daemon's trace
+// endpoint reads one trace (get), the CLI report every trace
+// (finished).
 type traceStore struct {
 	mu     sync.Mutex
 	traces map[TraceID]*traceEntry
@@ -267,9 +267,9 @@ type traceEntry struct {
 	truncated int
 }
 
-// add files a span under its trace; it returns how many spans were
-// dropped by per-trace or whole-trace bounds in this call (0 or 1).
-func (ts *traceStore) add(s *Span) int {
+// add files a span under its trace; it reports whether the span was
+// dropped to the per-trace bound.
+func (ts *traceStore) add(s *Span) bool {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	if ts.traces == nil {
@@ -288,10 +288,10 @@ func (ts *traceStore) add(s *Span) int {
 	}
 	if len(e.spans) >= maxSpansPerTrace {
 		e.truncated++
-		return 1
+		return true
 	}
 	e.spans = append(e.spans, s)
-	return 0
+	return false
 }
 
 // get returns the trace's spans (in start order) and how many were
@@ -304,6 +304,25 @@ func (ts *traceStore) get(id TraceID) ([]*Span, int) {
 		return nil, 0
 	}
 	return append([]*Span(nil), e.spans...), e.truncated
+}
+
+// finished returns the ended spans of every retained trace: traces in
+// creation order, each trace's spans in start order.
+func (ts *traceStore) finished() []*Span {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	var out []*Span
+	for _, id := range ts.order {
+		for _, s := range ts.traces[id].spans {
+			s.mu.Lock()
+			ended := s.ended
+			s.mu.Unlock()
+			if ended {
+				out = append(out, s)
+			}
+		}
+	}
+	return out
 }
 
 // Trace returns every retained span of a trace (ended or still open)

@@ -144,11 +144,62 @@ func TestTraceStoreEviction(t *testing.T) {
 func TestSpanTruncationCounted(t *testing.T) {
 	rec := NewRecorder()
 	root := rec.Span("root")
-	for i := 0; i < maxSpans+10; i++ {
+	for i := 0; i < maxSpansPerTrace+10; i++ {
 		root.Child("leaf").End()
 	}
 	if got := rec.Counter("asiccloud_spans_truncated_total").Value(); got < 10 {
 		t.Errorf("truncated counter = %d, want >= 10 (drops must not be silent)", got)
+	}
+}
+
+// TestTruncationCountsOnlyDroppedSpans: many small traces lose no span,
+// so the counter stays 0. Before, every span also went into a flat set
+// of the first 4096 spans, and each span past it was counted although
+// its trace kept it; this load read 904.
+func TestTruncationCountsOnlyDroppedSpans(t *testing.T) {
+	rec := NewRecorder()
+	var ids []TraceID
+	for i := 0; i < 50; i++ {
+		root := rec.Span("job")
+		for j := 0; j < 99; j++ {
+			root.Child("chunk").End()
+		}
+		root.End()
+		ids = append(ids, root.TraceID())
+	}
+	if got := rec.Counter("asiccloud_spans_truncated_total").Value(); got != 0 {
+		t.Errorf("truncated counter = %d, want 0: no trace lost a span", got)
+	}
+	for _, id := range ids {
+		if spans, truncated := rec.Trace(id); len(spans) != 100 || truncated != 0 {
+			t.Fatalf("trace %s kept %d spans (%d truncated), want all 100", id, len(spans), truncated)
+		}
+	}
+}
+
+// TestCLIViewsReadTheTraceStore pins the order Slowest and TraceTree
+// read: traces in creation order, each trace's spans in start order,
+// finished spans only.
+func TestCLIViewsReadTheTraceStore(t *testing.T) {
+	rec := NewRecorder()
+	a := rec.Span("a")
+	a.Child("a1").End()
+	a.Child("open") // never ended: not shown
+	b := rec.Span("b")
+	b.Child("b1").End()
+	a.Child("a2").End()
+	a.End()
+	b.End()
+
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(rec.TraceTree()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if got, want := strings.Join(names, " "), "a a1 a2 b b1"; got != want {
+		t.Errorf("TraceTree order = %q, want %q", got, want)
+	}
+	if got := len(rec.Slowest(10)); got != 5 {
+		t.Errorf("Slowest(10) returned %d spans, want the 5 finished ones", got)
 	}
 }
 

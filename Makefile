@@ -8,7 +8,10 @@
 # single-process run and kills a worker mid-sweep to prove lease
 # requeue recovers its chunks. `go test ./...` compiles the benchmarks
 # but never runs them, so every benchmark also runs once (-benchtime
-# 1x), which catches one that fails or panics before `make bench` does.
+# 1x), which catches one that fails or panics. The repo benchmark
+# (_perfbench) is its own module, and ./... skips directories whose
+# names start with `_`, so it is vetted, tested and built on its own:
+# a public-API change that breaks `make bench` fails here.
 .PHONY: check
 check: build
 	go vet ./...
@@ -17,7 +20,7 @@ check: build
 	go test ./...
 	go test -run '^$$' -bench . -benchtime 1x ./...
 	go test -race ./internal/core ./internal/cloud ./internal/service
-	go run ./cmd/benchreport -trajectory
+	cd _perfbench && go vet ./... && go test ./... && go build -o /dev/null .
 	./scripts/smoke_service.sh
 	./scripts/smoke_distributed.sh
 
@@ -55,26 +58,18 @@ lint-changed:
 lint-golden:
 	go test ./internal/analysis/... -update
 
-# Paper-table benchmarks plus a measured bitcoin sweep; the structured
-# run report (configs/sec, prune breakdown, frontier size, span timings,
-# plan-cache hit/miss counters) lands in BENCH_3.json, and the
-# repeated-sweep cache benchmark is merged into the same file.
-# BENCH_5.json adds -benchmem so the hot-path allocation budget
-# (allocs/op and B/op of the warm repeated sweep) is tracked per PR
-# alongside throughput; `benchreport -trajectory` (run by `check`)
-# gates on the configs/sec column.
+# The repo benchmark: every workload BENCHMARK.json lists, in turn,
+# for its run_seconds, untraced, stopping at the first failure. Each
+# run checks its answers against _perfbench/golden.txt, prints every
+# end-to-end metric by name and ends with one JSON line carrying
+# "correct". Builds go under .bench_build/.
 .PHONY: bench
 bench:
-	go test -run '^$$' -bench . -benchtime 1x .
-	go run ./cmd/asiccloud design -app bitcoin -report-json BENCH_3.json
-	go test -run '^$$' -bench BenchmarkRepeatedSweep -benchtime 20x . \
-		| go run ./cmd/benchreport -into BENCH_3.json
-	go run ./cmd/asiccloud design -app bitcoin -report-json BENCH_4.json
-	go test -run '^$$' -bench BenchmarkServiceSweep -benchtime 20x . \
-		| go run ./cmd/benchreport -into BENCH_4.json
-	go run ./cmd/asiccloud design -app bitcoin -report-json BENCH_5.json
-	go test -run '^$$' -bench BenchmarkRepeatedSweep -benchmem -benchtime 20x . \
-		| go run ./cmd/benchreport -into BENCH_5.json
+	@s=$$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])') && \
+	ws=$$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))') || exit 1; \
+	for w in $$ws; do \
+		python3 _perfbench/run.py --workload $$w --seconds $$s --trace 0 || exit 1; \
+	done
 
 # Regenerate every paper table and figure plus the ext-* study
 # artifacts (geographic siting, cooling, lifetime, node, the carbon

@@ -597,7 +597,9 @@ func serviceRoundTrip(b *testing.B, baseURL, body string) []byte {
 // paper's full Bitcoin sweep. "cold" starts a fresh daemon per
 // iteration, so every submission runs on the engine; "cached" reuses one
 // daemon whose result cache is primed, so every submission is answered
-// from the LRU. benchreport turns the ratio into service_cache_speedup.
+// from the LRU. The cold/cached ratio is the result cache's speedup;
+// the repo benchmark's daemon-study workload times engine runs and
+// cache hits over HTTP as wall.sweep_s_p50 and wall.hit_s_p50.
 func BenchmarkServiceSweep(b *testing.B) {
 	const body = `{"app":"bitcoin"}`
 	shutdown := func(s *service.Server, ts *httptest.Server) {

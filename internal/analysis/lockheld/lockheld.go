@@ -10,9 +10,9 @@
 // format and write I/O, and serialising that under a lock turns a
 // diagnostic into a contention point. The analyzer walks each
 // function's control-flow graph forward (cfg.Walk) from every
-// Lock/RLock call until the matching Unlock and reports, on any path,
-// the first log call and the first other blocking node, each on its
-// own, so a suppressed finding of one kind never hides the other. Sends
+// Lock/RLock call until the matching Unlock and reports every blocking
+// node and every log call the walk reaches, each on its own, so a
+// suppressed finding never hides a later one in the same region. Sends
 // and receives that are comm cases of a select with a default clause
 // are exempt (they cannot block by construction), as are nested
 // function literals (they run on their own goroutine or call). A second
@@ -186,33 +186,25 @@ func methodStmt(node ast.Node) (*ast.CallExpr, *ast.SelectorExpr, bool) {
 }
 
 // scanHeld walks forward from the acquisition at node i of block b,
-// ending each path where it releases recv, and reports the first
-// blocking operation and the first log call reached while recv is
-// held, each on its own.
+// ending each path where it releases recv, and reports every blocking
+// operation and every log call reached while recv is held.
 func scanHeld(pass *analysis.Pass, b *cfg.Block, i int, recv, release string,
 	nonblocking map[ast.Stmt]bool, rangeChan map[ast.Expr]bool) {
 
-	var blocked, logged bool
 	cfg.Walk(b, i, func(node ast.Node) bool {
 		if releases(node, recv, release) {
 			return true
 		}
-		if !blocked {
-			if msg, pos, found := blockingOp(pass, node, recv, nonblocking, rangeChan); found {
-				pass.Reportf(pos, "%s is held across %s; release the lock before blocking, or "+
-					"//lint:ignore with the reason the wait is bounded", recv, msg)
-				blocked = true
-			}
+		if msg, pos, found := blockingOp(pass, node, recv, nonblocking, rangeChan); found {
+			pass.Reportf(pos, "%s is held across %s; release the lock before blocking, or "+
+				"//lint:ignore with the reason the wait is bounded", recv, msg)
 		}
-		if !logged {
-			if name, pos, found := logCall(pass, node); found {
-				pass.Reportf(pos, "%s call while %s is held — handlers format and write I/O; "+
-					"release the lock first, or //lint:ignore lockheld with the reason the handler is in-memory",
-					name, recv)
-				logged = true
-			}
+		if name, pos, found := logCall(pass, node); found {
+			pass.Reportf(pos, "%s call while %s is held — handlers format and write I/O; "+
+				"release the lock first, or //lint:ignore lockheld with the reason the handler is in-memory",
+				name, recv)
 		}
-		return blocked && logged
+		return false
 	})
 }
 

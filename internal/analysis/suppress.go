@@ -12,10 +12,11 @@ import (
 //
 //	//lint:ignore analyzer[,analyzer...] reason
 //
-// The directive suppresses diagnostics from the named analyzers on the
-// same source line (trailing comment) or — for a standalone comment line
-// — on the entire construct that begins on the line immediately below:
-// a statement, a case/select clause, a composite-literal element, a
+// A trailing directive (one that follows code on its line) suppresses
+// diagnostics from the named analyzers on that line only. A standalone
+// directive (alone on its line) suppresses them on its own line and on
+// the entire construct that begins on the line immediately below: a
+// statement, a case/select clause, a composite-literal element, a
 // struct field or a const/var spec, however many lines it spans. The
 // reason is mandatory: a suppression without a stated justification is
 // itself reported, as is a directive naming an analyzer that does not
@@ -23,7 +24,8 @@ import (
 // grows.
 type directive struct {
 	pos       token.Position
-	endLine   int // last source line the directive covers
+	endLine   int  // last source line the directive covers
+	trailing  bool // the directive follows code on its line
 	analyzers []string
 	reason    string
 }
@@ -32,7 +34,7 @@ const directivePrefix = "//lint:ignore"
 
 // parseDirectives extracts every //lint:ignore directive from the files
 // of a package and resolves each one's coverage range against the
-// syntax tree (see resolveRanges).
+// syntax tree (see markTrailing and resolveRanges).
 func parseDirectives(fset *token.FileSet, files []*ast.File) []directive {
 	var out []directive
 	for _, f := range files {
@@ -60,36 +62,70 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []directive {
 				dirs = append(dirs, d)
 			}
 		}
+		markTrailing(fset, f, dirs)
 		resolveRanges(fset, f, dirs)
 		out = append(out, dirs...)
 	}
 	return out
 }
 
-// resolveRanges extends each directive's coverage to the full extent of
-// the construct starting on the line below it. Before this resolution a
-// directive only covered its own line and the next one, so a directive
+// markTrailing marks each directive that follows code on its own line:
+// some node of the file, other than a comment, ends on the directive's
+// line at or before the directive starts. A trailing directive covers
+// its own line only.
+func markTrailing(fset *token.FileSet, f *ast.File, dirs []directive) {
+	if len(dirs) == 0 {
+		return
+	}
+	onLine := make(map[int][]int, len(dirs)) // line -> dirs indices
+	for i := range dirs {
+		onLine[dirs[i].pos.Line] = append(onLine[dirs[i].pos.Line], i)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.Comment, *ast.CommentGroup:
+			return false
+		}
+		end := fset.Position(n.End())
+		for _, i := range onLine[end.Line] {
+			if end.Offset <= dirs[i].pos.Offset {
+				dirs[i].trailing = true
+				dirs[i].endLine = dirs[i].pos.Line
+			}
+		}
+		return true
+	})
+}
+
+// resolveRanges extends each standalone directive's coverage to the full
+// extent of the construct starting on the line below it, so a directive
 // preceding a multi-line statement, a case clause, or an entry of a
-// composite literal failed to reach diagnostics reported on the
-// construct's later lines. Candidate constructs are statements
-// (including case and select clauses, and go statements), const/var/type
-// specs, struct fields, and the direct elements of composite literals;
-// when several candidates begin on the target line the outermost one
-// wins, so a directive above `for` covers the whole loop, not just its
-// init statement. Stacked directives chain: when the line below a
-// directive holds another directive (suppressing different analyzers on
-// the same construct), the target line skips past the whole stack, so
-// every directive in it covers the construct underneath.
+// composite literal reaches diagnostics reported on the construct's
+// later lines; trailing directives keep their own line. Candidate
+// constructs are statements (including case and select clauses, and go
+// statements), const/var/type specs, struct fields, and the direct
+// elements of composite literals; when several candidates begin on the
+// target line the outermost one wins, so a directive above `for` covers
+// the whole loop, not just its init statement. Stacked directives
+// chain: when the line below a directive holds another standalone
+// directive (suppressing different analyzers on the same construct),
+// the target line skips past the whole stack, so every directive in it
+// covers the construct underneath.
 func resolveRanges(fset *token.FileSet, f *ast.File, dirs []directive) {
 	if len(dirs) == 0 {
 		return
 	}
 	dirLine := make(map[int]bool, len(dirs))
 	for i := range dirs {
-		dirLine[dirs[i].pos.Line] = true
+		if !dirs[i].trailing {
+			dirLine[dirs[i].pos.Line] = true
+		}
 	}
 	want := make(map[int][]int, len(dirs)) // target start line -> dirs indices
 	for i := range dirs {
+		if dirs[i].trailing {
+			continue
+		}
 		target := dirs[i].pos.Line + 1
 		for dirLine[target] {
 			target++
@@ -159,9 +195,9 @@ func applySuppression(diags []Diagnostic, dirs []directive, known map[string]boo
 		if !valid {
 			continue
 		}
-		// A directive covers its own line (trailing comment) through the
-		// end of the construct beginning on the line below (standalone
-		// comment above a statement, clause, field or literal element).
+		// A directive covers its own line through endLine: the same
+		// line for a trailing comment, the end of the construct
+		// beginning on the line below for a standalone one.
 		for _, name := range d.analyzers {
 			for line := d.pos.Line; line <= d.endLine; line++ {
 				covered[key{d.pos.Filename, line, name}] = true

@@ -152,7 +152,8 @@ func TestSuppressionStacked(t *testing.T) {
 // TestSuppressionRanges pins the range-aware semantics: a directive on
 // the line preceding a multi-line composite-literal element, case
 // clause, or statement suppresses diagnostics anywhere inside that
-// construct — and nowhere past it.
+// construct — and nowhere past it; a trailing directive suppresses only
+// its own line.
 func TestSuppressionRanges(t *testing.T) {
 	pkg, err := analysis.CheckSource("asiccloud/internal/fixture",
 		[]string{filepath.Join("testdata", "suppress_range.go")})
@@ -174,6 +175,10 @@ func TestSuppressionRanges(t *testing.T) {
 		`testdata/suppress_range.go:18:6: intflag: literal 42`,
 		// case 2 is outside the case-1 clause the directive covers.
 		`testdata/suppress_range.go:29:10: intflag: literal 42`,
+		// A trailing directive does not reach the next line, and a
+		// standalone directive above one does not skip past it.
+		`testdata/suppress_range.go:51:7: intflag: literal 42`,
+		`testdata/suppress_range.go:61:7: intflag: literal 42`,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("diagnostics mismatch\n--- got ---\n%s\n--- want ---\n%s",

@@ -43,3 +43,21 @@ func sum(xs ...int) int {
 	}
 	return t
 }
+
+// trailing's directive follows code on its line, so it covers that line
+// only; the statement on the next line stays flagged.
+func trailing() int {
+	a := 42 //lint:ignore intflag fixture: a trailing directive covers its own line
+	b := 42
+	return a + b
+}
+
+// stackedTrailing's standalone directive sits above a line that ends in
+// a trailing one; the trailing directive does not stack, so the
+// standalone one covers the line below it and not the one after.
+func stackedTrailing() int {
+	//lint:ignore intflag fixture: covers the statement below only
+	a := 42 //lint:ignore intflag fixture: a trailing directive does not stack
+	b := 42
+	return a + b
+}

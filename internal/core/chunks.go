@@ -285,9 +285,14 @@ func (p *SweepPlan) ChunkSize() int { return p.chunkSize }
 // Geometries is the deduplicated geometry count in the work list.
 func (p *SweepPlan) Geometries() int { return len(p.grid.work) }
 
-// NumChunks is how many chunks the work list partitions into.
+// NumChunks is how many chunks the work list partitions into. The
+// ceiling division cannot overflow, whatever the chunk size.
 func (p *SweepPlan) NumChunks() int {
-	return (len(p.grid.work) + p.chunkSize - 1) / p.chunkSize
+	n := len(p.grid.work) / p.chunkSize
+	if len(p.grid.work)%p.chunkSize != 0 {
+		n++
+	}
+	return n
 }
 
 // GridSummary returns the grid-construction prune accounting

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
+	"asiccloud/internal/server"
 	"asiccloud/internal/tco"
 )
 
@@ -196,6 +198,37 @@ func TestPlanSweepPartition(t *testing.T) {
 	if n := m2.summary.Reasons[PruneThermal]; n != 0 {
 		t.Errorf("mergers share prune state: %d", n)
 	}
+}
+
+// TestNumChunksNearMaxInt pins the partition of the default Bitcoin
+// sweep (240 geometries) at chunk sizes where len+size-1 overflows:
+// any size at or past the geometry count is one chunk, and an engine
+// with the largest chunk size explores the whole sweep in it.
+func TestNumChunksNearMaxInt(t *testing.T) {
+	sweep := Sweep{Base: server.Default(bitcoinRCA())}
+	for _, tc := range []struct{ size, want int }{
+		{1, 240}, {4, 60}, {64, 4},
+		{math.MaxInt/2 + 1, 1}, // 1<<62 on 64-bit platforms
+		{math.MaxInt - 5, 1}, {math.MaxInt, 1},
+	} {
+		plan, err := PlanSweep(sweep, tco.Default(), tc.size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.NumChunks(); got != tc.want || plan.Geometries() != 240 {
+			t.Errorf("chunk size %d: %d chunks of %d geometries, want %d of 240",
+				tc.size, got, plan.Geometries(), tc.want)
+		}
+	}
+	want := exploreDiscard(t, sweep)
+	eng := NewEngine(nil)
+	eng.DiscardPoints = true
+	eng.ChunkSize = math.MaxInt
+	got, err := eng.ExploreContext(context.Background(), sweep, tco.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireResultsIdentical(t, want, got)
 }
 
 func TestEvaluateChunkErrors(t *testing.T) {

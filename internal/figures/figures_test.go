@@ -319,6 +319,38 @@ func TestAllArtifacts(t *testing.T) {
 	}
 }
 
+// scorecardBands pins every scorecard row, named by its where and
+// metric columns, to the verdict band it reproduces today: MATCH within
+// 10% of the paper, CLOSE within 35%, SHAPE beyond (see verdict). A
+// model change that moves a row across a band fails on that row's name
+// instead of silently regenerating results/.
+var scorecardBands = map[[2]string]string{
+	{"Fig 1", "final difficulty ratio"}:         "SHAPE",
+	{"Fig 1", "final hashrate (GH/s)"}:          "CLOSE",
+	{"Fig 8", "staggered over normal"}:          "MATCH",
+	{"Fig 8", "DUCT over staggered"}:            "MATCH",
+	{"Table 3", "energy-opt voltage (V)"}:       "MATCH",
+	{"Table 3", "energy-opt GH/s per server"}:   "MATCH",
+	{"Table 3", "energy-opt W/GH/s"}:            "MATCH",
+	{"Table 3", "energy-opt $/GH/s"}:            "MATCH",
+	{"Table 3", "TCO-opt voltage (V)"}:          "MATCH",
+	{"Table 3", "TCO-opt TCO/GH/s"}:             "MATCH",
+	{"Table 3", "cost-opt voltage (V)"}:         "MATCH",
+	{"Table 3", "cost-opt $/GH/s"}:              "CLOSE",
+	{"§7", "stacked TCO/GH/s"}:                  "CLOSE",
+	{"Table 4", "TCO-opt voltage (V)"}:          "MATCH",
+	{"Table 4", "TCO-opt W/MH/s"}:               "MATCH",
+	{"Table 4", "TCO-opt TCO/MH/s"}:             "CLOSE",
+	{"Table 5", "TCO-opt $/Kfps"}:               "MATCH",
+	{"Table 5", "TCO-opt W/Kfps"}:               "MATCH",
+	{"Table 5", "TCO-opt TCO/Kfps"}:             "MATCH",
+	{"Table 6", "TCO-opt W/TOps/s"}:             "MATCH",
+	{"Table 6", "TCO-opt $/TOps/s"}:             "MATCH",
+	{"Table 6", "TCO-opt TCO/TOps/s"}:           "MATCH",
+	{"Fig 18", "breakeven speedup at ratio 2"}:  "MATCH",
+	{"Fig 18", "breakeven speedup at ratio 10"}: "MATCH",
+}
+
 func TestScorecard(t *testing.T) {
 	a, err := Scorecard()
 	if err != nil {
@@ -327,14 +359,32 @@ func TestScorecard(t *testing.T) {
 	if len(a.Rows) < 20 {
 		t.Fatalf("scorecard has only %d rows", len(a.Rows)-1)
 	}
-	vc := findCol(t, a, "verdict")
+	wc, mc, vc := findCol(t, a, "where"), findCol(t, a, "metric"), findCol(t, a, "verdict")
+	seen := make(map[[2]string]bool, len(scorecardBands))
 	counts := map[string]int{}
 	for r := 1; r < len(a.Rows); r++ {
-		v := a.Rows[r][vc]
+		row := a.Rows[r]
+		key := [2]string{row[wc], row[mc]}
+		v := row[vc]
 		if v != "MATCH" && v != "CLOSE" && v != "SHAPE" {
 			t.Fatalf("unknown verdict %q", v)
 		}
 		counts[v]++
+		band, ok := scorecardBands[key]
+		switch {
+		case !ok:
+			t.Errorf("%s %s: row has no pinned band (verdict %s)", key[0], key[1], v)
+		case seen[key]:
+			t.Errorf("%s %s: row appears twice", key[0], key[1])
+		case v != band:
+			t.Errorf("%s %s: verdict %s, pinned %s (%v)", key[0], key[1], v, band, row)
+		}
+		seen[key] = true
+	}
+	for key := range scorecardBands {
+		if !seen[key] {
+			t.Errorf("%s %s: pinned row is missing from the scorecard", key[0], key[1])
+		}
 	}
 	// The reproduction quality bar: at least half the headline numbers
 	// MATCH (within 10%%), and MATCH+CLOSE dominate.

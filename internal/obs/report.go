@@ -11,8 +11,7 @@ import (
 
 // ExploreReport is the exploration-specific slice of a run report: how
 // big the generated space was, how much survived, and why the rest was
-// pruned. Future PRs diff ConfigsPerSec across BENCH_*.json files to
-// track the perf trajectory mechanically.
+// pruned.
 type ExploreReport struct {
 	Generated     int64            `json:"generated"`
 	Feasible      int64            `json:"feasible"`

@@ -1,7 +1,9 @@
 # Tier-1 gate: everything CI requires before a merge. The full suite
 # runs without the race detector; the concurrency-heavy packages (the
-# exploration engine, the pool server and the job service) re-run under
-# -race, which is where data races would actually live. The service
+# exploration engine, the pool server, the job service, the metrics
+# registry and tracer every goroutine writes to, and the Pareto fold
+# the engine's workers each own) re-run under -race, which is where
+# data races would actually live. The service
 # smoke test boots a real asiccloudd, runs the quickstart sweep against
 # it, and diffs the daemon's answer against the CLI's; the distributed
 # smoke test byte-diffs a 3-worker coordinator sweep against the
@@ -19,7 +21,7 @@ check: build
 	$(MAKE) lint
 	go test ./...
 	go test -run '^$$' -bench . -benchtime 1x ./...
-	go test -race ./internal/core ./internal/cloud ./internal/service
+	go test -race ./internal/core ./internal/cloud ./internal/service ./internal/obs ./internal/pareto
 	cd _perfbench && go vet ./... && go test ./... && go build -o /dev/null .
 	./scripts/smoke_service.sh
 	./scripts/smoke_distributed.sh

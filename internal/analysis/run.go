@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -13,8 +14,8 @@ import (
 // the given packages, then filters the combined findings through
 // //lint:ignore directives. Directives are validated in every loaded file,
 // so a stale or misspelled suppression is reported even when the analyzer
-// it names found nothing. Diagnostics come back sorted by file, line and
-// column.
+// it names found nothing. Diagnostics come back sorted by file, line,
+// column, analyzer and message, each distinct finding once.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	known := make(map[string]bool, len(analyzers)+1)
 	known[lintName] = true
@@ -46,7 +47,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 	diags = applySuppression(diags, dirs, known)
 	sortDiagnostics(diags)
-	return diags, nil
+	// An analyzer that reaches one site along two paths (lockheld, from
+	// two Lock calls of one mutex) reports it once per path; one line
+	// per finding is enough.
+	return slices.Compact(diags), nil
 }
 
 // FilterAnalyzers keeps only diagnostics of the named analyzers, plus
@@ -80,7 +84,10 @@ func sortDiagnostics(diags []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 

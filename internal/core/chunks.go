@@ -308,10 +308,10 @@ func (p *SweepPlan) GridSummary() PruneSummary {
 // ChunkResult is one chunk's contribution to a sweep: the chunk-local
 // Pareto fold survivors, the four chunk-local optimum candidates, and
 // the chunk's exact per-geometry prune accounting. It is the payload a
-// distributed worker returns; its JSON form is the compact one
-// MarshalJSON and UnmarshalJSON define (see chunkwire.go), and float64
-// values survive it exactly (encoding/json emits the shortest
-// round-tripping form).
+// distributed worker returns; its JSON form is the records-plus-rows
+// one MarshalJSON and UnmarshalJSON define (see chunkwire.go), and
+// float64 values survive it exactly (records as encoding/json's
+// shortest round-tripping decimals, rows as their IEEE 754 bits).
 type ChunkResult struct {
 	Chunk     int
 	NumChunks int

@@ -1,77 +1,188 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"reflect"
 
+	"asiccloud/internal/carbon"
 	"asiccloud/internal/server"
-	"asiccloud/internal/thermal"
+	"asiccloud/internal/tco"
 )
 
-// ChunkResult's JSON wire form. A chunk's two frontiers and four optima
-// name mostly the same points, and setupGeom gives every point of one
-// geometry the same server.Config (up to Voltage and Stacked) and the
-// same thermal plan, hence the same heat sink. So the wire form stores
-// each of them once:
+// ChunkResult's JSON wire form: records plus rows. A chunk's two
+// frontiers and four optima name mostly the same points, and every
+// point of one geometry shares its server.Record (the sweep evaluates a
+// geometry's whole voltage column into rows against one record,
+// server.EvaluateRows). So the wire form stores each record and each
+// point once:
 //
-//   - geoms: per geometry, its shared Config with Voltage and Stacked
-//     cleared, and its HeatSink;
-//   - points: each distinct point once, as its geometry's index, its
-//     voltage and stacking, and the rest of the Point;
+//   - geoms: per geometry, its server.Record in JSON (Config with
+//     Voltage and Stacked cleared, DieArea, Chips, TotalRCAs,
+//     LanePowerCap, Sink);
+//   - points: each distinct point once, as its geometry's index;
+//   - rows: one byte block holding, in points order, each point's
+//     server.Row, tco.Breakdown and carbon.Breakdown as fixed-width
+//     little-endian numbers (rowCodec), base64 in the JSON;
 //   - frontier, carbon_frontier and the four optima: indexes into
 //     points.
 //
 // The factoring is exact only while that invariant holds, so
 // MarshalJSON fails, rather than send a point its geometry entry would
 // rebuild differently, when two points of one geometry (same RCAs per
-// chip, chips per lane and DRAM per ASIC) differ in any other Config
-// field or in their heat sink. UnmarshalJSON checks every index, and a
-// chunk in the full-Point form of older builds fails to decode with an
+// chip, chips per lane and DRAM per ASIC) have different records. Both
+// directions refuse NaN and ±Inf, which the JSON form could never
+// carry. UnmarshalJSON checks every index, the rows block's length and
+// every bool byte, and a chunk that names points in either older form
+// (full Points, or point objects in a table) fails to decode with an
 // error instead of merging as empty: a coordinator and its workers must
 // run the same build.
 
 // chunkWire is the JSON document of one ChunkResult.
 type chunkWire struct {
-	Chunk          int          `json:"chunk"`
-	NumChunks      int          `json:"num_chunks"`
-	Geoms          []wireGeom   `json:"geoms,omitempty"`
-	Points         []wirePoint  `json:"points,omitempty"`
-	Frontier       []int        `json:"frontier,omitempty"`
-	CarbonFrontier []int        `json:"carbon_frontier,omitempty"`
-	EnergyOptimal  *int         `json:"energy_optimal,omitempty"`
-	CostOptimal    *int         `json:"cost_optimal,omitempty"`
-	TCOOptimal     *int         `json:"tco_optimal,omitempty"`
-	CarbonOptimal  *int         `json:"carbon_optimal,omitempty"`
-	Pruned         PruneSummary `json:"pruned"`
+	Chunk          int             `json:"chunk"`
+	NumChunks      int             `json:"num_chunks"`
+	Geoms          []server.Record `json:"geoms,omitempty"`
+	Points         []int           `json:"points,omitempty"`
+	Rows           []byte          `json:"rows,omitempty"`
+	Frontier       []int           `json:"frontier,omitempty"`
+	CarbonFrontier []int           `json:"carbon_frontier,omitempty"`
+	EnergyOptimal  *int            `json:"energy_optimal,omitempty"`
+	CostOptimal    *int            `json:"cost_optimal,omitempty"`
+	TCOOptimal     *int            `json:"tco_optimal,omitempty"`
+	CarbonOptimal  *int            `json:"carbon_optimal,omitempty"`
+	Pruned         PruneSummary    `json:"pruned"`
 }
 
-// wireGeom is the part every point of one geometry shares.
-type wireGeom struct {
-	Config server.Config    `json:"config"`
-	Sink   thermal.HeatSink `json:"sink"`
+// wireRow is what one point carries beyond its geometry's record. Its
+// bytes are whatever rowCodec finds in it, so a new numeric field of
+// any of the three travels with no codec edit.
+type wireRow struct {
+	Row    server.Row
+	TCO    tco.Breakdown
+	Carbon carbon.Breakdown
 }
 
-// wirePoint is one entry of the point table: its geometry's index, the
-// two Config fields that vary within a geometry, and the rest of the
-// Point, embedded by pointer so the table holds no copies.
-type wirePoint struct {
-	Geom    int     `json:"geom"`
-	Voltage float64 `json:"voltage"`
-	Stacked bool    `json:"stacked,omitempty"`
-	// Config and Sink shadow the embedded Point's fields of the same
-	// names (encoding/json lets the shallower field win), so the
-	// point's own copies stay off the wire. A point that sends either
-	// is refused.
-	Config *struct{} `json:"Config,omitempty"`
-	Sink   *struct{} `json:"Sink,omitempty"`
-	*Point
+// rowSize is the byte length of one encoded wireRow; 0 when wireRow has
+// a field rowCodec cannot carry, so that every encode and decode of a
+// point fails.
+var rowSize = func() int {
+	var c rowCodec
+	var wr wireRow
+	if c.walk(reflect.ValueOf(&wr).Elem()) != nil {
+		return 0
+	}
+	return len(c.buf)
+}()
+
+// rowCodec moves wireRows to and from their bytes with one field
+// walker, so encoder and decoder cannot disagree on the layout: fields
+// in declaration order, structs flattened, a bool as one byte 0 or 1,
+// an int as the 8 bytes of its two's complement, a float64 as the 8
+// bytes of its IEEE 754 bits, all little-endian. A field of any other
+// kind, or an unexported one, is an error, as is a NaN or ±Inf either
+// way.
+type rowCodec struct {
+	// buf is appended to when encoding and consumed when decoding.
+	buf    []byte
+	decode bool
 }
 
-// MarshalJSON encodes the chunk in its compact wire form. It fails when
-// two points of one geometry differ in a Config field other than
-// Voltage and Stacked, or in their heat sink.
+// walk encodes v into c.buf, or decodes c.buf into v. v must be
+// addressable.
+func (c *rowCodec) walk(v reflect.Value) error {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if !f.CanSet() {
+				return fmt.Errorf("unexported field %s has no wire form", v.Type().Field(i).Name)
+			}
+			if err := c.walk(f); err != nil {
+				return fmt.Errorf("%s: %w", v.Type().Field(i).Name, err)
+			}
+		}
+		return nil
+	case reflect.Bool:
+		if !c.decode {
+			b := byte(0)
+			if v.Bool() {
+				b = 1
+			}
+			c.buf = append(c.buf, b)
+			return nil
+		}
+		b, err := c.next(1)
+		if err != nil {
+			return err
+		}
+		if b[0] > 1 {
+			return fmt.Errorf("bool byte %d", b[0])
+		}
+		v.SetBool(b[0] == 1)
+		return nil
+	case reflect.Int:
+		if !c.decode {
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(v.Int()))
+			return nil
+		}
+		b, err := c.next(8)
+		if err != nil {
+			return err
+		}
+		x := int64(binary.LittleEndian.Uint64(b))
+		if v.OverflowInt(x) {
+			return fmt.Errorf("int %d overflows", x)
+		}
+		v.SetInt(x)
+		return nil
+	case reflect.Float64:
+		if !c.decode {
+			f := v.Float()
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return fmt.Errorf("non-finite %v", f)
+			}
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(f))
+			return nil
+		}
+		b, err := c.next(8)
+		if err != nil {
+			return err
+		}
+		f := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("non-finite %v", f)
+		}
+		v.SetFloat(f)
+		return nil
+	}
+	return fmt.Errorf("a %s has no fixed-width wire form", v.Type())
+}
+
+// next consumes n bytes of a decode.
+func (c *rowCodec) next(n int) ([]byte, error) {
+	if len(c.buf) < n {
+		return nil, fmt.Errorf("rows block ends inside a row")
+	}
+	b := c.buf[:n]
+	c.buf = c.buf[n:]
+	return b, nil
+}
+
+// MarshalJSON encodes the chunk in its records-plus-rows wire form. It
+// fails when two points of one geometry have different records, or
+// when a point holds a NaN or ±Inf.
 func (cr ChunkResult) MarshalJSON() ([]byte, error) {
-	t := pointTable{geomIdx: make(map[geom]int), pointIdx: make(map[pointKey]int)}
+	// Every reference may name a distinct point: size the rows block
+	// for that, so it never grows.
+	refs := len(cr.Frontier) + len(cr.CarbonFrontier) + 4
+	t := pointTable{
+		rows:     rowCodec{buf: make([]byte, 0, refs*rowSize)},
+		geomIdx:  make(map[geom]int),
+		pointIdx: make(map[pointKey]int),
+	}
 	w := chunkWire{
 		Chunk:          cr.Chunk,
 		NumChunks:      cr.NumChunks,
@@ -86,13 +197,14 @@ func (cr ChunkResult) MarshalJSON() ([]byte, error) {
 	if t.err != nil {
 		return nil, fmt.Errorf("core: encode chunk %d: %w", cr.Chunk, t.err)
 	}
-	w.Geoms, w.Points = t.geoms, t.points
+	w.Geoms, w.Points, w.Rows = t.geoms, t.points, t.rows.buf
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes the form MarshalJSON writes, rebuilding each
-// point from its geometry entry. Malformed input, an index outside its
-// table included, is an error, never a panic.
+// UnmarshalJSON decodes the form MarshalJSON writes, joining each row
+// to its geometry's record. Malformed input, an index outside its table
+// or a rows block of the wrong length included, is an error, never a
+// panic.
 func (cr *ChunkResult) UnmarshalJSON(b []byte) error {
 	var w chunkWire
 	if err := json.Unmarshal(b, &w); err != nil {
@@ -110,23 +222,23 @@ func (cr *ChunkResult) UnmarshalJSON(b []byte) error {
 		}
 		seen[g] = true
 	}
+	if len(w.Rows) != len(w.Points)*rowSize {
+		return fail("rows block of %d bytes for %d points of %d bytes", len(w.Rows), len(w.Points), rowSize)
+	}
+	rows := rowCodec{buf: w.Rows, decode: true}
 	pts := make([]Point, len(w.Points))
-	for i := range w.Points {
-		wp := &w.Points[i]
-		if wp.Config != nil || wp.Sink != nil {
-			return fail("point %d carries its own Config or Sink", i)
+	var wr wireRow
+	v := reflect.ValueOf(&wr).Elem()
+	for i, gi := range w.Points {
+		if gi < 0 || gi >= len(w.Geoms) {
+			return fail("point %d names geometry %d of %d", i, gi, len(w.Geoms))
 		}
-		if wp.Geom < 0 || wp.Geom >= len(w.Geoms) {
-			return fail("point %d names geometry %d of %d", i, wp.Geom, len(w.Geoms))
+		if err := rows.walk(v); err != nil {
+			return fail("row %d: %v", i, err)
 		}
-		g := &w.Geoms[wp.Geom]
 		p := &pts[i]
-		if wp.Point != nil {
-			*p = *wp.Point
-		}
-		p.Config = g.Config
-		p.Config.Voltage, p.Config.Stacked = wp.Voltage, wp.Stacked
-		p.Sink = g.Sink
+		server.Join(&p.Evaluation, &w.Geoms[gi], &wr.Row)
+		p.TCO, p.Carbon = wr.TCO, wr.Carbon
 	}
 	out := ChunkResult{Chunk: w.Chunk, NumChunks: w.NumChunks, Pruned: w.Pruned}
 	var err error
@@ -179,11 +291,16 @@ func geomOf(c *server.Config) geom {
 	return geom{rcasPerChip: c.RCAsPerChip, chipsLane: c.ChipsPerLane, dramPerASIC: c.DRAM.PerASIC}
 }
 
-// pointTable collects a chunk's distinct geometries and points in
-// first-use order. The first failure sticks in err.
+// pointTable collects a chunk's distinct geometry records and points in
+// first-use order, encoding each point's row as it is added. The first
+// failure sticks in err.
 type pointTable struct {
-	geoms    []wireGeom
-	points   []wirePoint
+	geoms []server.Record
+	// points holds each entry's geometry index and entries its Point;
+	// rows holds the entries' encoded rows.
+	points   []int
+	entries  []*Point
+	rows     rowCodec
 	geomIdx  map[geom]int
 	pointIdx map[pointKey]int
 	err      error
@@ -198,34 +315,36 @@ type pointKey struct {
 }
 
 // index returns p's entry in the point table, adding p (and its
-// geometry) on first use.
+// geometry record) on first use.
 func (t *pointTable) index(p *Point) int {
 	if t.err != nil {
 		return 0
 	}
-	shared := p.Config
-	shared.Voltage, shared.Stacked = 0, false
-	g := geomOf(&shared)
+	rec, r := server.Split(&p.Evaluation)
+	g := geomOf(&rec.Config)
 	gi, ok := t.geomIdx[g]
 	switch {
 	case !ok:
 		gi = len(t.geoms)
 		t.geomIdx[g] = gi
-		t.geoms = append(t.geoms, wireGeom{Config: shared, Sink: p.Sink})
-	case t.geoms[gi].Config != shared:
-		t.err = fmt.Errorf("two points of geometry %+v differ in a Config field other than Voltage and Stacked", g)
-		return 0
-	case t.geoms[gi].Sink != p.Sink:
-		t.err = fmt.Errorf("two points of geometry %+v differ in their heat sink", g)
+		t.geoms = append(t.geoms, rec)
+	case t.geoms[gi] != rec:
+		t.err = fmt.Errorf("two points of geometry %+v differ in their record (a Config field other than Voltage and Stacked, die, chip counts, lane power cap or heat sink)", g)
 		return 0
 	}
-	k := pointKey{geom: gi, voltage: p.Config.Voltage, stacked: p.Config.Stacked}
-	if pi, ok := t.pointIdx[k]; ok && *t.points[pi].Point == *p {
+	k := pointKey{geom: gi, voltage: r.Voltage, stacked: r.Stacked}
+	if pi, ok := t.pointIdx[k]; ok && *t.entries[pi] == *p {
 		return pi
+	}
+	wr := wireRow{Row: r, TCO: p.TCO, Carbon: p.Carbon}
+	if err := t.rows.walk(reflect.ValueOf(&wr).Elem()); err != nil {
+		t.err = fmt.Errorf("point at geometry %+v, %v V: %w", g, r.Voltage, err)
+		return 0
 	}
 	pi := len(t.points)
 	t.pointIdx[k] = pi
-	t.points = append(t.points, wirePoint{Geom: gi, Voltage: p.Config.Voltage, Stacked: p.Config.Stacked, Point: p})
+	t.points = append(t.points, gi)
+	t.entries = append(t.entries, p)
 	return pi
 }
 

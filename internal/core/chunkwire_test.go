@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -118,7 +122,7 @@ func TestChunkWireRoundTrip(t *testing.T) {
 	}
 	for name, chunks := range map[string][]ChunkResult{"xcode": xc, "bitcoin-stacked": bc} {
 		t.Run(name, func(t *testing.T) {
-			var refs, table, compact, legacy int
+			var refs, table, geoms, rows, compact, legacy int
 			for _, cr := range chunks {
 				b, err := cr.MarshalJSON()
 				if err != nil {
@@ -135,14 +139,9 @@ func TestChunkWireRoundTrip(t *testing.T) {
 				if err := json.Unmarshal(b, &w); err != nil {
 					t.Fatal(err)
 				}
-				seen := make(map[pointKey]bool)
-				for _, p := range w.Points {
-					k := pointKey{p.Geom, p.Voltage, p.Stacked}
-					if seen[k] {
-						t.Fatalf("chunk %d: configuration %+v appears twice in the point table", cr.Chunk, k)
-					}
-					seen[k] = true
-				}
+				// Every referenced configuration needs an entry, so as
+				// many entries as distinct configurations means each
+				// appears once.
 				distinct := make(map[sweptConfig]bool)
 				for _, ps := range [][]Point{cr.Frontier, cr.CarbonFrontier} {
 					for i := range ps {
@@ -161,6 +160,8 @@ func TestChunkWireRoundTrip(t *testing.T) {
 						cr.Chunk, len(w.Points), len(distinct))
 				}
 				table += len(w.Points)
+				geoms += len(w.Geoms)
+				rows += len(w.Rows)
 				compact += len(b)
 				lb, err := json.Marshal(legacyOf(cr))
 				if err != nil {
@@ -171,8 +172,8 @@ func TestChunkWireRoundTrip(t *testing.T) {
 			if table >= refs {
 				t.Errorf("point tables hold %d entries for %d references: nothing shared", table, refs)
 			}
-			t.Logf("%d chunks: %d point references, %d table entries; %d wire bytes (full-Point form: %d)",
-				len(chunks), refs, table, compact, legacy)
+			t.Logf("%d chunks: %d point references, %d table entries over %d geometry records; %d wire bytes, %d of them rows of %d bytes (full-Point form: %d)",
+				len(chunks), refs, table, geoms, compact, rows, rowSize, legacy)
 		})
 	}
 }
@@ -210,8 +211,8 @@ func realPoints(t *testing.T) (Point, Point) {
 }
 
 // TestChunkWireRefusesInconsistentGeometry: the wire form carries one
-// Config and one heat sink per geometry, so Marshal must fail rather
-// than send two same-geometry points that differ in either.
+// record per geometry, so Marshal must fail rather than send two
+// same-geometry points whose records differ.
 func TestChunkWireRefusesInconsistentGeometry(t *testing.T) {
 	a, b := realPoints(t)
 	if _, err := (ChunkResult{Frontier: []Point{a, b}}).MarshalJSON(); err != nil {
@@ -221,15 +222,37 @@ func TestChunkWireRefusesInconsistentGeometry(t *testing.T) {
 	sink.Sink.FinHeight *= 0.9
 	inlet := b
 	inlet.Config.InletTempC += 5
+	capacity := b
+	capacity.LanePowerCap *= 1.1
 	for name, cr := range map[string]ChunkResult{
-		"heat sink":    {Frontier: []Point{a, sink}},
-		"config field": {Frontier: []Point{a}, TCOOptimal: &inlet},
+		"heat sink":      {Frontier: []Point{a, sink}},
+		"config field":   {Frontier: []Point{a}, TCOOptimal: &inlet},
+		"lane power cap": {CarbonFrontier: []Point{capacity, a}},
 	} {
 		if _, err := cr.MarshalJSON(); err == nil {
 			t.Errorf("%s: Marshal accepted two same-geometry points that differ", name)
 		}
 		if _, err := json.Marshal(cr); err == nil {
 			t.Errorf("%s: json.Marshal accepted two same-geometry points that differ", name)
+		}
+	}
+}
+
+// TestChunkWireRefusesNonFinite: a NaN or ±Inf anywhere in a point,
+// row or record, fails the encode; the JSON form could never carry one.
+func TestChunkWireRefusesNonFinite(t *testing.T) {
+	a, _ := realPoints(t)
+	for name, set := range map[string]func(*Point){
+		"NaN TCO term":         func(p *Point) { p.TCO.Electricity = math.NaN() },
+		"+Inf carbon term":     func(p *Point) { p.Carbon.EmbodiedKg = math.Inf(1) },
+		"-Inf delivery field":  func(p *Point) { p.Delivery.WallPower = math.Inf(-1) },
+		"NaN voltage":          func(p *Point) { p.Config.Voltage = math.NaN() },
+		"+Inf record die area": func(p *Point) { p.DieArea = math.Inf(1) },
+	} {
+		p := a
+		set(&p)
+		if b, err := (ChunkResult{Frontier: []Point{p}}).MarshalJSON(); err == nil {
+			t.Errorf("%s: encoded to %d bytes", name, len(b))
 		}
 	}
 }
@@ -255,39 +278,176 @@ func TestChunkWireRejectsFullPointForm(t *testing.T) {
 	}
 }
 
-// TestChunkWireRejectsBadIndexes: every table index is checked.
-func TestChunkWireRejectsBadIndexes(t *testing.T) {
+// goodWire is a real two-point chunk in its wire form.
+func goodWire(t *testing.T) chunkWire {
+	t.Helper()
 	a, b := realPoints(t)
 	good, err := (ChunkResult{Frontier: []Point{a, b}, TCOOptimal: &b}).MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var w chunkWire
+	if err := json.Unmarshal(good, &w); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Points) != 2 || len(w.Geoms) != 1 {
+		t.Fatalf("two points of one geometry encode to %d points over %d records", len(w.Points), len(w.Geoms))
+	}
+	return w
+}
+
+// decodeMutated re-encodes the document after mutate and decodes it.
+func decodeMutated(t *testing.T, w chunkWire, mutate func(*chunkWire)) (ChunkResult, error) {
+	t.Helper()
+	w.Geoms = slices.Clone(w.Geoms)
+	w.Points = slices.Clone(w.Points)
+	w.Rows = slices.Clone(w.Rows)
+	w.Frontier = slices.Clone(w.Frontier)
+	mutate(&w)
+	bad, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cr ChunkResult
+	err = cr.UnmarshalJSON(bad)
+	return cr, err
+}
+
+// TestChunkWireRejectsBadIndexes: every table index is checked.
+func TestChunkWireRejectsBadIndexes(t *testing.T) {
+	good := goodWire(t)
 	five, minus := 5, -1
 	for name, mutate := range map[string]func(*chunkWire){
 		"frontier past table":      func(w *chunkWire) { w.Frontier[1] = len(w.Points) },
 		"negative carbon frontier": func(w *chunkWire) { w.CarbonFrontier = []int{-1} },
 		"optimum past table":       func(w *chunkWire) { w.EnergyOptimal = &five },
 		"negative optimum":         func(w *chunkWire) { w.TCOOptimal = &minus },
-		"geometry past table":      func(w *chunkWire) { w.Points[0].Geom = len(w.Geoms) },
-		"negative geometry":        func(w *chunkWire) { w.Points[1].Geom = -1 },
+		"geometry past table":      func(w *chunkWire) { w.Points[0] = len(w.Geoms) },
+		"negative geometry":        func(w *chunkWire) { w.Points[1] = -1 },
 		"geometry listed twice":    func(w *chunkWire) { w.Geoms = append(w.Geoms, w.Geoms[0]) },
-		"point with own config":    func(w *chunkWire) { w.Points[0].Config = &struct{}{} },
-		"point with own sink":      func(w *chunkWire) { w.Points[1].Sink = &struct{}{} },
 	} {
-		var w chunkWire
-		if err := json.Unmarshal(good, &w); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&w)
-		bad, err := json.Marshal(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cr ChunkResult
-		if err := cr.UnmarshalJSON(bad); err == nil {
+		if _, err := decodeMutated(t, good, mutate); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
+}
+
+// TestChunkWireRejectsMalformedRows: the rows block must hold exactly
+// one row per point, every bool byte must be 0 or 1, and no number may
+// be NaN or ±Inf. Row 0 starts with Voltage (8 bytes), then Stacked.
+func TestChunkWireRejectsMalformedRows(t *testing.T) {
+	good := goodWire(t)
+	// The layout the offsets below assume: setting the Stacked byte
+	// to 1 decodes a stacked first point.
+	cr, err := decodeMutated(t, good, func(w *chunkWire) { w.Rows[8] = 1 })
+	if err != nil || !cr.Frontier[0].Config.Stacked || cr.Frontier[1].Config.Stacked {
+		t.Fatalf("byte 8 is not the first row's Stacked flag (err %v)", err)
+	}
+	putFloat := func(f float64) func(*chunkWire) {
+		return func(w *chunkWire) { binary.LittleEndian.PutUint64(w.Rows, math.Float64bits(f)) }
+	}
+	for name, mutate := range map[string]func(*chunkWire){
+		"one byte short":   func(w *chunkWire) { w.Rows = w.Rows[:len(w.Rows)-1] },
+		"one row too long": func(w *chunkWire) { w.Rows = append(w.Rows, w.Rows[:rowSize]...) },
+		"one row short":    func(w *chunkWire) { w.Rows = w.Rows[:rowSize] },
+		"no rows":          func(w *chunkWire) { w.Rows = nil },
+		"bool byte of 2":   func(w *chunkWire) { w.Rows[8] = 2 },
+		"NaN voltage":      putFloat(math.NaN()),
+		"+Inf voltage":     putFloat(math.Inf(1)),
+		"-Inf voltage":     putFloat(math.Inf(-1)),
+		"NaN last number": func(w *chunkWire) {
+			binary.LittleEndian.PutUint64(w.Rows[len(w.Rows)-8:], math.Float64bits(math.NaN()))
+		},
+	} {
+		if cr, err := decodeMutated(t, good, mutate); err == nil {
+			t.Errorf("%s: decoded %d frontier points without error", name, len(cr.Frontier))
+		}
+	}
+}
+
+// TestWireRowCarriesEveryField: rowCodec carries every field of
+// server.Row, tco.Breakdown and carbon.Breakdown, so a new numeric
+// field travels with no codec edit: a row whose every number differs
+// survives the bytes exactly, at rowSize bytes.
+func TestWireRowCarriesEveryField(t *testing.T) {
+	if rowSize == 0 {
+		var c rowCodec
+		var wr wireRow
+		t.Fatalf("wireRow has no wire form: %v", c.walk(reflect.ValueOf(&wr).Elem()))
+	}
+	var in wireRow
+	n := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		n++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Float64:
+			v.SetFloat(float64(n) + 0.25)
+		case reflect.Int:
+			v.SetInt(int64(-n))
+		case reflect.Bool:
+			v.SetBool(n%2 == 1)
+		}
+	}
+	fill(reflect.ValueOf(&in).Elem())
+	enc := rowCodec{}
+	if err := enc.walk(reflect.ValueOf(&in).Elem()); err != nil {
+		t.Fatal(err)
+	}
+	if len(enc.buf) != rowSize {
+		t.Fatalf("row encodes to %d bytes, rowSize is %d", len(enc.buf), rowSize)
+	}
+	var out wireRow
+	dec := rowCodec{buf: enc.buf, decode: true}
+	if err := dec.walk(reflect.ValueOf(&out).Elem()); err != nil {
+		t.Fatal(err)
+	}
+	if out != in || len(dec.buf) != 0 {
+		t.Errorf("row does not survive its bytes:\n got %+v\nwant %+v", out, in)
+	}
+}
+
+// TestRowCodecRefusesOtherKinds: a field rowCodec has no fixed-width
+// form for fails both ways, so adding one to Row or either breakdown
+// fails the tests above at once instead of dropping off the wire.
+func TestRowCodecRefusesOtherKinds(t *testing.T) {
+	type unexported struct {
+		X float64
+		y float64
+	}
+	for name, v := range map[string]any{
+		"string":     &struct{ X, S string }{},
+		"pointer":    &struct{ P *float64 }{},
+		"slice":      &struct{ F []float64 }{},
+		"float32":    &struct{ F float32 }{},
+		"nested map": &struct{ In struct{ M map[string]int } }{},
+		"unexported": &unexported{},
+	} {
+		enc := rowCodec{}
+		if err := enc.walk(reflect.ValueOf(v).Elem()); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+		dec := rowCodec{buf: make([]byte, 64), decode: true}
+		if err := dec.walk(reflect.ValueOf(v).Elem()); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// rowsOf encodes wire rows for a fuzz seed.
+func rowsOf(f *testing.F, rows ...wireRow) string {
+	f.Helper()
+	var c rowCodec
+	for i := range rows {
+		if err := c.walk(reflect.ValueOf(&rows[i]).Elem()); err != nil {
+			f.Fatal(err)
+		}
+	}
+	return base64.StdEncoding.EncodeToString(c.buf)
 }
 
 // FuzzChunkResultUnmarshal: any input decodes or fails with an error,
@@ -295,10 +455,13 @@ func TestChunkWireRejectsBadIndexes(t *testing.T) {
 // that decodes to the same ChunkResult.
 func FuzzChunkResultUnmarshal(f *testing.F) {
 	f.Add([]byte(`{"chunk":1,"num_chunks":2,"pruned":{"generated":4,"feasible":0,"reasons":{"thermal_infeasible":4},"duplicates":0}}`))
-	f.Add([]byte(`{"chunk":0,"num_chunks":1,"geoms":[{"config":{},"sink":{}}],"points":[{"geom":0,"voltage":0.5}],"frontier":[0,7],"pruned":{}}`))
+	row := wireRow{Row: server.Row{Voltage: 0.5}}
+	f.Add([]byte(`{"chunk":0,"num_chunks":1,"geoms":[{}],"points":[0],"rows":"` + rowsOf(f, row) + `","frontier":[0,7],"pruned":{}}`))
 	// Two table entries at one configuration that differ elsewhere:
 	// re-encoding must keep them apart.
-	f.Add([]byte(`{"chunk":0,"num_chunks":1,"geoms":[{"config":{},"sink":{}}],"points":[{"geom":0,"voltage":0.5,"Perf":1},{"geom":0,"voltage":0.5,"Perf":2}],"frontier":[0,1],"pruned":{}}`))
+	other := row
+	other.Row.Perf = 2
+	f.Add([]byte(`{"chunk":0,"num_chunks":1,"geoms":[{}],"points":[0,0],"rows":"` + rowsOf(f, row, other) + `","frontier":[0,1],"pruned":{}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var cr ChunkResult
 		if err := cr.UnmarshalJSON(b); err != nil {
@@ -318,16 +481,32 @@ func FuzzChunkResultUnmarshal(f *testing.F) {
 	})
 }
 
-// TestFuzzSeedsKeepTheirMeaning: the committed seed corpus keeps one
-// real XCode chunk and one chunk with no feasible point that decode,
-// and one full-Point chunk that does not.
+// TestFuzzSeedsKeepTheirMeaning: every committed seed keeps the role
+// its name gives it. One real XCode chunk and one chunk with no
+// feasible point decode; a chunk in the full-Point form and one in the
+// point-table form before records plus rows do not.
 func TestFuzzSeedsKeepTheirMeaning(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzChunkResultUnmarshal")
-	for name, want := range map[string]func(ChunkResult, error) bool{
+	want := map[string]func(ChunkResult, error) bool{
 		"xcode-chunk":       func(cr ChunkResult, err error) bool { return err == nil && len(cr.Frontier) > 1 },
 		"no-feasible-point": func(cr ChunkResult, err error) bool { return err == nil && cr.Pruned.Feasible == 0 },
 		"full-point-form":   func(_ ChunkResult, err error) bool { return err != nil },
-	} {
+		"point-table-form":  func(_ ChunkResult, err error) bool { return err != nil },
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Errorf("%d seeds in %s, %d with a known meaning", len(files), dir, len(want))
+	}
+	for _, file := range files {
+		name := file.Name()
+		ok, known := want[name]
+		if !known {
+			t.Errorf("seed %s has no known meaning", name)
+			continue
+		}
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -342,7 +521,7 @@ func TestFuzzSeedsKeepTheirMeaning(t *testing.T) {
 		}
 		var cr ChunkResult
 		err = cr.UnmarshalJSON([]byte(s))
-		if !want(cr, err) {
+		if !ok(cr, err) {
 			t.Errorf("%s: decoded %d frontier points, %d feasible, err %v", name, len(cr.Frontier), cr.Pruned.Feasible, err)
 		}
 	}

@@ -36,11 +36,13 @@ const DefaultChunkSize = 4
 // job. Unlike an in-process claim, a distributed chunk has a fixed cost
 // on top of its per-geometry evaluation: the worker decodes the
 // payload, re-canonicalizes the request and checks its hash, and the
-// chunk's local frontier (30-45 points on XCode) is marshaled,
-// base64-framed in the pool message, decoded and split back into rows
-// by the coordinator. Two-worker in-process XCode coordinator sweeps on
-// a 2-vCPU VM fit about 0.09 s of CPU plus 1.3 ms per chunk (chunk
-// sizes 4/16/32/64/128: 0.76/0.27/0.18/0.13/0.11 s per sweep), against
+// chunk's local frontier (30-45 points on XCode) is encoded as records
+// plus rows, base64-framed in the pool message, decoded and split back
+// into rows by the coordinator. Two-worker in-process XCode
+// coordinator sweeps (BenchmarkDistributedSweep's fleet, process CPU
+// time, 2-vCPU VM) fit about 0.17 s of CPU plus 1.5 ms per chunk (chunk
+// sizes 4/16/32/64/128: 0.94/0.38/0.27/0.21/0.19 s per sweep; the
+// all-JSON chunk form of older builds cost 3.1 ms per chunk), against
 // about 0.27 ms to evaluate one 4-geometry chunk. At 64 the XCode sweep
 // is 32 chunks instead of 511; larger chunks save little more CPU and
 // lengthen the tail the choice leaves: one chunk, about 3-5 ms of XCode

@@ -201,8 +201,6 @@ type metric struct {
 	h      *Histogram
 }
 
-func (m *metric) key() string { return m.name + m.labels }
-
 // Registry holds named metrics and renders them in Prometheus text
 // exposition format. The zero value is not usable; call NewRegistry.
 type Registry struct {
@@ -221,20 +219,32 @@ func NewRegistry() *Registry {
 	}
 }
 
+// labelEscaper escapes a Prometheus label value. A strings.Replacer is
+// safe for concurrent use and builds its lookup table once, so every
+// series lookup shares this one.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // renderLabels formats k/v pairs as a Prometheus label block. Pairs are
 // taken in the given order; an odd trailing key is dropped.
 func renderLabels(labels []string) string {
 	if len(labels) < 2 {
 		return ""
 	}
+	n := 2
+	for i := 0; i+1 < len(labels); i += 2 {
+		n += len(labels[i]) + len(labels[i+1]) + 4
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteByte('{')
 	for i := 0; i+1 < len(labels); i += 2 {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		v := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(labels[i+1])
-		fmt.Fprintf(&b, `%s="%s"`, labels[i], v)
+		b.WriteString(labels[i])
+		b.WriteString(`="`)
+		b.WriteString(labelEscaper.Replace(labels[i+1]))
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -243,12 +253,14 @@ func renderLabels(labels []string) string {
 // get registers (or finds) a series and fully initializes its value
 // under the registry lock, so callers never see a half-built metric.
 func (r *Registry) get(name string, labels []string, kind metricKind, bounds []float64) *metric {
-	m := &metric{name: name, labels: renderLabels(labels), kind: kind}
+	rendered := renderLabels(labels)
+	key := name + rendered
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if got, ok := r.metrics[m.key()]; ok {
+	if got, ok := r.metrics[key]; ok {
 		return got
 	}
+	m := &metric{name: name, labels: rendered, kind: kind}
 	switch kind {
 	case kindCounter:
 		m.c = &Counter{}
@@ -260,8 +272,8 @@ func (r *Registry) get(name string, labels []string, kind metricKind, bounds []f
 		}
 		m.h = newHistogram(bounds)
 	}
-	r.metrics[m.key()] = m
-	r.order = append(r.order, m.key())
+	r.metrics[key] = m
+	r.order = append(r.order, key)
 	return m
 }
 

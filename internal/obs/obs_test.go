@@ -122,6 +122,37 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestPrometheusLabelEscaping pins the exposition of label values that
+// need escaping: backslash, double quote and newline.
+func TestPrometheusLabelEscaping(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("escaped_total", "path", `C:\tmp`, "quote", `say "hi"`, "text", "two\nlines").Inc()
+	reg.Gauge("plain", "a", "1", "b", "").Set(2)
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	want := "# TYPE escaped_total counter\n" +
+		`escaped_total{path="C:\\tmp",quote="say \"hi\"",text="two\nlines"} 1` + "\n" +
+		"# TYPE plain gauge\n" +
+		`plain{a="1",b=""} 2` + "\n"
+	if got := b.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestLabelledLookupAllocs bounds what re-resolving an existing
+// labelled series costs: the rendered label block and its key, no
+// per-lookup escaper or metric.
+func TestLabelledLookupAllocs(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("asiccloud_span_total", "name", "chunk", "status", "ok").Inc()
+	allocs := testing.AllocsPerRun(100, func() {
+		reg.Counter("asiccloud_span_total", "name", "chunk", "status", "ok").Inc()
+	})
+	if allocs > 2 {
+		t.Errorf("labelled lookup allocates %v times, want at most 2", allocs)
+	}
+}
+
 func TestSpansAndSlowest(t *testing.T) {
 	rec := NewRecorder()
 	root := rec.Span("explore")

@@ -1,9 +1,6 @@
 package pareto
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Fold is a bounded-memory streaming accumulator for the two-objective
 // Pareto frontier: points are folded in one at a time, dominated points
@@ -70,16 +67,20 @@ func (f *Fold[T]) AddAt(px, py float64, p *T) {
 	if math.IsNaN(px) || math.IsNaN(py) {
 		return
 	}
-	// First retained index at or after p in (x asc, y asc) order.
-	//lint:ignore hotalloc the closure only captures stack locals and f, so escape analysis keeps it off the heap
-	pos := sort.Search(len(f.pts), func(i int) bool {
-		e := &f.pts[i]
+	// First retained index at or after p in (x asc, y asc) order: a
+	// binary search for the first entry with x > px, or with x == px
+	// and y >= py.
+	pos, hi := 0, len(f.pts)
+	for pos < hi {
+		mid := int(uint(pos+hi) >> 1)
+		e := &f.pts[mid]
 		//lint:ignore floatcmp the staircase invariant needs an exact lexicographic order over coordinates
-		if e.x != px {
-			return e.x > px
+		if e.x > px || (e.x == px && e.y >= py) {
+			hi = mid
+		} else {
+			pos = mid + 1
 		}
-		return e.y >= py
-	})
+	}
 	// Only the nearest retained point to the left can dominate p: every
 	// point further left has larger-or-equal y by the staircase
 	// invariant, so it dominates p only if that neighbor does too.

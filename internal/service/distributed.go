@@ -21,14 +21,15 @@ import (
 // (leases, requeue on expiry, first-result-wins dedup). Workers — any
 // process running NewChunkHandler under cloud.RunWorker, typically
 // `asiccloudd -worker -join <addr>` — evaluate chunks on a local
-// core.Engine and return core.ChunkResults in their compact wire form
-// (core.ChunkResult.MarshalJSON). The coordinator merges them with
-// core.ResultMerger and renders the result through the same
+// core.Engine and return core.ChunkResults in their records-plus-rows
+// wire form (core.ChunkResult.MarshalJSON). The coordinator merges them
+// with core.ResultMerger and renders the result through the same
 // marshalResult the daemon and RunOnce use, so a distributed sweep's
 // bytes are identical to a single-process run: frontier merge is
 // associative and order-independent, optimum merge is commutative,
 // prune accounting counts grid-build prunes once and per-geometry
-// prunes per chunk, and float64s round-trip JSON exactly.
+// prunes per chunk, and float64s round-trip the chunk wire form
+// exactly.
 //
 // Chunk identity is stable across processes: the payload carries the
 // full wire Request plus its canonical hash, and the worker

@@ -74,6 +74,11 @@ type (
 	Result = core.Result
 	// DesignPoint is one feasible design with its TCO breakdown.
 	DesignPoint = core.Point
+	// DesignRow is the compact form Result.Points keeps each feasible
+	// design in: its per-voltage evaluation, TCO and carbon, and a
+	// read-only pointer to the record its geometry's rows share.
+	// DesignRow.Point builds the DesignPoint.
+	DesignRow = core.Row
 	// Engine is a reusable exploration service with a thermal-plan
 	// cache, context-aware execution and optional streaming (frontier-
 	// only) sweeps.
@@ -99,8 +104,8 @@ type (
 )
 
 // Explore runs the brute-force design-space search (the paper's core
-// methodology) and returns all feasible points, the Pareto frontier, and
-// the energy-, cost- and TCO-optimal servers.
+// methodology) and returns all feasible designs (as DesignRows), the
+// Pareto frontier, and the energy-, cost- and TCO-optimal servers.
 func Explore(sweep Sweep, model TCOModel) (Result, error) {
 	return core.Explore(sweep, model)
 }

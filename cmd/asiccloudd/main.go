@@ -22,7 +22,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -258,13 +257,11 @@ func readRequest(path string) (*service.Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	var req service.Request
-	if err := dec.Decode(&req); err != nil {
+	req, err := service.DecodeRequest(bytes.NewReader(raw))
+	if err != nil {
 		return nil, fmt.Errorf("decode request %s: %w", path, err)
 	}
-	return &req, nil
+	return req, nil
 }
 
 // writeResult sends the rendered result JSON to the named file, or to

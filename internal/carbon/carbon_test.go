@@ -93,6 +93,36 @@ func TestEmbodiedServerKg(t *testing.T) {
 	}
 }
 
+// TestEmbodiedRisesAsYieldFalls: at a fixed die area and chip count,
+// a dirtier process yields fewer good dies per wafer, so each good die
+// carries a larger share of the wafer's emission. Stepping the defect
+// density up from zero must lower the yield and strictly raise the
+// server's embodied CO2e, for small, mid-size and reticle-limit dies.
+func TestEmbodiedRisesAsYieldFalls(t *testing.T) {
+	m := Default()
+	const chips = 10
+	for _, area := range []float64{50, 200, 600} {
+		p := vlsi.UMC28nm()
+		p.DefectDensity = 0
+		lastYield, lastKg := p.Yield(area), m.EmbodiedServerKg(p, area, chips)
+		if lastYield != 1 {
+			t.Fatalf("%v mm²: yield %v at zero defect density, want 1", area, lastYield)
+		}
+		for _, d0 := range []float64{0.05, 0.1, 0.22, 0.5, 1, 2} {
+			p.DefectDensity = d0
+			y, kg := p.Yield(area), m.EmbodiedServerKg(p, area, chips)
+			if y >= lastYield {
+				t.Errorf("%v mm², D0 %v: yield %v does not fall below %v", area, d0, y, lastYield)
+			}
+			if math.IsInf(kg, 0) || kg <= lastKg {
+				t.Errorf("%v mm², D0 %v: embodied %v kg does not rise above %v kg as yield falls to %v",
+					area, d0, kg, lastKg, y)
+			}
+			lastYield, lastKg = y, kg
+		}
+	}
+}
+
 // TestEmbodiedServerKgUnyieldable: a die too large for the wafer
 // returns +Inf, never an error or a finite underestimate.
 func TestEmbodiedServerKgUnyieldable(t *testing.T) {

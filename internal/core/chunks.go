@@ -36,9 +36,9 @@ import (
 //     ResultMerger splits ChunkResults back into rows and folds them
 //     into an accumulator. All of them finish through sweepAcc.finish.
 //
-// Rows are evaluated, priced, folded and compared; full Points exist
-// only at the edges: the frontiers and optima a Result or ChunkResult
-// reports, and keep mode's Result.Points.
+// Rows are evaluated, priced, folded, compared and, in keep mode,
+// retained as Result.Points; full Points exist only at the edges: the
+// frontiers and optima a Result or ChunkResult reports.
 //
 // Because pareto.Fold merge is associative and order-independent and
 // optAcc merge is commutative, the finished Result is byte-identical
@@ -223,8 +223,8 @@ func (grid *sweepGrid) config(g geom) (server.Config, error) {
 // *rec, are appended to scratch; every candidate the cell generates is
 // accounted in sum. The returned slices are the (possibly grown)
 // scratch buffers.
-func (e *Engine) evalCell(g geom, grid *sweepGrid, rec *server.Record, scratch []row, column []server.Row,
-	sum *PruneSummary, ctr *exploreCounters) ([]row, []server.Row) {
+func (e *Engine) evalCell(g geom, grid *sweepGrid, rec *server.Record, scratch []Row, column []server.Row,
+	sum *PruneSummary, ctr *exploreCounters) ([]Row, []server.Row) {
 
 	sum.Generated += grid.perGeom
 	ctr.configs.Add(grid.perGeom)
@@ -342,7 +342,7 @@ type ChunkResult struct {
 // each sweep worker owns one, and they are merged once the workers are
 // done.
 type sweepAcc struct {
-	fold, cfold                     *pareto.Fold[row]
+	fold, cfold                     *pareto.Fold[Row]
 	energy, cost, tcoOpt, carbonOpt optAcc
 	summary                         PruneSummary
 }
@@ -362,7 +362,7 @@ func newSweepAcc(summary PruneSummary) sweepAcc {
 // the row unless it survives.
 //
 //asic:hotpath
-func (a *sweepAcc) add(r *row) {
+func (a *sweepAcc) add(r *Row) {
 	tcoPerOp, co2PerOp := r.TCO.Total(), r.Carbon.Total()
 	a.fold.AddAt(r.DollarsPerOp, r.WattsPerOp, r)
 	a.cfold.AddAt(tcoPerOp, co2PerOp, r)
@@ -399,13 +399,13 @@ func (a *sweepAcc) chunkResult(c, n int) ChunkResult {
 }
 
 // points builds the Point of each row; no rows give nil.
-func points(rows []row) []Point {
+func points(rows []Row) []Point {
 	if len(rows) == 0 {
 		return nil
 	}
 	out := make([]Point, len(rows))
 	for i := range rows {
-		rows[i].writePoint(&out[i])
+		out[i] = rows[i].Point()
 	}
 	return out
 }
@@ -449,19 +449,19 @@ type chunkRecords []*server.Record
 
 // split turns p into a row whose record is the chunk's one record for
 // p's geometry; only a geometry's first Point allocates its record.
-func (rs *chunkRecords) split(p *Point) row {
+func (rs *chunkRecords) split(p *Point) Row {
 	rec, r := server.Split(&p.Evaluation)
-	out := row{Row: r, TCO: p.TCO, Carbon: p.Carbon}
+	out := Row{Row: r, TCO: p.TCO, Carbon: p.Carbon}
 	g := geomOf(&rec.Config)
 	for _, have := range *rs {
 		if geomOf(&have.Config) == g && *have == rec {
-			out.rec = have
+			out.Record = have
 			return out
 		}
 	}
-	out.rec = new(server.Record)
-	*out.rec = rec
-	*rs = append(*rs, out.rec)
+	out.Record = new(server.Record)
+	*out.Record = rec
+	*rs = append(*rs, out.Record)
 	return out
 }
 
@@ -492,13 +492,13 @@ func (a *sweepAcc) finish() (Result, error) {
 
 // frontier is the Pareto frontier of f's survivors under (x, y) in
 // lessRow order, as Points.
-func frontier(f *pareto.Fold[row], x, y func(row) float64) []Point {
+func frontier(f *pareto.Fold[Row], x, y func(Row) float64) []Point {
 	surv := f.Points()
 	sort.Slice(surv, func(i, j int) bool { return lessRow(&surv[i], &surv[j]) })
 	idx := pareto.Frontier(surv, x, y)
 	out := make([]Point, len(idx))
 	for k, i := range idx {
-		surv[i].writePoint(&out[k])
+		out[k] = surv[i].Point()
 	}
 	return out
 }
@@ -513,7 +513,7 @@ func frontier(f *pareto.Fold[row], x, y func(row) float64) []Point {
 type chunkWorker struct {
 	acc    sweepAcc
 	ctr    *exploreCounters
-	rows   []row
+	rows   []Row
 	column []server.Row
 }
 
@@ -527,7 +527,7 @@ type chunkWorker struct {
 // the chunk's rows are also returned, in evaluation order, as an
 // exact-size copy; otherwise the row scratch is reset per geometry.
 func (e *Engine) evalChunk(ctx context.Context, plan *SweepPlan, c int, w *chunkWorker,
-	keep bool, claimed func()) ([]row, error) {
+	keep bool, claimed func()) ([]Row, error) {
 
 	lo := c * plan.chunkSize
 	hi := min(lo+plan.chunkSize, len(plan.grid.work))
@@ -552,7 +552,7 @@ func (e *Engine) evalChunk(ctx context.Context, plan *SweepPlan, c int, w *chunk
 	if !keep {
 		return nil, nil
 	}
-	rows := make([]row, len(w.rows))
+	rows := make([]Row, len(w.rows))
 	copy(rows, w.rows)
 	return rows, nil
 }

@@ -199,10 +199,11 @@ func realPoints(t *testing.T) (Point, Point) {
 		t.Fatal(err)
 	}
 	for i := range res.Points {
+		a := res.Points[i].Point()
 		for j := range res.Points {
-			a, b := &res.Points[i], &res.Points[j]
+			b := res.Points[j].Point()
 			if i != j && geomOf(&a.Config) == geomOf(&b.Config) && a.Config.Voltage != b.Config.Voltage {
-				return *a, *b
+				return a, b
 			}
 		}
 	}

@@ -77,11 +77,11 @@ const DistributedChunkSize = 64
 type Engine struct {
 	// DiscardPoints leaves Result.Points nil. Every sweep folds its
 	// rows through the same streaming accumulator either way; this only
-	// decides whether each chunk's rows are also copied out and turned
-	// into Points at the end, which costs memory in the feasible-set
-	// size (about 300 bytes per row while the sweep runs, then a
-	// kilobyte per Point). Frontier, optima and Pruned do not depend on
-	// it.
+	// decides whether each chunk's rows are also copied out and gathered
+	// into Result.Points at the end, which costs memory in the
+	// feasible-set size (about 300 bytes per row while the sweep runs,
+	// then 300 more per row of the result). Frontier, optima and Pruned
+	// do not depend on it.
 	DiscardPoints bool
 	// ChunkSize is the number of geometries per scheduling chunk
 	// (0 selects DefaultChunkSize).
@@ -217,23 +217,27 @@ func (e *Engine) Explore(sweep Sweep, model tco.Model) (Result, error) {
 	return e.ExploreContext(context.Background(), sweep, model)
 }
 
-// row is one feasible configuration as the sweep evaluates, prices and
-// folds it: the per-voltage server.Row, its TCO and carbon breakdowns,
-// and a pointer to its geometry's shared server.Record. At about 300
-// bytes it is a third of the Point it stands for; Points are built only
-// for what a Result or ChunkResult reports (row.writePoint).
-type row struct {
+// Row is one feasible configuration as the sweep evaluates, prices and
+// folds it, and the form keep mode retains in Result.Points: the
+// per-voltage server.Row, its TCO and carbon breakdowns, and a pointer
+// to its geometry's server.Record. At about 300 bytes it is a third of
+// the Point it stands for; Point builds that Point, and the sweep
+// builds Points only for the frontiers and optima it reports.
+type Row struct {
 	server.Row
 	TCO    tco.Breakdown
 	Carbon carbon.Breakdown
-	rec    *server.Record
+	// Record is the per-geometry half of the configuration. Every row
+	// of one geometry points at the same Record, so it is read-only: a
+	// write through one row would change all of them.
+	Record *server.Record
 }
 
-// writePoint writes the full Point the row stands for into *p, in
-// place.
-func (r *row) writePoint(p *Point) {
-	server.Join(&p.Evaluation, r.rec, &r.Row)
-	p.TCO, p.Carbon = r.TCO, r.Carbon
+// Point builds the full Point the row stands for.
+func (r *Row) Point() Point {
+	p := Point{TCO: r.TCO, Carbon: r.Carbon}
+	server.Join(&p.Evaluation, r.Record, &r.Row)
+	return p
 }
 
 // evalGeometry evaluates every (stacking option, voltage) configuration
@@ -246,7 +250,7 @@ func (r *row) writePoint(p *Point) {
 //
 //asic:hotpath
 func (e *Engine) evalGeometry(s *geomSetup, grid *sweepGrid, rec *server.Record,
-	rows []row, column []server.Row, sum *PruneSummary, ctr *exploreCounters) ([]row, []server.Row) {
+	rows []Row, column []server.Row, sum *PruneSummary, ctr *exploreCounters) ([]Row, []server.Row) {
 
 	cfg := s.cfg
 	for _, stacked := range grid.stackedOptions {
@@ -264,11 +268,11 @@ func (e *Engine) evalGeometry(s *geomSetup, grid *sweepGrid, rec *server.Record,
 		for i := range col {
 			r := &col[i]
 			//lint:ignore hotalloc appends into the per-worker scratch; capacity tops out at the largest chunk and growth amortizes to zero
-			rows = append(rows, row{
+			rows = append(rows, Row{
 				Row:    *r,
 				TCO:    grid.model.Of(r.DollarsPerOp, r.WattsPerOp),
 				Carbon: grid.carbon.Of(s.embodiedKg, r.Perf, r.WallPower),
-				rec:    rec,
+				Record: rec,
 			})
 			sum.Feasible++
 			ctr.feasible.Inc()
@@ -279,17 +283,17 @@ func (e *Engine) evalGeometry(s *geomSetup, grid *sweepGrid, rec *server.Record,
 
 // rowDollars and rowWatts are the two classic Pareto objectives;
 // rowTCO and rowCO2 are the axes of the carbon frontier.
-func rowDollars(r row) float64 { return r.DollarsPerOp }
-func rowWatts(r row) float64   { return r.WattsPerOp }
-func rowTCO(r row) float64     { return r.TCO.Total() }
-func rowCO2(r row) float64     { return r.Carbon.Total() }
+func rowDollars(r Row) float64 { return r.DollarsPerOp }
+func rowWatts(r Row) float64   { return r.WattsPerOp }
+func rowTCO(r Row) float64     { return r.TCO.Total() }
+func rowCO2(r Row) float64     { return r.Carbon.Total() }
 
 // lessRow is the deterministic total order results are reported in:
 // ascending $ per op/s, then W per op/s, then the configuration
 // coordinates so exact metric ties still order identically regardless
 // of scheduling. NaN metrics order last (pareto.Compare), keeping the
 // sort a strict weak order even for degenerate points.
-func lessRow(a, b *row) bool {
+func lessRow(a, b *Row) bool {
 	if c := pareto.Compare(a.DollarsPerOp, b.DollarsPerOp); c != 0 {
 		return c < 0
 	}
@@ -302,7 +306,7 @@ func lessRow(a, b *row) bool {
 	if a.Stacked != b.Stacked {
 		return !a.Stacked
 	}
-	ga, gb := &a.rec.Config, &b.rec.Config
+	ga, gb := &a.Record.Config, &b.Record.Config
 	if ga.ChipsPerLane != gb.ChipsPerLane {
 		return ga.ChipsPerLane < gb.ChipsPerLane
 	}
@@ -319,10 +323,10 @@ func lessRow(a, b *row) bool {
 type optAcc struct {
 	ok bool
 	v  float64
-	r  row
+	r  Row
 }
 
-func (a *optAcc) add(v float64, r *row) {
+func (a *optAcc) add(v float64, r *Row) {
 	if math.IsNaN(v) {
 		return
 	}
@@ -340,11 +344,10 @@ func (a *optAcc) merge(o *optAcc) {
 
 // result is the winner's Point, zero when no candidate was offered.
 func (a *optAcc) result() Point {
-	var p Point
-	if a.ok {
-		a.r.writePoint(&p)
+	if !a.ok {
+		return Point{}
 	}
-	return p
+	return a.r.Point()
 }
 
 // point is result as a pointer, nil when no candidate was offered.
@@ -375,7 +378,7 @@ type geom struct {
 // and run the chunk evaluator EvaluateChunk runs, each folding into
 // its own accumulator; the accumulators are merged once at the end
 // and finished exactly as ResultMerger finishes. Retained rows are
-// put in the result order (lessRow) and each becomes a Point once, so
+// gathered once into Result.Points in the result order (lessRow), so
 // Result is identical for any worker count, chunk size and scheduling
 // interleave.
 func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Model) (Result, error) {
@@ -410,8 +413,8 @@ func FindCarbonOptimal(sweep Sweep, model tco.Model) (Point, error) {
 	return NewEngine(nil).FindCarbonOptimal(sweep, model)
 }
 
-// explore is ExploreContext with point retention chosen per call: keep
-// also returns every feasible point in Result.Points.
+// explore is ExploreContext with row retention chosen per call: keep
+// also returns every feasible row in Result.Points.
 func (e *Engine) explore(ctx context.Context, sweep Sweep, model tco.Model, keep bool) (Result, error) {
 	rec := e.rec
 	// Parent under whatever the context carries (the daemon's job span,
@@ -445,9 +448,9 @@ func (e *Engine) explore(ctx context.Context, sweep Sweep, model tco.Model, keep
 	sweepSpan := root.Child("sweep")
 	sweepCtx := obs.WithSpan(ctx, sweepSpan)
 	numChunks := plan.NumChunks()
-	var chunkRows [][]row
+	var chunkRows [][]Row
 	if keep {
-		chunkRows = make([][]row, numChunks)
+		chunkRows = make([][]Row, numChunks)
 	}
 	n := e.Workers
 	if n <= 0 {
@@ -524,21 +527,7 @@ func (e *Engine) explore(ctx context.Context, sweep Sweep, model tco.Model, keep
 	paretoSpan := root.Child("pareto")
 	res, err := total.finish()
 	if err == nil && keep {
-		// Deterministic order regardless of scheduling: sort pointers
-		// into the chunk copies (lessRow is a strict total order over
-		// distinct configurations, so any sort yields the same order),
-		// then build each Point once in the exact-size result.
-		order := make([]*row, 0, summary.Feasible)
-		for _, rows := range chunkRows {
-			for i := range rows {
-				order = append(order, &rows[i])
-			}
-		}
-		sort.Slice(order, func(i, j int) bool { return lessRow(order[i], order[j]) })
-		res.Points = make([]Point, len(order))
-		for i, r := range order {
-			r.writePoint(&res.Points[i])
-		}
+		res.Points = sortedRows(chunkRows, summary.Feasible)
 	}
 	paretoSpan.End()
 	if err != nil {
@@ -546,6 +535,51 @@ func (e *Engine) explore(ctx context.Context, sweep Sweep, model tco.Model, keep
 	}
 	rec.Gauge("asiccloud_explore_frontier_size").Set(float64(len(res.Frontier)))
 	return res, nil
+}
+
+// rowKey is a retained row's sort key: its two leading lessRow
+// coordinates beside a pointer to the row, so sorting compares floats
+// in one contiguous slice and follows the pointer only on an exact tie.
+type rowKey struct {
+	dollars, watts float64
+	r              *Row
+}
+
+// cmpRowKey orders keys as lessRow orders their rows.
+func cmpRowKey(a, b rowKey) int {
+	if c := pareto.Compare(a.dollars, b.dollars); c != 0 {
+		return c
+	}
+	if c := pareto.Compare(a.watts, b.watts); c != 0 {
+		return c
+	}
+	switch {
+	case lessRow(a.r, b.r):
+		return -1
+	case lessRow(b.r, a.r):
+		return 1
+	}
+	return 0
+}
+
+// sortedRows gathers the n rows of the chunk copies into one exact-size
+// slice in lessRow order. lessRow is a strict total order over distinct
+// configurations, so the unstable sort gives one order for any
+// schedule.
+func sortedRows(chunks [][]Row, n int64) []Row {
+	keys := make([]rowKey, 0, n)
+	for _, rows := range chunks {
+		for i := range rows {
+			r := &rows[i]
+			keys = append(keys, rowKey{r.DollarsPerOp, r.WattsPerOp, r})
+		}
+	}
+	slices.SortFunc(keys, cmpRowKey)
+	out := make([]Row, len(keys))
+	for i, k := range keys {
+		out[i] = *k.r
+	}
+	return out
 }
 
 // NormalizeVoltages returns a sorted, de-duplicated copy of a

@@ -96,9 +96,9 @@ func VoltageGrid(lo, hi float64) []float64 {
 // Point is one feasible design with its TCO and carbon footprint: the
 // reported form of a design. At about a kilobyte it is too large to
 // move per configuration, so the sweep evaluates, prices and folds
-// compact rows (a server.Row, TCO, carbon and a pointer to the
-// geometry's shared server.Record) and builds Points only for the
-// frontiers and optima it reports and, in keep mode, Result.Points.
+// compact Rows (a server.Row, TCO, carbon and a pointer to the
+// geometry's shared server.Record), keeps Rows in Result.Points, and
+// builds Points only for the frontiers and optima it reports.
 type Point struct {
 	server.Evaluation
 	TCO    tco.Breakdown
@@ -198,8 +198,12 @@ func (s *PruneSummary) merge(o PruneSummary) {
 
 // Result of a design-space exploration.
 type Result struct {
-	// Points holds every feasible evaluated design.
-	Points []Point
+	// Points holds every feasible evaluated design as its Row, in the
+	// deterministic result order (ascending $ per op/s, then W per
+	// op/s, then the configuration), unless Engine.DiscardPoints is
+	// set; Points[i].Point() builds the full Point. Rows of one
+	// geometry share one read-only server.Record.
+	Points []Row
 	// Frontier is the Pareto-optimal subset under ($ per op/s, W per
 	// op/s) minimization, ordered by ascending $ per op/s.
 	Frontier []Point

@@ -199,7 +199,8 @@ func TestExploreWithDRAM(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[int]bool{}
-	for _, p := range res.Points {
+	for i := range res.Points {
+		p := res.Points[i].Point()
 		counts[p.Config.DRAM.PerASIC] = true
 		if p.Config.DRAM.PerASIC == 0 {
 			t.Fatal("DRAM sweep should not produce DRAM-free points")
@@ -223,8 +224,8 @@ func TestExploreDeterministic(t *testing.T) {
 		t.Fatalf("point counts differ: %d vs %d", len(a.Points), len(b.Points))
 	}
 	for i := range a.Points {
-		if a.Points[i].DollarsPerOp != b.Points[i].DollarsPerOp ||
-			a.Points[i].Config.Voltage != b.Points[i].Config.Voltage {
+		pa, pb := a.Points[i].Point(), b.Points[i].Point()
+		if pa.DollarsPerOp != pb.DollarsPerOp || pa.Config.Voltage != pb.Config.Voltage {
 			t.Fatal("exploration is not deterministic")
 		}
 	}

@@ -4,17 +4,21 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"asiccloud/internal/apps/litecoin"
+	"asiccloud/internal/apps/xcode"
+	"asiccloud/internal/carbon"
 	"asiccloud/internal/server"
 	"asiccloud/internal/tco"
+	"asiccloud/internal/thermal"
 )
 
 // sweepRows evaluates every chunk of the sweep in keep mode and returns
 // every feasible row in evaluation order: geometry by geometry, each
 // geometry's stacking options in order, voltages ascending.
-func sweepRows(t testing.TB, sweep Sweep) []row {
+func sweepRows(t testing.TB, sweep Sweep) []Row {
 	t.Helper()
 	plan, err := PlanSweep(sweep, tco.Default(), 0)
 	if err != nil {
@@ -23,7 +27,7 @@ func sweepRows(t testing.TB, sweep Sweep) []row {
 	eng := NewEngine(nil)
 	ctr := newExploreCounters(nil)
 	w := chunkWorker{acc: newSweepAcc(PruneSummary{}), ctr: &ctr}
-	var rows []row
+	var rows []Row
 	for c := 0; c < plan.NumChunks(); c++ {
 		chunk, err := eng.evalChunk(context.Background(), plan, c, &w, true, nil)
 		if err != nil {
@@ -53,15 +57,15 @@ func TestSplitJoinIdentityOnSweep(t *testing.T) {
 		var recs chunkRecords
 		geoms := make(map[geom]bool)
 		for i := range res.Points {
-			p := &res.Points[i]
+			pt := res.Points[i].Point()
+			p := &pt
 			rec, r := server.Split(&p.Evaluation)
 			var ev server.Evaluation
 			if server.Join(&ev, &rec, &r); ev != p.Evaluation {
 				t.Fatalf("%s: point %d: Join(Split(ev)) != ev", name, i)
 			}
 			rw := recs.split(p)
-			var back Point
-			if rw.writePoint(&back); back != *p {
+			if back := rw.Point(); back != *p {
 				t.Fatalf("%s: point %d: the merger's row does not rebuild the point", name, i)
 			}
 			geoms[geomOf(&p.Config)] = true
@@ -69,6 +73,91 @@ func TestSplitJoinIdentityOnSweep(t *testing.T) {
 		if len(recs) != len(geoms) {
 			t.Errorf("%s: %d records for %d geometries", name, len(recs), len(geoms))
 		}
+	}
+}
+
+// TestKeptRowsMatchEvaluation pins what keep mode retains. Every row of
+// the stacked bitcoin and XCode DRAM 1..3 sweeps must build exactly the
+// Point an independent evaluation of its configuration gives: the
+// geometry's server.ThermalPlan, server.EvaluateWithPlan at the row's
+// voltage and stacking, priced by the default TCO and carbon models.
+// The rows must come in strictly ascending lessRow order, and the rows
+// of one geometry must share one record.
+func TestKeptRowsMatchEvaluation(t *testing.T) {
+	xc, err := xcode.ServerConfig(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, cm := tco.Default(), carbon.Default()
+	for name, sweep := range map[string]Sweep{
+		"stacked bitcoin": stackedBitcoinSweep(),
+		"xcode dram 1..3": {Base: xc, DRAMPerASIC: []int{1, 2, 3}},
+	} {
+		res, err := NewEngine(nil).Explore(sweep, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(res.Points)) != res.Pruned.Feasible {
+			t.Fatalf("%s: %d rows kept, %d feasible", name, len(res.Points), res.Pruned.Feasible)
+		}
+		plans := make(map[geom]thermal.OptimizeResult)
+		records := make(map[geom]*server.Record)
+		for i := range res.Points {
+			r := &res.Points[i]
+			got := r.Point()
+			cfg := got.Config
+			g := geomOf(&cfg)
+			plan, ok := plans[g]
+			if !ok {
+				if plan, err = server.ThermalPlan(cfg); err != nil {
+					t.Fatalf("%s: row %d: %v", name, i, err)
+				}
+				plans[g] = plan
+			}
+			ev, err := server.EvaluateWithPlan(cfg, plan)
+			if err != nil {
+				t.Fatalf("%s: row %d (%.2f V, stacked %v): %v", name, i, cfg.Voltage, cfg.Stacked, err)
+			}
+			embodied := cm.EmbodiedServerKg(cfg.Process, cfg.DieArea(), cfg.ChipsPerLane*cfg.Lanes)
+			want := Point{
+				Evaluation: ev,
+				TCO:        model.Of(ev.DollarsPerOp, ev.WattsPerOp),
+				Carbon:     cm.Of(embodied, ev.Perf, ev.WallPower),
+			}
+			if got != want {
+				t.Fatalf("%s: row %d does not build its evaluated point:\n got %+v\nwant %+v", name, i, got, want)
+			}
+			if i > 0 && !lessRow(&res.Points[i-1], r) {
+				t.Fatalf("%s: rows %d and %d are not in strictly ascending lessRow order", name, i-1, i)
+			}
+			if rec, ok := records[g]; !ok {
+				records[g] = r.Record
+			} else if rec != r.Record {
+				t.Fatalf("%s: row %d: its geometry's rows hold two records", name, i)
+			}
+		}
+		t.Logf("%s: %d rows over %d geometries", name, len(res.Points), len(records))
+	}
+}
+
+// TestKeepModeBytesPerRow bounds what a keep-mode sweep allocates per
+// feasible row: the chunk copy, the sort key and the result row, about
+// 630 bytes, plus the sweep's own share spread over its rows. Building
+// a kilobyte Point per row would cost over 1,300.
+func TestKeepModeBytesPerRow(t *testing.T) {
+	eng := NewEngine(nil)
+	eng.Workers = 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := eng.Explore(stackedBitcoinSweep(), tco.Default())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Pruned.Feasible)
+	t.Logf("%d feasible rows, %.0f bytes allocated per row", res.Pruned.Feasible, perRow)
+	if perRow >= 900 {
+		t.Errorf("keep mode allocates %.0f bytes per feasible row, want under 900", perRow)
 	}
 }
 
@@ -104,7 +193,7 @@ func TestPhysicsInvariants(t *testing.T) {
 					}
 				}
 			}
-			if i == 0 || rows[i-1].rec != r.rec || rows[i-1].Stacked != r.Stacked {
+			if i == 0 || rows[i-1].Record != r.Record || rows[i-1].Stacked != r.Stacked {
 				continue // first feasible voltage of its column
 			}
 			lo := &rows[i-1]
@@ -112,7 +201,7 @@ func TestPhysicsInvariants(t *testing.T) {
 			if lo.Voltage >= r.Voltage {
 				t.Fatalf("%s: column not in ascending voltage order: %.2f V then %.2f V", name, lo.Voltage, r.Voltage)
 			}
-			cfg := &r.rec.Config
+			cfg := &r.Record.Config
 			if r.Perf < lo.Perf {
 				t.Errorf("%s: %d chips × %d RCAs, %d DRAMs, stacked %v: perf falls from %v at %.2f V to %v at %.2f V",
 					name, cfg.ChipsPerLane, cfg.RCAsPerChip, cfg.DRAM.PerASIC, r.Stacked, lo.Perf, lo.Voltage, r.Perf, r.Voltage)

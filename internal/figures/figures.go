@@ -236,11 +236,13 @@ func Figure11() (Artifact, error) {
 	}
 	// Sample voltages at the 10-chips-per-lane slice, like the paper.
 	var rows [][]string
-	for _, p := range res.Points {
-		if p.Config.ChipsPerLane != 10 {
+	for i := range res.Points {
+		r := &res.Points[i]
+		cfg := &r.Record.Config
+		if cfg.ChipsPerLane != 10 {
 			continue
 		}
-		v := p.Config.Voltage
+		v := r.Voltage
 		sampled := false
 		for _, want := range []float64{0.40, 0.45, 0.50, 0.55, 0.60, 0.62} {
 			if units.ApproxEqual(v, want, 1e-9) {
@@ -253,9 +255,9 @@ func Figure11() (Artifact, error) {
 		}
 		rows = append(rows, []string{
 			f("%.2f", v),
-			f("%.0f", float64(p.Config.RCAsPerChip*p.Config.ChipsPerLane)*p.Config.RCA.Area),
-			f("%.3f", p.ChipHeat/p.DieArea),
-			f("%.3f", p.DollarsPerOp),
+			f("%.0f", float64(cfg.RCAsPerChip*cfg.ChipsPerLane)*cfg.RCA.Area),
+			f("%.3f", r.ChipHeat/r.Record.DieArea),
+			f("%.3f", r.DollarsPerOp),
 		})
 	}
 	// Silicon cells are unsigned integers, so shorter strings are smaller

@@ -219,48 +219,60 @@ func NewRegistry() *Registry {
 	}
 }
 
-// labelEscaper escapes a Prometheus label value. A strings.Replacer is
-// safe for concurrent use and builds its lookup table once, so every
-// series lookup shares this one.
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-
-// renderLabels formats k/v pairs as a Prometheus label block. Pairs are
-// taken in the given order; an odd trailing key is dropped.
-func renderLabels(labels []string) string {
+// appendKey appends a series' registry key, its base name followed by
+// its Prometheus label block, to dst. Pairs are taken in the given
+// order; an odd trailing key is dropped, and no pairs give no block.
+func appendKey(dst []byte, name string, labels []string) []byte {
+	dst = append(dst, name...)
 	if len(labels) < 2 {
-		return ""
+		return dst
 	}
-	n := 2
-	for i := 0; i+1 < len(labels); i += 2 {
-		n += len(labels[i]) + len(labels[i+1]) + 4
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteByte('{')
+	dst = append(dst, '{')
 	for i := 0; i+1 < len(labels); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(labels[i])
-		b.WriteString(`="`)
-		b.WriteString(labelEscaper.Replace(labels[i+1]))
-		b.WriteByte('"')
+		dst = append(dst, labels[i]...)
+		dst = append(dst, `="`...)
+		dst = appendLabelValue(dst, labels[i+1])
+		dst = append(dst, '"')
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
+}
+
+// appendLabelValue appends v escaped as a Prometheus label value:
+// backslash, double quote and newline become \\, \" and \n.
+func appendLabelValue(dst []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			dst = append(dst, `\\`...)
+		case '"':
+			dst = append(dst, `\"`...)
+		case '\n':
+			dst = append(dst, `\n`...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // get registers (or finds) a series and fully initializes its value
 // under the registry lock, so callers never see a half-built metric.
+// The key is built in a stack buffer and looked up without converting
+// it, so re-resolving an existing series allocates nothing; the key
+// string is made only when the series is new.
 func (r *Registry) get(name string, labels []string, kind metricKind, bounds []float64) *metric {
-	rendered := renderLabels(labels)
-	key := name + rendered
+	var buf [128]byte
+	key := appendKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if got, ok := r.metrics[key]; ok {
+	if got, ok := r.metrics[string(key)]; ok {
 		return got
 	}
-	m := &metric{name: name, labels: rendered, kind: kind}
+	k := string(key)
+	m := &metric{name: name, labels: k[len(name):], kind: kind}
 	switch kind {
 	case kindCounter:
 		m.c = &Counter{}
@@ -272,8 +284,8 @@ func (r *Registry) get(name string, labels []string, kind metricKind, bounds []f
 		}
 		m.h = newHistogram(bounds)
 	}
-	r.metrics[key] = m
-	r.order = append(r.order, key)
+	r.metrics[k] = m
+	r.order = append(r.order, k)
 	return m
 }
 

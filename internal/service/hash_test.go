@@ -1,18 +1,18 @@
 package service
 
 import (
-	"encoding/json"
+	"strings"
 	"testing"
 )
 
 // decode parses a JSON request body exactly as the HTTP handler does.
 func decode(t testing.TB, body string) *Request {
 	t.Helper()
-	var req Request
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
-		t.Fatalf("unmarshal %s: %v", body, err)
+	req, err := DecodeRequest(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("decode %s: %v", body, err)
 	}
-	return &req
+	return req
 }
 
 // hashOf canonicalizes a JSON body and returns its request hash.

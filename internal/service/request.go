@@ -1,7 +1,10 @@
 package service
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -54,6 +57,27 @@ type Request struct {
 	// timeout is an execution option, not part of the design space, so
 	// it does not enter the request hash.
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
+}
+
+// DecodeRequest reads one Request from r the way both front ends take
+// it, the POST /v1/sweeps body and asiccloudd's -request file: a single
+// JSON value with no unknown field, so a typo cannot silently select a
+// default, and nothing after it but whitespace, so a second request
+// cannot ride along unread.
+func DecodeRequest(r io.Reader) (*Request, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req Request
+	if err := dec.Decode(&req); err != nil {
+		return nil, err
+	}
+	switch _, err := dec.Token(); {
+	case errors.Is(err, io.EOF):
+		return &req, nil
+	case err != nil:
+		return nil, fmt.Errorf("after the request: %w", err)
+	}
+	return nil, errors.New("more JSON after the request")
 }
 
 // RCASpec mirrors the scalar fields of vlsi.Spec with JSON names that

@@ -384,14 +384,12 @@ const maxRequestBody = 1 << 20
 // handleSubmit is POST /v1/sweeps.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// net/http closes the request body after the handler returns.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
+	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	job, code, err := s.submit(r.Context(), &req)
+	job, code, err := s.submit(r.Context(), req)
 	if err != nil {
 		writeError(w, code, err)
 		return

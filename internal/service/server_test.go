@@ -337,6 +337,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}{
 		"malformed json": {`{app:`, http.StatusBadRequest},
 		"unknown field":  {`{"app":"bitcoin","bogus":1}`, http.StatusBadRequest},
+		"trailing value": {`{"app":"bitcoin"} {"app":"xcode"}`, http.StatusBadRequest},
 		"unknown app":    {`{"app":"quantum"}`, http.StatusBadRequest},
 		"cnn":            {`{"app":"cnn"}`, http.StatusBadRequest},
 		"neg timeout":    {`{"app":"bitcoin","timeout_seconds":-1}`, http.StatusBadRequest},

@@ -7,8 +7,9 @@
 # smoke test boots a real asiccloudd, runs the quickstart sweep against
 # it, and diffs the daemon's answer against the CLI's; the distributed
 # smoke test byte-diffs a 3-worker coordinator sweep against the
-# single-process run and kills a worker mid-sweep to prove lease
-# requeue recovers its chunks. `go test ./...` compiles the benchmarks
+# single-process run, kills a worker mid-sweep to prove lease
+# requeue recovers its chunks, and kills a coordinator mid-sweep to
+# prove its workers exit non-zero. `go test ./...` compiles the benchmarks
 # but never runs them, so every benchmark also runs once (-benchtime
 # 1x), which catches one that fails or panics. The repo benchmark
 # (_perfbench) is its own module, and ./... skips directories whose

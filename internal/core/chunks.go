@@ -38,12 +38,12 @@ import (
 //
 // Rows are evaluated, priced, folded, compared and, in keep mode,
 // retained as Result.Points; full Points exist only at the edges: the
-// frontiers and optima a Result or ChunkResult reports.
+// frontiers a Result or ChunkResult reports, which hold the optima.
 //
-// Because pareto.Fold merge is associative and order-independent and
-// optAcc merge is commutative, the finished Result is byte-identical
-// regardless of worker count, which worker or process evaluated which
-// chunk, how chunks were requeued, or arrival order.
+// Because pareto.Fold merge is associative and order-independent, the
+// finished Result is byte-identical regardless of worker count, which
+// worker or process evaluated which chunk, how chunks were requeued, or
+// arrival order.
 
 // sweepGrid is the resolved, deterministic form of a Sweep: the base
 // configuration and economic model, the normalized voltage grid, the
@@ -306,12 +306,12 @@ func (p *SweepPlan) GridSummary() PruneSummary {
 }
 
 // ChunkResult is one chunk's contribution to a sweep: the chunk-local
-// Pareto fold survivors, the four chunk-local optimum candidates, and
-// the chunk's exact per-geometry prune accounting. It is the payload a
-// distributed worker returns; its JSON form is the records-plus-rows
-// one MarshalJSON and UnmarshalJSON define (see chunkwire.go), and
-// float64 values survive it exactly (records as encoding/json's
-// shortest round-tripping decimals, rows as their IEEE 754 bits).
+// Pareto fold survivors and the chunk's exact per-geometry prune
+// accounting. It is the payload a distributed worker returns; its JSON
+// form is the records-plus-rows one MarshalJSON and UnmarshalJSON
+// define (see chunkwire.go), and float64 values survive it exactly
+// (records as encoding/json's shortest round-tripping decimals, rows as
+// their IEEE 754 bits).
 type ChunkResult struct {
 	Chunk     int
 	NumChunks int
@@ -322,9 +322,11 @@ type ChunkResult struct {
 	// CarbonFrontier is the chunk-local (TCO per op/s, kg CO2e per
 	// op/s) fold's survivor set, merged the same way Frontier is.
 	CarbonFrontier []Point
-	// EnergyOptimal, CostOptimal, TCOOptimal and CarbonOptimal are the
-	// chunk's argmin candidates under the engine's deterministic
-	// tie-break; nil when the chunk has no feasible point.
+	// EnergyOptimal, CostOptimal, TCOOptimal and CarbonOptimal are
+	// ignored: EvaluateChunk leaves them nil, the wire form does not
+	// carry them, and ResultMerger reads the optima off the merged
+	// frontiers instead. They remain only because the benchmark's
+	// replay (_perfbench) still assigns them.
 	EnergyOptimal *Point
 	CostOptimal   *Point
 	TCOOptimal    *Point
@@ -336,15 +338,14 @@ type ChunkResult struct {
 }
 
 // sweepAcc is the sweep's one fold accumulator: the (dollars, watts)
-// and (TCO, CO2e) Pareto folds, the four optimum accumulators and the
-// prune accounting, all over rows. Memory is O(frontier), however many
-// rows flow through. An accumulator is not safe for concurrent use:
-// each sweep worker owns one, and they are merged once the workers are
-// done.
+// and (TCO, CO2e) Pareto folds and the prune accounting, all over rows.
+// The two folds hold the four optima too (see finish). Memory is
+// O(frontier), however many rows flow through. An accumulator is not
+// safe for concurrent use: each sweep worker owns one, and they are
+// merged once the workers are done.
 type sweepAcc struct {
-	fold, cfold                     *pareto.Fold[Row]
-	energy, cost, tcoOpt, carbonOpt optAcc
-	summary                         PruneSummary
+	fold, cfold *pareto.Fold[Row]
+	summary     PruneSummary
 }
 
 // newSweepAcc returns an empty accumulator seeded with summary.
@@ -356,30 +357,20 @@ func newSweepAcc(summary PruneSummary) sweepAcc {
 	}
 }
 
-// add folds one feasible row in; its feasible count is accounted where
-// it is evaluated. The sweep calls add once per feasible configuration,
-// so each objective is computed once here and no fold or optimum copies
-// the row unless it survives.
+// add folds one feasible row into both folds; its feasible count is
+// accounted where it is evaluated. The sweep calls add once per
+// feasible configuration, so no fold copies the row unless it survives.
 //
 //asic:hotpath
 func (a *sweepAcc) add(r *Row) {
-	tcoPerOp, co2PerOp := r.TCO.Total(), r.Carbon.Total()
 	a.fold.AddAt(r.DollarsPerOp, r.WattsPerOp, r)
-	a.cfold.AddAt(tcoPerOp, co2PerOp, r)
-	a.energy.add(r.WattsPerOp, r)
-	a.cost.add(r.DollarsPerOp, r)
-	a.tcoOpt.add(tcoPerOp, r)
-	a.carbonOpt.add(co2PerOp, r)
+	a.cfold.AddAt(r.TCO.Total(), r.Carbon.Total(), r)
 }
 
-// merge folds o's survivors, optimum candidates and accounting into a.
+// merge folds o's survivors and accounting into a.
 func (a *sweepAcc) merge(o *sweepAcc) {
 	a.fold.Merge(o.fold)
 	a.cfold.Merge(o.cfold)
-	a.energy.merge(&o.energy)
-	a.cost.merge(&o.cost)
-	a.tcoOpt.merge(&o.tcoOpt)
-	a.carbonOpt.merge(&o.carbonOpt)
 	a.summary.merge(o.summary)
 }
 
@@ -390,10 +381,6 @@ func (a *sweepAcc) chunkResult(c, n int) ChunkResult {
 		NumChunks:      n,
 		Frontier:       points(a.fold.Points()),
 		CarbonFrontier: points(a.cfold.Points()),
-		EnergyOptimal:  a.energy.point(),
-		CostOptimal:    a.cost.point(),
-		TCOOptimal:     a.tcoOpt.point(),
-		CarbonOptimal:  a.carbonOpt.point(),
 		Pruned:         a.summary,
 	}
 }
@@ -411,8 +398,9 @@ func points(rows []Row) []Point {
 }
 
 // addChunk folds a chunk's wire form in, the inverse of chunkResult:
-// merging the ChunkResult of accumulator o is merging o. Each Point is
-// split into a row once; the rows of one geometry share one record.
+// merging the ChunkResult of accumulator o is merging o. Each frontier
+// Point is split into a row once; the rows of one geometry share one
+// record. The chunk's optimum fields are not read.
 func (a *sweepAcc) addChunk(cr ChunkResult) {
 	var recs chunkRecords
 	for i := range cr.Frontier {
@@ -422,22 +410,6 @@ func (a *sweepAcc) addChunk(cr ChunkResult) {
 	for i := range cr.CarbonFrontier {
 		r := recs.split(&cr.CarbonFrontier[i])
 		a.cfold.AddAt(r.TCO.Total(), r.Carbon.Total(), &r)
-	}
-	if p := cr.EnergyOptimal; p != nil {
-		r := recs.split(p)
-		a.energy.add(r.WattsPerOp, &r)
-	}
-	if p := cr.CostOptimal; p != nil {
-		r := recs.split(p)
-		a.cost.add(r.DollarsPerOp, &r)
-	}
-	if p := cr.TCOOptimal; p != nil {
-		r := recs.split(p)
-		a.tcoOpt.add(r.TCO.Total(), &r)
-	}
-	if p := cr.CarbonOptimal; p != nil {
-		r := recs.split(p)
-		a.carbonOpt.add(r.Carbon.Total(), &r)
 	}
 	a.summary.merge(cr.Pruned)
 }
@@ -471,8 +443,9 @@ func (rs *chunkRecords) split(p *Point) Row {
 // re-running Frontier applies the same duplicate tie-breaking a
 // frontier pass over every sorted point would, so both the (dollars,
 // watts) frontier and the (TCO, CO2e) frontier are byte-identical
-// however the rows were folded and merged. Pruned is populated even
-// on the no-feasible-point error.
+// however the rows were folded and merged. The optima are read off the
+// frontiers, under the tie rule Result documents. Pruned is populated
+// even on the no-feasible-point error.
 //
 //asic:canonical
 func (a *sweepAcc) finish() (Result, error) {
@@ -483,10 +456,15 @@ func (a *sweepAcc) finish() (Result, error) {
 	}
 	res.Frontier = frontier(a.fold, rowDollars, rowWatts)
 	res.CarbonFrontier = frontier(a.cfold, rowTCO, rowCO2)
-	res.EnergyOptimal = a.energy.result()
-	res.CostOptimal = a.cost.result()
-	res.TCOOptimal = a.tcoOpt.result()
-	res.CarbonOptimal = a.carbonOpt.result()
+	if n := len(res.Frontier); n > 0 {
+		res.CostOptimal, res.EnergyOptimal = res.Frontier[0], res.Frontier[n-1]
+	}
+	if i := pareto.ArgMin(res.Frontier, Point.TCOPerOp); i >= 0 {
+		res.TCOOptimal = res.Frontier[i]
+	}
+	if n := len(res.CarbonFrontier); n > 0 {
+		res.CarbonOptimal = res.CarbonFrontier[n-1]
+	}
 	return res, nil
 }
 

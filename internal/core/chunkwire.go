@@ -13,9 +13,9 @@ import (
 )
 
 // ChunkResult's JSON wire form: records plus rows. A chunk's two
-// frontiers and four optima name mostly the same points, and every
-// point of one geometry shares its server.Record (the sweep evaluates a
-// geometry's whole voltage column into rows against one record,
+// frontiers name many of the same points, and every point of one
+// geometry shares its server.Record (the sweep evaluates a geometry's
+// whole voltage column into rows against one record,
 // server.EvaluateRows). So the wire form stores each record and each
 // point once:
 //
@@ -26,8 +26,8 @@ import (
 //   - rows: one byte block holding, in points order, each point's
 //     server.Row, tco.Breakdown and carbon.Breakdown as fixed-width
 //     little-endian numbers (rowCodec), base64 in the JSON;
-//   - frontier, carbon_frontier and the four optima: indexes into
-//     points.
+//   - frontier and carbon_frontier: indexes into points. ChunkResult's
+//     optimum fields are not encoded.
 //
 // The factoring is exact only while that invariant holds, so
 // MarshalJSON fails, rather than send a point its geometry entry would
@@ -49,10 +49,6 @@ type chunkWire struct {
 	Rows           []byte          `json:"rows,omitempty"`
 	Frontier       []int           `json:"frontier,omitempty"`
 	CarbonFrontier []int           `json:"carbon_frontier,omitempty"`
-	EnergyOptimal  *int            `json:"energy_optimal,omitempty"`
-	CostOptimal    *int            `json:"cost_optimal,omitempty"`
-	TCOOptimal     *int            `json:"tco_optimal,omitempty"`
-	CarbonOptimal  *int            `json:"carbon_optimal,omitempty"`
 	Pruned         PruneSummary    `json:"pruned"`
 }
 
@@ -177,7 +173,7 @@ func (c *rowCodec) next(n int) ([]byte, error) {
 func (cr ChunkResult) MarshalJSON() ([]byte, error) {
 	// Every reference may name a distinct point: size the rows block
 	// for that, so it never grows.
-	refs := len(cr.Frontier) + len(cr.CarbonFrontier) + 4
+	refs := len(cr.Frontier) + len(cr.CarbonFrontier)
 	t := pointTable{
 		rows:     rowCodec{buf: make([]byte, 0, refs*rowSize)},
 		geomIdx:  make(map[geom]int),
@@ -188,10 +184,6 @@ func (cr ChunkResult) MarshalJSON() ([]byte, error) {
 		NumChunks:      cr.NumChunks,
 		Frontier:       t.indexes(cr.Frontier),
 		CarbonFrontier: t.indexes(cr.CarbonFrontier),
-		EnergyOptimal:  t.optimum(cr.EnergyOptimal),
-		CostOptimal:    t.optimum(cr.CostOptimal),
-		TCOOptimal:     t.optimum(cr.TCOOptimal),
-		CarbonOptimal:  t.optimum(cr.CarbonOptimal),
 		Pruned:         cr.Pruned,
 	}
 	if t.err != nil {
@@ -247,25 +239,6 @@ func (cr *ChunkResult) UnmarshalJSON(b []byte) error {
 	}
 	if out.CarbonFrontier, err = pick(pts, w.CarbonFrontier); err != nil {
 		return fail("carbon frontier: %v", err)
-	}
-	for _, o := range [...]struct {
-		name string
-		idx  *int
-		dst  **Point
-	}{
-		{"energy optimum", w.EnergyOptimal, &out.EnergyOptimal},
-		{"cost optimum", w.CostOptimal, &out.CostOptimal},
-		{"TCO optimum", w.TCOOptimal, &out.TCOOptimal},
-		{"carbon optimum", w.CarbonOptimal, &out.CarbonOptimal},
-	} {
-		if o.idx == nil {
-			continue
-		}
-		p, err := pick(pts, []int{*o.idx})
-		if err != nil {
-			return fail("%s: %v", o.name, err)
-		}
-		*o.dst = &p[0]
 	}
 	*cr = out
 	return nil
@@ -358,13 +331,4 @@ func (t *pointTable) indexes(ps []Point) []int {
 		out[i] = t.index(&ps[i])
 	}
 	return out
-}
-
-// optimum maps an optional point to an optional table index.
-func (t *pointTable) optimum(p *Point) *int {
-	if p == nil {
-		return nil
-	}
-	i := t.index(p)
-	return &i
 }

@@ -149,12 +149,6 @@ func TestChunkWireRoundTrip(t *testing.T) {
 						refs++
 					}
 				}
-				for _, p := range []*Point{cr.EnergyOptimal, cr.CostOptimal, cr.TCOOptimal, cr.CarbonOptimal} {
-					if p != nil {
-						distinct[configKey(p)] = true
-						refs++
-					}
-				}
 				if len(w.Points) != len(distinct) {
 					t.Fatalf("chunk %d: point table has %d entries for %d distinct configurations",
 						cr.Chunk, len(w.Points), len(distinct))
@@ -227,7 +221,7 @@ func TestChunkWireRefusesInconsistentGeometry(t *testing.T) {
 	capacity.LanePowerCap *= 1.1
 	for name, cr := range map[string]ChunkResult{
 		"heat sink":      {Frontier: []Point{a, sink}},
-		"config field":   {Frontier: []Point{a}, TCOOptimal: &inlet},
+		"config field":   {Frontier: []Point{a}, CarbonFrontier: []Point{inlet}},
 		"lane power cap": {CarbonFrontier: []Point{capacity, a}},
 	} {
 		if _, err := cr.MarshalJSON(); err == nil {
@@ -283,7 +277,7 @@ func TestChunkWireRejectsFullPointForm(t *testing.T) {
 func goodWire(t *testing.T) chunkWire {
 	t.Helper()
 	a, b := realPoints(t)
-	good, err := (ChunkResult{Frontier: []Point{a, b}, TCOOptimal: &b}).MarshalJSON()
+	good, err := (ChunkResult{Frontier: []Point{a, b}}).MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,12 +311,9 @@ func decodeMutated(t *testing.T, w chunkWire, mutate func(*chunkWire)) (ChunkRes
 // TestChunkWireRejectsBadIndexes: every table index is checked.
 func TestChunkWireRejectsBadIndexes(t *testing.T) {
 	good := goodWire(t)
-	five, minus := 5, -1
 	for name, mutate := range map[string]func(*chunkWire){
 		"frontier past table":      func(w *chunkWire) { w.Frontier[1] = len(w.Points) },
 		"negative carbon frontier": func(w *chunkWire) { w.CarbonFrontier = []int{-1} },
-		"optimum past table":       func(w *chunkWire) { w.EnergyOptimal = &five },
-		"negative optimum":         func(w *chunkWire) { w.TCOOptimal = &minus },
 		"geometry past table":      func(w *chunkWire) { w.Points[0] = len(w.Geoms) },
 		"negative geometry":        func(w *chunkWire) { w.Points[1] = -1 },
 		"geometry listed twice":    func(w *chunkWire) { w.Geoms = append(w.Geoms, w.Geoms[0]) },

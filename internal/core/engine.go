@@ -222,7 +222,7 @@ func (e *Engine) Explore(sweep Sweep, model tco.Model) (Result, error) {
 // per-voltage server.Row, its TCO and carbon breakdowns, and a pointer
 // to its geometry's server.Record. At about 300 bytes it is a third of
 // the Point it stands for; Point builds that Point, and the sweep
-// builds Points only for the frontiers and optima it reports.
+// builds Points only for the frontiers it reports.
 type Row struct {
 	server.Row
 	TCO    tco.Breakdown
@@ -314,49 +314,6 @@ func lessRow(a, b *Row) bool {
 		return ga.RCAsPerChip < gb.RCAsPerChip
 	}
 	return ga.DRAM.PerASIC < gb.DRAM.PerASIC
-}
-
-// optAcc tracks a running argmin with lessRow as the tie-break, so a
-// streaming fold selects exactly the point pareto.ArgMin would pick
-// from the lessRow-sorted slice. NaN values never win. Candidates
-// arrive by pointer and are copied only when they win.
-type optAcc struct {
-	ok bool
-	v  float64
-	r  Row
-}
-
-func (a *optAcc) add(v float64, r *Row) {
-	if math.IsNaN(v) {
-		return
-	}
-	//lint:ignore floatcmp the tie-break must fire on exact metric equality to mirror ArgMin over a sorted slice
-	if !a.ok || v < a.v || (v == a.v && lessRow(r, &a.r)) {
-		a.ok, a.v, a.r = true, v, *r
-	}
-}
-
-func (a *optAcc) merge(o *optAcc) {
-	if o.ok {
-		a.add(o.v, &o.r)
-	}
-}
-
-// result is the winner's Point, zero when no candidate was offered.
-func (a *optAcc) result() Point {
-	if !a.ok {
-		return Point{}
-	}
-	return a.r.Point()
-}
-
-// point is result as a pointer, nil when no candidate was offered.
-func (a *optAcc) point() *Point {
-	if !a.ok {
-		return nil
-	}
-	p := a.result()
-	return &p
 }
 
 // geom is one deduplicated cell of the geometry grid.

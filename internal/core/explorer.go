@@ -98,7 +98,7 @@ func VoltageGrid(lo, hi float64) []float64 {
 // move per configuration, so the sweep evaluates, prices and folds
 // compact Rows (a server.Row, TCO, carbon and a pointer to the
 // geometry's shared server.Record), keeps Rows in Result.Points, and
-// builds Points only for the frontiers and optima it reports.
+// builds Points only for the frontiers it reports.
 type Point struct {
 	server.Evaluation
 	TCO    tco.Breakdown
@@ -208,12 +208,30 @@ type Result struct {
 	// op/s) minimization, ordered by ascending $ per op/s.
 	Frontier []Point
 	// EnergyOptimal, CostOptimal and TCOOptimal are the three columns
-	// of the paper's per-application tables.
+	// of the paper's per-application tables, and CarbonOptimal, which
+	// minimizes CO2e per op/s, is the sustainability objective's answer
+	// to TCOOptimal. Each is a frontier point:
+	//
+	//   - CostOptimal is Frontier[0] and EnergyOptimal the last Frontier
+	//     point.
+	//   - TCOOptimal is the first Frontier point of least TCO per op/s.
+	//     TCO never falls as $ or W per op/s rises (tco.Model.Validate
+	//     keeps its weights non-negative), so the least-TCO design is
+	//     where an iso-TCO line touches the frontier, as in the paper's
+	//     Figures 12, 14, 15 and 17.
+	//   - CarbonOptimal is the last CarbonFrontier point.
+	//
+	// Ties: of rows with equal $ and W per op/s, the first in the result
+	// order wins (the order of Points: ascending voltage, then unstacked
+	// before stacked, then chips per lane, RCAs per chip and DRAM per
+	// ASIC). Of rows with equal CO2e per op/s, the one with least TCO
+	// per op/s wins, then the first in the result order. A row with a
+	// NaN $ or W per op/s is never the cost, energy or TCO optimum, and
+	// one with a NaN TCO or CO2e per op/s never the carbon optimum; an
+	// optimum whose frontier is empty is the zero Point.
 	EnergyOptimal Point
 	CostOptimal   Point
 	TCOOptimal    Point
-	// CarbonOptimal minimizes CO2e per op/s — the sustainability
-	// objective's answer to TCOOptimal.
 	CarbonOptimal Point
 	// CarbonFrontier is the Pareto-optimal subset under (TCO per op/s,
 	// kg CO2e per op/s) minimization, ordered by ascending TCO per

@@ -26,10 +26,10 @@ import (
 // with core.ResultMerger and renders the result through the same
 // marshalResult the daemon and RunOnce use, so a distributed sweep's
 // bytes are identical to a single-process run: frontier merge is
-// associative and order-independent, optimum merge is commutative,
-// prune accounting counts grid-build prunes once and per-geometry
-// prunes per chunk, and float64s round-trip the chunk wire form
-// exactly.
+// associative and order-independent, the optima are read off the
+// merged frontiers, prune accounting counts grid-build prunes once and
+// per-geometry prunes per chunk, and float64s round-trip the chunk wire
+// form exactly.
 //
 // Chunk identity is stable across processes: the payload carries the
 // full wire Request plus its canonical hash, and the worker
@@ -170,12 +170,12 @@ type CoordinatorOptions struct {
 
 // RunCoordinator runs one sweep distributed over the pool protocol:
 // it serves chunk jobs to every worker that connects to ln, merges the
-// returned partial frontiers and optima, and renders the exact bytes
-// the daemon (and RunOnce) would serve for the same request. It
-// returns when every chunk has been merged — surviving worker crashes
-// via lease requeue — or when the context is canceled, any chunk
-// fails, or a worker returns an undecodable result. ln is closed by
-// the time RunCoordinator returns.
+// returned partial frontiers, reads the optima off the merged ones, and
+// renders the exact bytes the daemon (and RunOnce) would serve for the
+// same request. It returns when every chunk has been merged — surviving
+// worker crashes via lease requeue — or when the context is canceled,
+// any chunk fails, or a worker returns an undecodable result. ln is
+// closed by the time RunCoordinator returns.
 func RunCoordinator(ctx context.Context, req *Request, ln net.Listener, rec *obs.Recorder, opts CoordinatorOptions) ([]byte, error) {
 	log := obs.OrNop(opts.Logger)
 	can, err := Canonicalize(req)

@@ -67,6 +67,11 @@ func TestHashIgnoresSpelledOutDefaults(t *testing.T) {
 	if a != b {
 		t.Fatalf("spelled-out default PUE changed hash: %s vs %s", a, b)
 	}
+	// The whole tco.Default() block, as API.md shows it.
+	full := hashOf(t, `{"app":"bitcoin","tco":{"server_markup":1.05,"interest_rate":0.082,"lifetime_years":1.5,"dc_capex_per_watt_year":1.6027,"dc_amort_years":7.1,"electricity_per_kwh":0.06,"pue":1.1}}`)
+	if a != full {
+		t.Fatalf("spelled-out default TCO model changed hash: %s vs %s", a, full)
+	}
 	// Same for the custom RCA defaults.
 	c := hashOf(t, `{"app":"custom","rca":{"area_mm2":2,"nominal_perf":100,"nominal_power_density_w_per_mm2":0.3}}`)
 	d := hashOf(t, `{"app":"custom","rca":{"area_mm2":2,"nominal_perf":100,"nominal_power_density_w_per_mm2":0.3,"nominal_voltage_v":1.0,"nominal_freq_hz":800e6,"leakage_fraction":0.03,"name":"custom","perf_unit":"ops/s"}}`)
@@ -116,17 +121,20 @@ func TestInertDRAMKindCannotSplitHashes(t *testing.T) {
 
 func TestCanonicalizeRejects(t *testing.T) {
 	for name, body := range map[string]string{
-		"missing app":      `{}`,
-		"unknown app":      `{"app":"quantum"}`,
-		"cnn not served":   `{"app":"cnn"}`,
-		"custom needs rca": `{"app":"custom"}`,
-		"negative voltage": `{"app":"bitcoin","sweep":{"voltages_v":[-0.5]}}`,
-		"zero silicon":     `{"app":"bitcoin","sweep":{"silicon_per_lane_mm2":[0]}}`,
-		"zero chips":       `{"app":"bitcoin","sweep":{"chips_per_lane":[0]}}`,
-		"negative dram":    `{"app":"bitcoin","sweep":{"dram_per_asic":[-1]}}`,
-		"bad dram kind":    `{"app":"bitcoin","sweep":{"dram_per_asic":[1],"dram_kind":"SRAM"}}`,
-		"bad tco":          `{"app":"bitcoin","tco":{"pue":0.5}}`,
-		"bad rca":          `{"app":"custom","rca":{"area_mm2":-1,"nominal_perf":1,"nominal_power_density_w_per_mm2":0.1}}`,
+		"missing app":              `{}`,
+		"unknown app":              `{"app":"quantum"}`,
+		"cnn not served":           `{"app":"cnn"}`,
+		"custom needs rca":         `{"app":"custom"}`,
+		"negative voltage":         `{"app":"bitcoin","sweep":{"voltages_v":[-0.5]}}`,
+		"zero silicon":             `{"app":"bitcoin","sweep":{"silicon_per_lane_mm2":[0]}}`,
+		"zero chips":               `{"app":"bitcoin","sweep":{"chips_per_lane":[0]}}`,
+		"negative dram":            `{"app":"bitcoin","sweep":{"dram_per_asic":[-1]}}`,
+		"bad dram kind":            `{"app":"bitcoin","sweep":{"dram_per_asic":[1],"dram_kind":"SRAM"}}`,
+		"bad tco":                  `{"app":"bitcoin","tco":{"pue":0.5}}`,
+		"negative markup":          `{"app":"bitcoin","tco":{"server_markup":-1}}`,
+		"negative dc amort":        `{"app":"bitcoin","tco":{"dc_amort_years":-100}}`,
+		"bad rca":                  `{"app":"custom","rca":{"area_mm2":-1,"nominal_perf":1,"nominal_power_density_w_per_mm2":0.1}}`,
+		"rca with a published app": `{"app":"bitcoin","rca":{"area_mm2":2,"nominal_perf":100,"nominal_power_density_w_per_mm2":0.3}}`,
 	} {
 		if _, err := Canonicalize(decode(t, body)); err == nil {
 			t.Errorf("%s: Canonicalize accepted %s", name, body)

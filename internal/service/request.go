@@ -130,7 +130,8 @@ type SweepSpec struct {
 }
 
 // TCOSpec overrides tco.Model fields; pointers distinguish "omitted"
-// from explicit zeros, which the model would reject anyway.
+// from explicit zeros, since a zero markup, interest rate or electricity
+// price is a valid model (tco.Model.Validate).
 type TCOSpec struct {
 	// ServerMarkup is the dimensionless integration markup on the BOM.
 	ServerMarkup *float64 `json:"server_markup,omitempty"`
@@ -232,8 +233,12 @@ func baseConfig(app string, rca vlsi.Spec) (server.Config, error) {
 }
 
 // resolveRCA returns the app's published spec, or the custom spec with
-// the CLI's defaults filled in.
+// the CLI's defaults filled in. An rca object sent with a published app
+// is an error, not silently dropped: rca is allowed iff app is custom.
 func resolveRCA(req *Request) (vlsi.Spec, error) {
+	if req.RCA != nil && req.App != "custom" {
+		return vlsi.Spec{}, fmt.Errorf(`an rca object requires app "custom", not %q`, req.App)
+	}
 	switch req.App {
 	case "bitcoin":
 		return appbitcoin.RCA(), nil

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -36,12 +37,86 @@ func TestDecodeRequest(t *testing.T) {
 	}
 }
 
+// spelledOut is the request that spells out every resolved field of c:
+// all seven tco and all eight carbon fields, the grids, dram_kind and
+// objective, and rca for a custom app.
+func spelledOut(c Canonical) *Request {
+	m, cb := c.Model, c.Carbon
+	req := &Request{
+		App: c.App,
+		Sweep: SweepSpec{
+			Voltages:       c.Voltages,
+			SiliconPerLane: c.SiliconPerLane,
+			ChipsPerLane:   c.ChipsPerLane,
+			DRAMPerASIC:    c.DRAMPerASIC,
+			DRAMKind:       c.DRAMKind.String(),
+			Stacked:        c.Stacked,
+		},
+		TCO: &TCOSpec{
+			ServerMarkup:       &m.ServerMarkup,
+			InterestRate:       &m.InterestRate,
+			LifetimeYears:      &m.LifetimeYears,
+			DCCapexPerWattYear: &m.DCCapexPerWattYear,
+			DCAmortYears:       &m.DCAmortYears,
+			ElectricityPerKWh:  &m.ElectricityPerKWh,
+			PUE:                &m.PUE,
+		},
+		Objective: c.Objective,
+		Carbon: &CarbonSpec{
+			WaferKgCO2e:     &cb.WaferKgCO2e,
+			PackageKgCO2e:   &cb.PackageKgCO2e,
+			HeatSinkKgCO2e:  &cb.HeatSinkKgCO2e,
+			BoardKgCO2e:     &cb.BoardKgCO2e,
+			GridGCO2ePerKWh: &cb.GridGCO2ePerKWh,
+			PUE:             &cb.PUE,
+			LifetimeYears:   &cb.LifetimeYears,
+			Utilization:     &cb.Utilization,
+		},
+	}
+	if c.App == "custom" {
+		r := c.RCA
+		req.RCA = &RCASpec{
+			Name:                r.Name,
+			PerfUnit:            r.PerfUnit,
+			AreaMM2:             r.Area,
+			NominalVoltage:      r.NominalVoltage,
+			NominalFreqHz:       r.NominalFreq,
+			NominalPerf:         r.NominalPerf,
+			NominalPowerDensity: r.NominalPowerDensity,
+			LeakageFraction:     r.LeakageFraction,
+			SRAMPowerFraction:   r.SRAMPowerFraction,
+		}
+	}
+	return req
+}
+
+// reencoded sends req through json.Marshal, DecodeRequest and
+// Canonicalize, failing the test at any step.
+func reencoded(t *testing.T, what string, req *Request) Canonical {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatalf("%s: encode: %v", what, err)
+	}
+	dec, err := DecodeRequest(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("%s %s does not decode: %v", what, body, err)
+	}
+	can, err := Canonicalize(dec)
+	if err != nil {
+		t.Fatalf("%s %s does not canonicalize: %v", what, body, err)
+	}
+	return can
+}
+
 // FuzzSweepRequest feeds bytes through DecodeRequest and Canonicalize,
 // the path every POST /v1/sweeps body and -request file takes. Nothing
-// may panic. An accepted request has a 64-hex-digit hash and plans. And
-// the request re-encoded by json.Marshal decodes and canonicalizes to
-// the same hash, so the hash follows what a request means, not how it
-// was spelled. The corpus is in testdata/fuzz/FuzzSweepRequest.
+// may panic. An accepted request has a 64-hex-digit hash and plans. The
+// request re-encoded by json.Marshal canonicalizes to the same hash, so
+// the hash follows what a request means, not how it was spelled. And
+// the request that spells out every resolved field of its Canonical is
+// the same request: it canonicalizes to an equal Canonical with the
+// same hash. The corpus is in testdata/fuzz/FuzzSweepRequest.
 func FuzzSweepRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := DecodeRequest(bytes.NewReader(body))
@@ -59,20 +134,15 @@ func FuzzSweepRequest(f *testing.F) {
 		if _, _, err := can.Plan(); err != nil {
 			t.Fatalf("accepted request does not plan: %v", err)
 		}
-		again, err := json.Marshal(req)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
+		if h2 := reencoded(t, "re-encoded request", req).Hash(); h2 != h {
+			t.Fatalf("re-encoded request hashes to %s, the original to %s", h2, h)
 		}
-		req2, err := DecodeRequest(bytes.NewReader(again))
-		if err != nil {
-			t.Fatalf("re-encoded request %s does not decode: %v", again, err)
+		full := reencoded(t, "spelled-out request", spelledOut(can))
+		if !reflect.DeepEqual(full, can) {
+			t.Fatalf("spelled-out request canonicalizes to\n%+v\nthe original to\n%+v", full, can)
 		}
-		can2, err := Canonicalize(req2)
-		if err != nil {
-			t.Fatalf("re-encoded request %s does not canonicalize: %v", again, err)
-		}
-		if h2 := can2.Hash(); h2 != h {
-			t.Fatalf("re-encoded request %s hashes to %s, the original to %s", again, h2, h)
+		if h3 := full.Hash(); h3 != h {
+			t.Fatalf("spelled-out request hashes to %s, the original to %s", h3, h)
 		}
 	})
 }

@@ -12,6 +12,7 @@ package tco
 
 import (
 	"fmt"
+	"math"
 
 	"asiccloud/internal/units"
 )
@@ -19,7 +20,8 @@ import (
 // Model holds the datacenter economics.
 type Model struct {
 	// ServerMarkup covers integration, shipping and installation on top
-	// of the bill of materials; a dimensionless multiplier ≥ 1.
+	// of the bill of materials; a dimensionless, non-negative multiplier
+	// on it (1.05 in the calibrated model).
 	ServerMarkup float64
 
 	// InterestRate is the annual cost of capital; amortized purchases
@@ -67,15 +69,37 @@ func ForLifetime(years float64) Model {
 	return m
 }
 
-// Validate reports whether the model is usable.
+// Validate reports whether the model is usable: every field finite, a
+// positive lifetime, a PUE of at least 1 and no negative markup, rate,
+// price or period. Zero markup, interest and electricity are valid.
+// Both Coefficients of a valid model are then non-negative, so TCO
+// never falls as cost or watts rise, and the TCO optimum lies on the
+// ($ per op/s, W per op/s) Pareto frontier.
 func (m Model) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"server markup", m.ServerMarkup},
+		{"interest rate", m.InterestRate},
+		{"lifetime", m.LifetimeYears},
+		{"datacenter capex", m.DCCapexPerWattYear},
+		{"datacenter amortization", m.DCAmortYears},
+		{"electricity price", m.ElectricityPerKWh},
+		{"PUE", m.PUE},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("tco: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if m.LifetimeYears <= 0 {
 		return fmt.Errorf("tco: lifetime must be positive")
 	}
 	if m.PUE < 1 {
 		return fmt.Errorf("tco: PUE %v below 1 is unphysical", m.PUE)
 	}
-	if m.ElectricityPerKWh < 0 || m.DCCapexPerWattYear < 0 || m.InterestRate < 0 {
+	if m.ServerMarkup < 0 || m.InterestRate < 0 || m.DCCapexPerWattYear < 0 ||
+		m.DCAmortYears < 0 || m.ElectricityPerKWh < 0 {
 		return fmt.Errorf("tco: negative cost parameter")
 	}
 	return nil
@@ -130,19 +154,4 @@ func (m Model) Coefficients() (costWeight, wattWeight float64) {
 func (m Model) IsoTCOLine(tcoLevel float64) (costIntercept, slope float64) {
 	a, b := m.Coefficients()
 	return tcoLevel / a, -b / a
-}
-
-// Optimal returns the index in the given parallel slices of $ per op/s
-// and W per op/s that minimizes TCO per op/s, with its breakdown. It
-// returns -1 for empty input.
-func (m Model) Optimal(costPerOp, wattsPerOp []float64) (int, Breakdown) {
-	best := -1
-	var bestB Breakdown
-	for i := range costPerOp {
-		b := m.Of(costPerOp[i], wattsPerOp[i])
-		if best < 0 || b.Total() < bestB.Total() {
-			best, bestB = i, b
-		}
-	}
-	return best, bestB
 }

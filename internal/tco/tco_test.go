@@ -30,6 +30,45 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: NaN and +Inf fail in each of the seven
+// fields, as do a negative markup and a negative facility amortization
+// period, while the ends of the iso-TCO slope — a zero markup, interest
+// rate or electricity price — stay valid.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Model) *float64{
+		"ServerMarkup":       func(m *Model) *float64 { return &m.ServerMarkup },
+		"InterestRate":       func(m *Model) *float64 { return &m.InterestRate },
+		"LifetimeYears":      func(m *Model) *float64 { return &m.LifetimeYears },
+		"DCCapexPerWattYear": func(m *Model) *float64 { return &m.DCCapexPerWattYear },
+		"DCAmortYears":       func(m *Model) *float64 { return &m.DCAmortYears },
+		"ElectricityPerKWh":  func(m *Model) *float64 { return &m.ElectricityPerKWh },
+		"PUE":                func(m *Model) *float64 { return &m.PUE },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			m := Default()
+			*field(&m) = v
+			if err := m.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+		}
+	}
+	for _, name := range []string{"ServerMarkup", "DCAmortYears"} {
+		m := Default()
+		*fields[name](&m) = -1
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s = -1 accepted", name)
+		}
+	}
+	for _, name := range []string{"ServerMarkup", "InterestRate", "ElectricityPerKWh"} {
+		m := Default()
+		*fields[name](&m) = 0
+		if err := m.Validate(); err != nil {
+			t.Errorf("%s = 0 rejected: %v", name, err)
+		}
+	}
+}
+
 // TestBitcoinTable3 checks the model against the paper's Table 3
 // TCO-optimal Bitcoin server: $1.076/GH/s and 0.508 W/GH/s give
 // TCO/GH/s = 3.218 with the published component breakdown.
@@ -147,24 +186,6 @@ func TestLongerLifetimeShiftsWeightToEnergy(t *testing.T) {
 	aLong, _ := long.Coefficients()
 	if aLong <= aShort {
 		t.Error("longer amortization accrues more interest on the server")
-	}
-}
-
-func TestOptimalSelection(t *testing.T) {
-	m := Default()
-	// Three points mimicking the Bitcoin Table 3 columns; the middle one
-	// must win on TCO.
-	costs := []float64{2.490, 1.076, 0.833}
-	watts := []float64{0.368, 0.508, 0.788}
-	i, b := m.Optimal(costs, watts)
-	if i != 1 {
-		t.Fatalf("optimal index = %d, want 1 (the TCO-optimal column)", i)
-	}
-	if relErr(b.Total(), 3.218) > 0.01 {
-		t.Errorf("optimal TCO = %v, want 3.218", b.Total())
-	}
-	if i, _ := m.Optimal(nil, nil); i != -1 {
-		t.Errorf("empty optimal = %d, want -1", i)
 	}
 }
 

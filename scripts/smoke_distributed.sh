@@ -7,6 +7,8 @@
 # single-process run, its TCO-optimal matches the CLI verbatim, prune
 # accounting stays exact across the merge, workers exit cleanly on
 # drain, and a killed worker's chunk is recovered via lease requeue.
+# Last, it kills a coordinator mid-sweep: its workers must exit
+# non-zero, naming the lost connection.
 # Run from the repository root (make check does).
 set -euo pipefail
 
@@ -144,5 +146,62 @@ wait "$coord_pid" || { cat "$workdir/coord2.err" >&2; fail "coordinator did not 
 cmp -s "$workdir/once2.json" "$workdir/dist2.json" \
     || fail "result after worker kill is not byte-identical to the single-process run"
 echo "smoke_distributed: sweep completed after worker kill, bytes identical"
+
+# Property 5: killing the coordinator mid-sweep fails its workers
+# loudly. Each must exit non-zero within 10 s and name the lost
+# connection (cloud.ErrUnexpectedDisconnect), not hang or exit 0 as if
+# the pool had drained. The sweep doubles property 4's voltage grid
+# (~2 s single-process), so both workers are still busy when the kill
+# lands; a sweep that finished first fails the script.
+jq -n '{app:"bitcoin", sweep:{
+    voltages_v:        [range(480) | 0.40 + 0.00125 * .],
+    silicon_per_lane_mm2: [range(2; 102) | 5 * .],
+    chips_per_lane:    [range(1; 41)]}}' >"$workdir/req3.json"
+"$workdir/asiccloudd" -coordinate -request "$workdir/req3.json" \
+    -o "$workdir/dist3.json" -log-level info \
+    >"$workdir/coord3.out" 2>"$workdir/coord3.err" &
+coord_pid=$!
+pids+=("$coord_pid")
+addr=$(wait_for_pool "$workdir/coord3.out") || { cat "$workdir/coord3.err" >&2; fail "third coordinator never announced its pool address"; }
+
+worker_pids=()
+for w in 6 7; do
+    "$workdir/asiccloudd" -worker -join "$addr" -id "w$w" -log-level warn \
+        >"$workdir/w$w.out" 2>"$workdir/w$w.err" &
+    worker_pids+=($!)
+    pids+=($!)
+done
+connected=0
+for i in $(seq 1 200); do
+    connected=$(grep -c '"msg":"worker connected"' "$workdir/coord3.err" || true)
+    [[ $connected -ge 2 ]] && break
+    sleep 0.05
+done
+[[ $connected -ge 2 ]] || { cat "$workdir/coord3.err" >&2; fail "coordinator logged $connected worker connections, want 2"; }
+# The group's stderr keeps bash's "Killed" job notice out of the log.
+coord_status=0
+{ kill -KILL "$coord_pid"; wait "$coord_pid"; } 2>/dev/null || coord_status=$?
+[[ $coord_status -eq 137 && ! -e "$workdir/dist3.json" ]] \
+    || fail "sweep finished before the coordinator kill (coordinator exit $coord_status)"
+echo "smoke_distributed: killed the coordinator mid-sweep"
+
+deadline=$((SECONDS + 10))
+for i in 0 1; do
+    w="w$((i + 6))" pid=${worker_pids[$i]}
+    # jobs -rp lists the background jobs that have not exited.
+    while jobs -rp | grep -x "$pid" >/dev/null; do
+        ((SECONDS < deadline)) || fail "worker $w still running 10 s after the coordinator kill"
+        sleep 0.05
+    done
+    status=0
+    wait "$pid" || status=$?
+    # A worker exits 0 only on the pool's drained nojob: the sweep
+    # finished before the kill, or the worker took the lost connection
+    # for a drain.
+    [[ $status -ne 0 ]] || fail "worker $w exited 0 after the coordinator kill"
+    grep -q 'connection to pool lost before drain' "$workdir/$w.err" \
+        || { cat "$workdir/$w.err" >&2; fail "worker $w did not report the lost connection"; }
+done
+echo "smoke_distributed: both workers exited non-zero on the lost coordinator"
 
 echo "smoke_distributed: PASS"

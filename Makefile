@@ -54,9 +54,8 @@ lint:
 lint-changed:
 	./scripts/lint_changed.sh
 
-# Refresh every analyzer's golden files plus the wirehash canonical
-# fingerprint (internal/service/hash.fingerprint). Run after an
-# intentional analyzer-message or hash-schema change; commit the diff.
+# Refresh every analyzer's golden files. Run after an intentional
+# analyzer-message change; commit the diff.
 .PHONY: lint-golden
 lint-golden:
 	go test ./internal/analysis/... -update

@@ -6,9 +6,8 @@
 // unit-mixing arithmetic (unitflow), hot-path allocation budgets
 // (hotalloc), span lifecycle on all CFG paths (spanend), observability
 // naming conventions (obskeys), nondeterministic data reaching
-// serialized output (detflow), concurrent fan-in emitted without a
-// canonical order (foldorder) and canonical-hash schema drift against
-// the committed fingerprint (wirehash). Most are dataflow-aware, built
+// serialized output (detflow) and concurrent fan-in emitted without a
+// canonical order (foldorder). Most are dataflow-aware, built
 // on the control-flow graphs and call graph of internal/analysis/cfg;
 // hotalloc, detflow and foldorder are interprocedural, propagating
 // per-function summaries (allocation sites, taint flows) bounded by

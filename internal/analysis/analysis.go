@@ -25,7 +25,7 @@
 //
 // The domain analyzers themselves live in subpackages (ctxflow, detflow,
 // droppederr, floatcmp, foldorder, goroleak, hotalloc, lockheld,
-// obskeys, spanend, unitconv, unitdoc, unitflow, wirehash) and the
+// obskeys, spanend, unitconv, unitdoc, unitflow) and the
 // curated repository-wide suite in internal/analysis/suite.
 package analysis
 

@@ -19,12 +19,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files with current analyzer output")
 
-// Update reports whether the test run was invoked with -update. Tests
-// that maintain golden artifacts outside this harness (the wirehash
-// repo fingerprint) share the same flag so `make lint-golden` refreshes
-// everything in one pass.
-func Update() bool { return *update }
-
 // Config adjusts a golden run.
 type Config struct {
 	// PkgPath is the import path given to the fixture package. Analyzers

@@ -67,7 +67,7 @@ func TestSuiteNamesAreUnique(t *testing.T) {
 		"unitconv", "floatcmp", "droppederr", "unitdoc",
 		"ctxflow", "goroleak", "lockheld", "unitflow",
 		"hotalloc", "spanend", "obskeys",
-		"detflow", "foldorder", "wirehash",
+		"detflow", "foldorder",
 	} {
 		if !seen[name] {
 			t.Errorf("suite is missing analyzer %s: %v", name, seen)

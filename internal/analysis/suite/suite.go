@@ -19,7 +19,6 @@ import (
 	"asiccloud/internal/analysis/unitconv"
 	"asiccloud/internal/analysis/unitdoc"
 	"asiccloud/internal/analysis/unitflow"
-	"asiccloud/internal/analysis/wirehash"
 )
 
 // Analyzers returns the full suite in stable order.
@@ -38,7 +37,6 @@ func Analyzers() []*analysis.Analyzer {
 		unitconv.Analyzer,
 		unitdoc.Analyzer,
 		unitflow.Analyzer,
-		wirehash.Analyzer,
 	}
 }
 

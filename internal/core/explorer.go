@@ -126,7 +126,7 @@ const (
 	// PruneThermal: no heat sink cools the geometry at any voltage, or
 	// the chip exceeds the cooling limit at this voltage and above.
 	PruneThermal = "thermal_infeasible"
-	// PruneEval: server.EvaluateWithPlan failed for a non-thermal
+	// PruneEval: server.EvaluateRows failed for a non-thermal
 	// reason (power delivery, packaging, voltage floor, ...).
 	PruneEval = "eval_error"
 )

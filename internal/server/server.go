@@ -127,7 +127,7 @@ func (c Config) network() interconnect.Network {
 }
 
 // Validate checks configuration sanity before evaluation. The sweep's
-// hot loop validates once per column (EvaluateColumn), not once per
+// hot loop validates once per column (EvaluateRows), not once per
 // configuration, so the error formatting here and in the substrate
 // validators it calls is amortized off the per-point path.
 //

@@ -437,3 +437,40 @@ func TestCoordinatorRejectsShiftedChunk(t *testing.T) {
 		t.Errorf("want the shifted chunk refused, got %v", err)
 	}
 }
+
+// FuzzChunkHandler serves fuzzed bytes as the payload of one chunk job
+// to a worker's chunk handler, built once per run as a worker builds
+// it. Nothing may panic. An accepted payload decodes, its request
+// canonicalizes to its request_hash, and the answer decodes as chunk
+// chunk of num_chunks. The corpus is in
+// testdata/fuzz/FuzzChunkHandler. Its seeds carry request hashes taken
+// under hashVersion asiccloudd/v2: a bump turns the accepted ones into
+// hash-mismatch refusals until their request_hash is updated.
+func FuzzChunkHandler(f *testing.F) {
+	handler := NewChunkHandler(core.NewEngine(nil), nil, nil)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		out, err := handler(cloud.Job{ID: 1, Payload: payload})
+		if err != nil {
+			return
+		}
+		var p chunkPayload
+		if err := json.Unmarshal(payload, &p); err != nil {
+			t.Fatalf("accepted a payload that does not decode: %v", err)
+		}
+		can, err := Canonicalize(&p.Request)
+		if err != nil {
+			t.Fatalf("accepted a request that does not canonicalize: %v", err)
+		}
+		if h := can.Hash(); h != p.RequestHash {
+			t.Fatalf("accepted request_hash %s for a request that hashes to %s", p.RequestHash, h)
+		}
+		var cr core.ChunkResult
+		if err := cr.UnmarshalJSON(out); err != nil {
+			t.Fatalf("answer does not decode: %v", err)
+		}
+		if cr.Chunk != p.Chunk || cr.NumChunks != p.NumChunks {
+			t.Fatalf("answered chunk %d of %d to a payload asking for chunk %d of %d",
+				cr.Chunk, cr.NumChunks, p.Chunk, p.NumChunks)
+		}
+	})
+}

@@ -14,6 +14,9 @@ import (
 // the answer to a new question. (Within one process this is belt and
 // braces — the cache dies with the daemon — but it keeps the hash
 // stable enough to log and compare across runs of the same build.)
+// TestHashSchema is the gate: it fails when a Canonical field does not
+// reach the hash, or when the digest it pins changes while hashVersion
+// does not.
 // v2: the objective and carbon-model fields joined the canonical
 // encoding (and the result schema grew the carbon axis).
 const hashVersion = "asiccloudd/v2"

@@ -1,8 +1,15 @@
 package service
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"asiccloud/internal/carbon"
+	"asiccloud/internal/dram"
+	"asiccloud/internal/tco"
+	"asiccloud/internal/vlsi"
 )
 
 // decode parses a JSON request body exactly as the HTTP handler does.
@@ -172,5 +179,176 @@ func TestPlanMatchesCanonicalGrids(t *testing.T) {
 	}
 	if err := model.Validate(); err != nil {
 		t.Fatalf("planned model invalid: %v", err)
+	}
+}
+
+// schemaCanonical is the Canonical TestHashSchema perturbs. Every field
+// holds a distinct non-zero literal, so a dropped, swapped or
+// reformatted write changes its digest. It takes nothing from
+// tco.Default(), carbon.Default() or an app's RCA: recalibrating a
+// default changes values the hash already encodes, which needs no
+// hashVersion bump and must not trip the pin. RCA.Curve stays nil, as
+// Canonicalize leaves it.
+func schemaCanonical() Canonical {
+	return Canonical{
+		App: "app",
+		RCA: vlsi.Spec{
+			Name: "rca", PerfUnit: "unit/s",
+			Area: 1.5, NominalVoltage: 2.5, NominalFreq: 3.5, NominalPerf: 4.5,
+			NominalPowerDensity: 5.5, LeakageFraction: 6.5,
+			SRAMPowerFraction: 7.5, SRAMVmin: 8.5, VoltageScalable: true,
+		},
+		Voltages:       []float64{9.5, 10.5},
+		SiliconPerLane: []float64{11.5, 12.5},
+		ChipsPerLane:   []int{13, 14},
+		DRAMPerASIC:    []int{15, 16},
+		DRAMKind:       dram.GDDR5,
+		Stacked:        true,
+		Model: tco.Model{
+			ServerMarkup: 17.5, InterestRate: 18.5, LifetimeYears: 19.5,
+			DCCapexPerWattYear: 20.5, DCAmortYears: 21.5,
+			ElectricityPerKWh: 22.5, PUE: 23.5,
+		},
+		Objective: "objective",
+		Carbon: carbon.Model{
+			WaferKgCO2e: 24.5, PackageKgCO2e: 25.5, HeatSinkKgCO2e: 26.5,
+			BoardKgCO2e: 27.5, GridGCO2ePerKWh: 28.5, PUE: 29.5,
+			LifetimeYears: 30.5, Utilization: 31.5,
+		},
+	}
+}
+
+// unhashed lists the Canonical leaf fields Hash leaves out on purpose,
+// each with its reason.
+var unhashed = map[string]string{
+	"RCA.Curve": "Canonicalize leaves it nil for every app, which selects the default 28 nm curve",
+}
+
+// schemaCanonical's digest, pinned under this hashVersion.
+const (
+	pinnedVersion = "asiccloudd/v2"
+	pinnedDigest  = "238f25a7e6bb011380246f1270eb451605fcb9af96bf58eda1c804ffdfc6849c"
+)
+
+// schemaLeaf is one leaf field of Canonical: its dotted path and its
+// index path for reflect.Value.FieldByIndex.
+type schemaLeaf struct {
+	path  string
+	index []int
+}
+
+// schemaLeaves lists the leaf fields of struct type t, recursing into
+// struct-typed fields (RCA, Model, Carbon).
+func schemaLeaves(t reflect.Type, prefix string, index []int) []schemaLeaf {
+	var out []schemaLeaf
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		idx := append(append([]int(nil), index...), i)
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, schemaLeaves(f.Type, prefix+f.Name+".", idx)...)
+			continue
+		}
+		out = append(out, schemaLeaf{prefix + f.Name, idx})
+	}
+	return out
+}
+
+// perturb makes the smallest change of v's kind and reports whether it
+// knows one.
+func perturb(v reflect.Value) bool {
+	if !v.CanSet() {
+		return false
+	}
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Slice:
+		v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return false
+		}
+		v.Set(reflect.New(v.Type().Elem()))
+	default:
+		return false
+	}
+	return true
+}
+
+// TestHashSchema is the gate on hashVersion, which must be bumped
+// whenever what Hash writes changes, so that no cache entry written
+// under the old encoding answers a request under the new one. Every
+// leaf field of Canonical must reach Hash, apart from those unhashed
+// lists, and schemaCanonical's digest is pinned under the current
+// hashVersion: a new, dropped, reordered or reformatted write fails
+// here until hashVersion is bumped and the pin updated.
+func TestHashSchema(t *testing.T) {
+	digest := schemaCanonical().Hash()
+	switch {
+	case hashVersion != pinnedVersion:
+		t.Errorf("hashVersion is %q but the pin is for %q: set pinnedVersion = %q and pinnedDigest = %q "+
+			"(and update the request_hash of FuzzChunkHandler's accepted seeds)",
+			hashVersion, pinnedVersion, hashVersion, digest)
+	case digest != pinnedDigest:
+		t.Errorf("Hash writes schemaCanonical as %s, not the pinned %s, under the same hashVersion %q: "+
+			"what Hash writes, or how, has changed; bump hashVersion, then update pinnedVersion and pinnedDigest",
+			digest, pinnedDigest, hashVersion)
+	}
+
+	found := make(map[string]bool)
+	printed := make(map[string]string) // a leaf's printed value -> its path
+	for _, leaf := range schemaLeaves(reflect.TypeOf(Canonical{}), "", nil) {
+		found[leaf.path] = true
+		c := schemaCanonical()
+		v := reflect.ValueOf(&c).Elem().FieldByIndex(leaf.index)
+		reason, isUnhashed := unhashed[leaf.path]
+		if !isUnhashed && v.IsZero() {
+			t.Errorf("schemaCanonical leaves %s zero: give it a non-zero literal distinct from every other field", leaf.path)
+		}
+		if s := fmt.Sprint(v.Interface()); !isUnhashed && v.Kind() != reflect.Bool {
+			if other, dup := printed[s]; dup {
+				t.Errorf("schemaCanonical gives %s and %s the same value %s: make them distinct", other, leaf.path, s)
+			}
+			printed[s] = leaf.path
+		}
+		if !perturb(v) {
+			t.Fatalf("cannot perturb %s (kind %s): extend perturb to this kind", leaf.path, v.Kind())
+		}
+		switch changed := c.Hash() != digest; {
+		case isUnhashed && changed:
+			t.Errorf("%s reaches Hash, but unhashed lists it (%s): delete the entry, bump hashVersion and update the pin",
+				leaf.path, reason)
+		case !isUnhashed && !changed:
+			t.Errorf("%s does not reach Hash: write it in Hash, bump hashVersion and update the pin, "+
+				"or list it in unhashed with the reason it cannot change a result", leaf.path)
+		}
+	}
+	for path := range unhashed {
+		if !found[path] {
+			t.Errorf("unhashed lists %s, which Canonical no longer has: delete the entry", path)
+		}
+	}
+
+	// RCA.Curve may stay out of the hash only while no request can set it.
+	for _, body := range []string{
+		`{"app":"bitcoin"}`,
+		`{"app":"litecoin"}`,
+		`{"app":"xcode"}`,
+		`{"app":"custom","rca":{"area_mm2":2,"nominal_perf":100,"nominal_power_density_w_per_mm2":0.3,"sram_power_fraction":0.2}}`,
+	} {
+		can, err := Canonicalize(decode(t, body))
+		if err != nil {
+			t.Fatalf("canonicalize %s: %v", body, err)
+		}
+		if can.RCA.Curve != nil {
+			t.Errorf("Canonicalize(%s) sets RCA.Curve, which Hash leaves out: hash the curve, "+
+				"delete its unhashed entry, bump hashVersion and update the pin", body)
+		}
 	}
 }

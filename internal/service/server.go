@@ -252,7 +252,12 @@ func (s *Server) submit(ctx context.Context, req *Request) (*Job, int, error) {
 		return nil, http.StatusBadRequest, fmt.Errorf("timeout_seconds must be >= 0")
 	}
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutSeconds > 0 {
+	switch {
+	case req.TimeoutSeconds >= s.cfg.MaxTimeout.Seconds():
+		// Clamped in seconds, before the conversion: from about 9.2e9 s
+		// the nanosecond count overflows int64 and comes out negative.
+		timeout = s.cfg.MaxTimeout
+	case req.TimeoutSeconds > 0:
 		timeout = time.Duration(req.TimeoutSeconds * float64(time.Second))
 	}
 	if timeout > s.cfg.MaxTimeout {

@@ -235,6 +235,23 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutIsClamped: a timeout_seconds whose nanosecond count
+// overflows int64 is clamped to MaxTimeout like any other large value,
+// so the job runs instead of failing on an already-expired deadline.
+func TestHugeTimeoutIsClamped(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1, CacheEntries: -1}, nil)
+	for _, secs := range []string{"1e10", "1e300"} {
+		body := strings.TrimSuffix(tinySweep, "}") + `,"timeout_seconds":` + secs + "}"
+		st, code := postSweep(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("timeout_seconds %s: POST = %d, want 202", secs, code)
+		}
+		if fin := await(t, ts, st.ID); fin.State != StateDone {
+			t.Errorf("timeout_seconds %s: job = %s (%s), want done", secs, fin.State, fin.Error)
+		}
+	}
+}
+
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})

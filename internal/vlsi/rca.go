@@ -61,7 +61,7 @@ type Spec struct {
 
 // Validate reports whether the spec is physically meaningful. A spec
 // that fails validation never enters a sweep — the engine validates
-// before building the grid, and EvaluateColumn validates once per
+// before building the grid, and EvaluateRows validates once per
 // column — so the error formatting below is off the per-configuration
 // path.
 //

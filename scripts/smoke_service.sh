@@ -4,6 +4,8 @@
 # guarantees — the daemon's TCO-optimal answer matches the CLI's
 # verbatim, an identical resubmission is served from the cache
 # byte-for-byte, and the cache-hit counter on /metrics accounts for it.
+# It ends by sending SIGTERM during a running sweep, which the daemon
+# must drain: the sweep finishes done and the daemon exits 0.
 # Run from the repository root (make check does).
 set -euo pipefail
 
@@ -15,7 +17,11 @@ done
 
 workdir=$(mktemp -d)
 daemon_pid=""
+sse_pid=""
 cleanup() {
+    if [[ -n "$sse_pid" ]]; then
+        kill "$sse_pid" 2>/dev/null || true
+    fi
     if [[ -n "$daemon_pid" ]] && kill -0 "$daemon_pid" 2>/dev/null; then
         kill -TERM "$daemon_pid" 2>/dev/null || true
         wait "$daemon_pid" 2>/dev/null || true
@@ -153,11 +159,50 @@ jq -es --arg id "$job3" --arg tid "$trace3" \
     || fail "daemon log lines for job $job3 are not trace-correlated"
 echo "smoke_service: log lines correlated by job_id and trace_id"
 
-# Graceful shutdown: SIGTERM must drain and exit 0.
+# Property 6: SIGTERM during a running sweep drains it. Submit a sweep
+# that runs for seconds, follow its SSE stream until it reports running,
+# and signal. A new POST must get 503, the running sweep must still end
+# done, and the daemon must exit 0. The result cache lives in memory, so
+# these checks are what "no half-written cache entry" comes to. A job
+# already terminal when the signal landed fails the script: its "job
+# finished" line would precede "draining on signal". The sweep (600
+# voltages by 200 silicon values, stacked) runs about 10 s on a 2-vCPU
+# VM, long enough that a fast runner cannot finish it first.
+voltages=$(seq -s, 0.400 0.001 0.999)
+silicon=$(seq -s, 30 30 6000)
+curl -sf -X POST "$base/v1/sweeps" \
+    -d "{\"app\":\"xcode\",\"sweep\":{\"voltages_v\":[$voltages],\"silicon_per_lane_mm2\":[$silicon],\"stacked\":true}}" \
+    >"$workdir/post4.json" || fail "long-sweep POST"
+job4=$(jq -er .id "$workdir/post4.json")
+curl -sN --max-time 300 "$base/v1/sweeps/$job4/events" >"$workdir/events4.txt" &
+sse_pid=$!
+for _ in $(seq 1 300); do
+    grep -q '"state":"running"' "$workdir/events4.txt" && break
+    sleep 0.1
+done
+grep -q '"state":"running"' "$workdir/events4.txt" || fail "long sweep $job4 never reported running"
 kill -TERM "$daemon_pid"
+for _ in $(seq 1 100); do
+    grep -q '"msg":"draining on signal"' "$workdir/daemon.err" && break
+    sleep 0.1
+done
+grep -q '"msg":"draining on signal"' "$workdir/daemon.err" || fail "daemon never logged draining on signal"
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/v1/sweeps" -d '{"app":"litecoin","sweep":{"stacked":true}}') || true
+[[ "$code" == 503 ]] || fail "POST while draining got $code, want 503"
+wait "$sse_pid" || fail "SSE stream of the draining sweep did not complete"
+sse_pid=""
+last4=$(grep '^data: ' "$workdir/events4.txt" | tail -n 1 | sed 's/^data: //' | jq -er .state)
+[[ "$last4" == "done" ]] || fail "draining sweep's SSE stream ended in state $last4"
 if ! wait "$daemon_pid"; then
     cat "$workdir/daemon.err" >&2
     fail "daemon exited non-zero on SIGTERM"
 fi
 daemon_pid=""
+jq -es --arg id "$job4" '
+    (map(.msg == "draining on signal") | index(true)) as $d
+    | (map(.msg == "job finished" and .job_id == $id) | index(true)) as $f
+    | $d != null and $f != null and $f > $d and .[$f].state == "done"' \
+    "$workdir/daemon.err" >/dev/null \
+    || fail "sweep $job4 did not finish done after draining on signal (already terminal when signaled?)"
+echo "smoke_service: SIGTERM during a running sweep drained it; daemon exited 0"
 echo "smoke_service: PASS"

@@ -283,72 +283,78 @@ func perturb(v reflect.Value) bool {
 
 // TestHashSchema is the gate on hashVersion, which must be bumped
 // whenever what Hash writes changes, so that no cache entry written
-// under the old encoding answers a request under the new one. Every
-// leaf field of Canonical must reach Hash, apart from those unhashed
-// lists, and schemaCanonical's digest is pinned under the current
+// under the old encoding answers a request under the new one. Its
+// digest case pins schemaCanonical's digest under the current
 // hashVersion: a new, dropped, reordered or reformatted write fails
-// here until hashVersion is bumped and the pin updated.
+// there until hashVersion is bumped and the pin updated. Its fields
+// case requires every leaf field of Canonical to reach Hash, apart
+// from those unhashed lists.
 func TestHashSchema(t *testing.T) {
 	digest := schemaCanonical().Hash()
-	switch {
-	case hashVersion != pinnedVersion:
-		t.Errorf("hashVersion is %q but the pin is for %q: set pinnedVersion = %q and pinnedDigest = %q "+
-			"(and update the request_hash of FuzzChunkHandler's accepted seeds)",
-			hashVersion, pinnedVersion, hashVersion, digest)
-	case digest != pinnedDigest:
-		t.Errorf("Hash writes schemaCanonical as %s, not the pinned %s, under the same hashVersion %q: "+
-			"what Hash writes, or how, has changed; bump hashVersion, then update pinnedVersion and pinnedDigest",
-			digest, pinnedDigest, hashVersion)
-	}
 
-	found := make(map[string]bool)
-	printed := make(map[string]string) // a leaf's printed value -> its path
-	for _, leaf := range schemaLeaves(reflect.TypeOf(Canonical{}), "", nil) {
-		found[leaf.path] = true
-		c := schemaCanonical()
-		v := reflect.ValueOf(&c).Elem().FieldByIndex(leaf.index)
-		reason, isUnhashed := unhashed[leaf.path]
-		if !isUnhashed && v.IsZero() {
-			t.Errorf("schemaCanonical leaves %s zero: give it a non-zero literal distinct from every other field", leaf.path)
+	t.Run("digest", func(t *testing.T) {
+		switch {
+		case hashVersion != pinnedVersion:
+			t.Errorf("hashVersion is %q but the pin is for %q: set pinnedVersion = %q and pinnedDigest = %q "+
+				"(and update the request_hash of FuzzChunkHandler's accepted seeds)",
+				hashVersion, pinnedVersion, hashVersion, digest)
+		case digest != pinnedDigest:
+			t.Errorf("Hash writes schemaCanonical as %s, not the pinned %s, under the same hashVersion %q: "+
+				"what Hash writes, or how, has changed; bump hashVersion, then update pinnedVersion and pinnedDigest",
+				digest, pinnedDigest, hashVersion)
 		}
-		if s := fmt.Sprint(v.Interface()); !isUnhashed && v.Kind() != reflect.Bool {
-			if other, dup := printed[s]; dup {
-				t.Errorf("schemaCanonical gives %s and %s the same value %s: make them distinct", other, leaf.path, s)
+	})
+
+	t.Run("fields", func(t *testing.T) {
+		found := make(map[string]bool)
+		printed := make(map[string]string) // a leaf's printed value -> its path
+		for _, leaf := range schemaLeaves(reflect.TypeOf(Canonical{}), "", nil) {
+			found[leaf.path] = true
+			c := schemaCanonical()
+			v := reflect.ValueOf(&c).Elem().FieldByIndex(leaf.index)
+			reason, isUnhashed := unhashed[leaf.path]
+			if !isUnhashed && v.IsZero() {
+				t.Errorf("schemaCanonical leaves %s zero: give it a non-zero literal distinct from every other field", leaf.path)
 			}
-			printed[s] = leaf.path
+			if s := fmt.Sprint(v.Interface()); !isUnhashed && v.Kind() != reflect.Bool {
+				if other, dup := printed[s]; dup {
+					t.Errorf("schemaCanonical gives %s and %s the same value %s: make them distinct", other, leaf.path, s)
+				}
+				printed[s] = leaf.path
+			}
+			if !perturb(v) {
+				t.Fatalf("cannot perturb %s (kind %s): extend perturb to this kind", leaf.path, v.Kind())
+			}
+			switch changed := c.Hash() != digest; {
+			case isUnhashed && changed:
+				t.Errorf("%s reaches Hash, but unhashed lists it (%s): delete the entry, bump hashVersion and update the pin",
+					leaf.path, reason)
+			case !isUnhashed && !changed:
+				t.Errorf("%s does not reach Hash: write it in Hash, bump hashVersion and update the pin, "+
+					"or list it in unhashed with the reason it cannot change a result", leaf.path)
+			}
 		}
-		if !perturb(v) {
-			t.Fatalf("cannot perturb %s (kind %s): extend perturb to this kind", leaf.path, v.Kind())
+		for path := range unhashed {
+			if !found[path] {
+				t.Errorf("unhashed lists %s, which Canonical no longer has: delete the entry", path)
+			}
 		}
-		switch changed := c.Hash() != digest; {
-		case isUnhashed && changed:
-			t.Errorf("%s reaches Hash, but unhashed lists it (%s): delete the entry, bump hashVersion and update the pin",
-				leaf.path, reason)
-		case !isUnhashed && !changed:
-			t.Errorf("%s does not reach Hash: write it in Hash, bump hashVersion and update the pin, "+
-				"or list it in unhashed with the reason it cannot change a result", leaf.path)
-		}
-	}
-	for path := range unhashed {
-		if !found[path] {
-			t.Errorf("unhashed lists %s, which Canonical no longer has: delete the entry", path)
-		}
-	}
 
-	// RCA.Curve may stay out of the hash only while no request can set it.
-	for _, body := range []string{
-		`{"app":"bitcoin"}`,
-		`{"app":"litecoin"}`,
-		`{"app":"xcode"}`,
-		`{"app":"custom","rca":{"area_mm2":2,"nominal_perf":100,"nominal_power_density_w_per_mm2":0.3,"sram_power_fraction":0.2}}`,
-	} {
-		can, err := Canonicalize(decode(t, body))
-		if err != nil {
-			t.Fatalf("canonicalize %s: %v", body, err)
+		// RCA.Curve may stay out of the hash only while no request can set it.
+		for _, body := range []string{
+			`{"app":"bitcoin"}`,
+			`{"app":"litecoin"}`,
+			`{"app":"xcode"}`,
+			`{"app":"custom","rca":{"area_mm2":2,"nominal_perf":100,"nominal_power_density_w_per_mm2":0.3,"sram_power_fraction":0.2}}`,
+		} {
+			can, err := Canonicalize(decode(t, body))
+			if err != nil {
+				t.Fatalf("canonicalize %s: %v", body, err)
+			}
+			if can.RCA.Curve != nil {
+				t.Errorf("Canonicalize(%s) sets RCA.Curve, which Hash leaves out: hash the curve, "+
+					"delete its unhashed entry, bump hashVersion and update the pin", body)
+			}
 		}
-		if can.RCA.Curve != nil {
-			t.Errorf("Canonicalize(%s) sets RCA.Curve, which Hash leaves out: hash the curve, "+
-				"delete its unhashed entry, bump hashVersion and update the pin", body)
-		}
-	}
+	})
 }

@@ -75,9 +75,10 @@ type (
 	// DesignPoint is one feasible design with its TCO breakdown.
 	DesignPoint = core.Point
 	// DesignRow is the compact form Result.Points keeps each feasible
-	// design in: its per-voltage evaluation, TCO and carbon, and a
-	// read-only pointer to the record its geometry's rows share.
-	// DesignRow.Point builds the DesignPoint.
+	// design in, in evaluation order (geometry by geometry, unstacked
+	// before stacked, ascending voltage): its per-voltage evaluation,
+	// TCO and carbon, and a read-only pointer to the record its
+	// geometry's rows share. DesignRow.Point builds the DesignPoint.
 	DesignRow = core.Row
 	// Engine is a reusable exploration service with a thermal-plan
 	// cache, context-aware execution and optional streaming (frontier-

@@ -152,8 +152,10 @@ func benchBitcoinExplore(b *testing.B) {
 }
 
 // BenchmarkRepeatedSweep measures the engine's thermal-plan cache on
-// back-to-back full Bitcoin sweeps — the studies/figures pattern where
-// the same geometries are re-explored under different economic models.
+// back-to-back full Bitcoin sweeps in keep mode: the same geometries
+// re-explored on one engine, as the studies and figures do under
+// different economic models (they stream, so they skip the row copies
+// and the gather measured here).
 // "cold" builds a fresh engine every iteration (every plan re-optimized);
 // "warm" shares a primed engine, so heat-sink optimization is entirely
 // cache hits. The warm result must be byte-identical to the cold one.

@@ -134,8 +134,8 @@ func countDrain(ch <-chan result, n int) ([]byte, error) {
 // indexedScatter writes results into pre-assigned slots: each goroutine
 // owns its index, so the final content is deterministic. The capture
 // hook still taints out conservatively — the analyzer cannot prove slot
-// ownership — but the sort.Float64s restores a canonical order, which
-// is the discipline the sweep collector follows too.
+// ownership — but the sort.Float64s restores a canonical order (where
+// a sort costs too much, a foldorder suppression at the sink does).
 func indexedScatter(points []float64) ([]byte, error) {
 	out := make([]float64, len(points))
 	var wg sync.WaitGroup

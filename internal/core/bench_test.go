@@ -66,12 +66,17 @@ func BenchmarkResultMergerAdd(b *testing.B) {
 }
 
 // BenchmarkFoldAddPoint measures the sweep's fold step: one op folds
-// every feasible row of the stacked bitcoin sweep, in evaluation order,
-// into a fresh (dollars, watts) fold through pareto.Fold.AddAt, the
-// entry sweepAcc.add uses, which takes the row's precomputed
-// coordinates and copies a row only when it survives.
+// every feasible row of the stacked bitcoin sweep, in evaluation order
+// (keep mode's Result.Points), into a fresh (dollars, watts) fold
+// through pareto.Fold.AddAt, the entry sweepAcc.add uses, which takes
+// the row's precomputed coordinates and copies a row only when it
+// survives.
 func BenchmarkFoldAddPoint(b *testing.B) {
-	rows := sweepRows(b, stackedBitcoinSweep())
+	res, err := NewEngine(nil).Explore(stackedBitcoinSweep(), tco.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := res.Points
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := pareto.NewFold(rowDollars, rowWatts)

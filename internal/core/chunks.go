@@ -37,8 +37,11 @@ import (
 //     into an accumulator. All of them finish through sweepAcc.finish.
 //
 // Rows are evaluated, priced, folded, compared and, in keep mode,
-// retained as Result.Points; full Points exist only at the edges: the
-// frontiers a Result or ChunkResult reports, which hold the optima.
+// retained: evalChunk returns a chunk's rows in evaluation order, and
+// chunks are contiguous slices of the work list, so Result.Points is
+// the chunks' rows concatenated in chunk order, whoever evaluated each
+// chunk. Full Points exist only at the edges: the frontiers a Result
+// or ChunkResult reports, which hold the optima.
 //
 // Because pareto.Fold merge is associative and order-independent, the
 // finished Result is byte-identical regardless of worker count, which

@@ -288,11 +288,12 @@ func rowWatts(r Row) float64   { return r.WattsPerOp }
 func rowTCO(r Row) float64     { return r.TCO.Total() }
 func rowCO2(r Row) float64     { return r.Carbon.Total() }
 
-// lessRow is the deterministic total order results are reported in:
-// ascending $ per op/s, then W per op/s, then the configuration
-// coordinates so exact metric ties still order identically regardless
-// of scheduling. NaN metrics order last (pareto.Compare), keeping the
-// sort a strict weak order even for degenerate points.
+// lessRow is the deterministic total order frontiers are built in, and
+// so the order the optimum tie rule follows: ascending $ per op/s, then
+// W per op/s, then the configuration coordinates so exact metric ties
+// still order identically regardless of scheduling. NaN metrics order
+// last (pareto.Compare), keeping the sort a strict weak order even for
+// degenerate points.
 func lessRow(a, b *Row) bool {
 	if c := pareto.Compare(a.DollarsPerOp, b.DollarsPerOp); c != 0 {
 		return c < 0
@@ -335,7 +336,8 @@ type geom struct {
 // and run the chunk evaluator EvaluateChunk runs, each folding into
 // its own accumulator; the accumulators are merged once at the end
 // and finished exactly as ResultMerger finishes. Retained rows are
-// gathered once into Result.Points in the result order (lessRow), so
+// gathered once into Result.Points by concatenating the chunks' rows in
+// chunk order, which is evaluation order (see Result.Points), so
 // Result is identical for any worker count, chunk size and scheduling
 // interleave.
 func (e *Engine) ExploreContext(ctx context.Context, sweep Sweep, model tco.Model) (Result, error) {
@@ -484,7 +486,10 @@ func (e *Engine) explore(ctx context.Context, sweep Sweep, model tco.Model, keep
 	paretoSpan := root.Child("pareto")
 	res, err := total.finish()
 	if err == nil && keep {
-		res.Points = sortedRows(chunkRows, summary.Feasible)
+		res.Points = make([]Row, 0, summary.Feasible)
+		for _, rows := range chunkRows {
+			res.Points = append(res.Points, rows...)
+		}
 	}
 	paretoSpan.End()
 	if err != nil {
@@ -492,51 +497,6 @@ func (e *Engine) explore(ctx context.Context, sweep Sweep, model tco.Model, keep
 	}
 	rec.Gauge("asiccloud_explore_frontier_size").Set(float64(len(res.Frontier)))
 	return res, nil
-}
-
-// rowKey is a retained row's sort key: its two leading lessRow
-// coordinates beside a pointer to the row, so sorting compares floats
-// in one contiguous slice and follows the pointer only on an exact tie.
-type rowKey struct {
-	dollars, watts float64
-	r              *Row
-}
-
-// cmpRowKey orders keys as lessRow orders their rows.
-func cmpRowKey(a, b rowKey) int {
-	if c := pareto.Compare(a.dollars, b.dollars); c != 0 {
-		return c
-	}
-	if c := pareto.Compare(a.watts, b.watts); c != 0 {
-		return c
-	}
-	switch {
-	case lessRow(a.r, b.r):
-		return -1
-	case lessRow(b.r, a.r):
-		return 1
-	}
-	return 0
-}
-
-// sortedRows gathers the n rows of the chunk copies into one exact-size
-// slice in lessRow order. lessRow is a strict total order over distinct
-// configurations, so the unstable sort gives one order for any
-// schedule.
-func sortedRows(chunks [][]Row, n int64) []Row {
-	keys := make([]rowKey, 0, n)
-	for _, rows := range chunks {
-		for i := range rows {
-			r := &rows[i]
-			keys = append(keys, rowKey{r.DollarsPerOp, r.WattsPerOp, r})
-		}
-	}
-	slices.SortFunc(keys, cmpRowKey)
-	out := make([]Row, len(keys))
-	for i, k := range keys {
-		out[i] = *k.r
-	}
-	return out
 }
 
 // NormalizeVoltages returns a sorted, de-duplicated copy of a

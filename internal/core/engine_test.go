@@ -148,8 +148,8 @@ func TestEngineDiscardPointsIdentity(t *testing.T) {
 
 // TestExplorePointsIndependentOfSchedule pins Result.Points, order
 // included, across worker counts and chunk sizes (7 leaves a short
-// final chunk): retained points are the chunk-order concatenation
-// sorted by lessRow, whoever evaluated each chunk.
+// final chunk): retained rows are the chunks' rows concatenated in
+// chunk order, which is evaluation order, whoever evaluated each chunk.
 func TestExplorePointsIndependentOfSchedule(t *testing.T) {
 	sweep := smallSweep()
 	sweep.Stacked = true

@@ -198,11 +198,15 @@ func (s *PruneSummary) merge(o PruneSummary) {
 
 // Result of a design-space exploration.
 type Result struct {
-	// Points holds every feasible evaluated design as its Row, in the
-	// deterministic result order (ascending $ per op/s, then W per
-	// op/s, then the configuration), unless Engine.DiscardPoints is
-	// set; Points[i].Point() builds the full Point. Rows of one
-	// geometry share one read-only server.Record.
+	// Points holds every feasible evaluated design as its Row, unless
+	// Engine.DiscardPoints is set; Points[i].Point() builds the full
+	// Point. Rows of one geometry share one read-only server.Record.
+	// The order is evaluation order, the same for any worker count,
+	// chunk size or schedule: geometry by geometry as the work list
+	// holds them (by silicon per lane, then chips per lane, then DRAM
+	// per ASIC, each in the Sweep's order; a geometry two cells quantize
+	// to sits at its first), then a geometry's unstacked rows before its
+	// stacked ones, then ascending voltage.
 	Points []Row
 	// Frontier is the Pareto-optimal subset under ($ per op/s, W per
 	// op/s) minimization, ordered by ascending $ per op/s.
@@ -221,14 +225,14 @@ type Result struct {
 	//     Figures 12, 14, 15 and 17.
 	//   - CarbonOptimal is the last CarbonFrontier point.
 	//
-	// Ties: of rows with equal $ and W per op/s, the first in the result
-	// order wins (the order of Points: ascending voltage, then unstacked
-	// before stacked, then chips per lane, RCAs per chip and DRAM per
-	// ASIC). Of rows with equal CO2e per op/s, the one with least TCO
-	// per op/s wins, then the first in the result order. A row with a
-	// NaN $ or W per op/s is never the cost, energy or TCO optimum, and
-	// one with a NaN TCO or CO2e per op/s never the carbon optimum; an
-	// optimum whose frontier is empty is the zero Point.
+	// Ties: of rows with equal $ and W per op/s, the least under
+	// lessRow wins (ascending voltage, then unstacked before stacked,
+	// then chips per lane, RCAs per chip and DRAM per ASIC). Of rows
+	// with equal CO2e per op/s, the one with least TCO per op/s wins,
+	// then the least under lessRow. A row with a NaN $ or W per op/s is
+	// never the cost, energy or TCO optimum, and one with a NaN TCO or
+	// CO2e per op/s never the carbon optimum; an optimum whose frontier
+	// is empty is the zero Point.
 	EnergyOptimal Point
 	CostOptimal   Point
 	TCOOptimal    Point

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"asiccloud/internal/carbon"
@@ -42,7 +44,7 @@ func finishRows(t *testing.T, rows []Row) Result {
 
 // TestOptimaTieRule checks the tie rule Result documents on hand-built
 // rows, each case folded in both arrival orders. Voltage tells the rows
-// apart; lower voltage is earlier in the result order.
+// apart; lower voltage is earlier in lessRow order.
 func TestOptimaTieRule(t *testing.T) {
 	// want holds the voltage of each expected optimum.
 	type want struct{ cost, energy, tco, carbon float64 }
@@ -51,19 +53,19 @@ func TestOptimaTieRule(t *testing.T) {
 		rows []Row
 		want want
 	}{{
-		// Equal ($, W): the first in the result order is the cost,
+		// Equal ($, W): the first in lessRow order is the cost,
 		// energy and TCO optimum.
 		name: "equal dollars and watts",
 		rows: []Row{handRow(1, 1, 2, 0.5), handRow(1, 1, 2, 0.4)},
 		want: want{0.4, 0.4, 0.4, 0.4},
 	}, {
-		// Equal CO2e: least TCO wins, although 0.4 is first in the result
+		// Equal CO2e: least TCO wins, although 0.4 is first in lessRow
 		// order.
 		name: "equal CO2e",
 		rows: []Row{handRow(1, 3, 1, 0.5), handRow(0.5, 10, 1, 0.4)},
 		want: want{0.4, 0.5, 0.5, 0.5},
 	}, {
-		// Equal CO2e and equal TCO: the first in the result order.
+		// Equal CO2e and equal TCO: the first in lessRow order.
 		name: "equal CO2e and TCO",
 		rows: []Row{handRow(2, 2, 1, 0.4), handRow(1, 3, 1, 0.5)},
 		want: want{0.5, 0.4, 0.5, 0.5},
@@ -154,9 +156,10 @@ func TestOptimaMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := res.Points
-		// rows are in the result order, so a strict < keeps the first of
-		// equal values.
+		// Sorted by lessRow, the order the tie rule follows, a strict <
+		// keeps the first of equal values.
+		rows := slices.Clone(res.Points)
+		sort.Slice(rows, func(i, j int) bool { return lessRow(&rows[i], &rows[j]) })
 		cost, energy, tcoOpt, carbonOpt := -1, -1, -1, -1
 		for j := range rows {
 			r := &rows[j]

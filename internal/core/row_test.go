@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -14,32 +13,6 @@ import (
 	"asiccloud/internal/tco"
 	"asiccloud/internal/thermal"
 )
-
-// sweepRows evaluates every chunk of the sweep in keep mode and returns
-// every feasible row in evaluation order: geometry by geometry, each
-// geometry's stacking options in order, voltages ascending.
-func sweepRows(t testing.TB, sweep Sweep) []Row {
-	t.Helper()
-	plan, err := PlanSweep(sweep, tco.Default(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(nil)
-	ctr := newExploreCounters(nil)
-	w := chunkWorker{acc: newSweepAcc(PruneSummary{}), ctr: &ctr}
-	var rows []Row
-	for c := 0; c < plan.NumChunks(); c++ {
-		chunk, err := eng.evalChunk(context.Background(), plan, c, &w, true, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows = append(rows, chunk...)
-	}
-	if int64(len(rows)) != w.acc.summary.Feasible {
-		t.Fatalf("%d rows, %d feasible", len(rows), w.acc.summary.Feasible)
-	}
-	return rows
-}
 
 // TestSplitJoinIdentityOnSweep checks that splitting every Point of a
 // keep-mode sweep into a row and joining it back is the identity, both
@@ -81,8 +54,11 @@ func TestSplitJoinIdentityOnSweep(t *testing.T) {
 // Point an independent evaluation of its configuration gives: the
 // geometry's server.ThermalPlan, server.EvaluateWithPlan at the row's
 // voltage and stacking, priced by the default TCO and carbon models.
-// The rows must come in strictly ascending lessRow order, and the rows
-// of one geometry must share one record.
+// The rows must come in evaluation order: the geometry's index in the
+// sweep's work list never falls from one row to the next, a geometry's
+// unstacked rows come before its stacked ones, and voltages strictly
+// ascend within a column. The rows of one geometry must share one
+// record.
 func TestKeptRowsMatchEvaluation(t *testing.T) {
 	xc, err := xcode.ServerConfig(1)
 	if err != nil {
@@ -99,6 +75,14 @@ func TestKeptRowsMatchEvaluation(t *testing.T) {
 		}
 		if int64(len(res.Points)) != res.Pruned.Feasible {
 			t.Fatalf("%s: %d rows kept, %d feasible", name, len(res.Points), res.Pruned.Feasible)
+		}
+		grid, err := buildGrid(sweep, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index := make(map[geom]int, len(grid.work))
+		for i, g := range grid.work {
+			index[g] = i
 		}
 		plans := make(map[geom]thermal.OptimizeResult)
 		records := make(map[geom]*server.Record)
@@ -127,8 +111,21 @@ func TestKeptRowsMatchEvaluation(t *testing.T) {
 			if got != want {
 				t.Fatalf("%s: row %d does not build its evaluated point:\n got %+v\nwant %+v", name, i, got, want)
 			}
-			if i > 0 && !lessRow(&res.Points[i-1], r) {
-				t.Fatalf("%s: rows %d and %d are not in strictly ascending lessRow order", name, i-1, i)
+			if _, ok := index[g]; !ok {
+				t.Fatalf("%s: row %d: geometry %+v is not in the work list", name, i, g)
+			}
+			if i > 0 {
+				prev := &res.Points[i-1]
+				pg := geomOf(&prev.Record.Config)
+				switch {
+				case index[pg] > index[g]:
+					t.Fatalf("%s: row %d: work-list index falls from %d to %d", name, i, index[pg], index[g])
+				case pg != g: // the next geometry's first column starts
+				case prev.Stacked && !r.Stacked:
+					t.Fatalf("%s: row %d: an unstacked row follows a stacked row of its geometry", name, i)
+				case prev.Stacked == r.Stacked && prev.Voltage >= r.Voltage:
+					t.Fatalf("%s: row %d: voltage %.2f V follows %.2f V in its column", name, i, r.Voltage, prev.Voltage)
+				}
 			}
 			if rec, ok := records[g]; !ok {
 				records[g] = r.Record
@@ -141,9 +138,10 @@ func TestKeptRowsMatchEvaluation(t *testing.T) {
 }
 
 // TestKeepModeBytesPerRow bounds what a keep-mode sweep allocates per
-// feasible row: the chunk copy, the sort key and the result row, about
-// 630 bytes, plus the sweep's own share spread over its rows. Building
-// a kilobyte Point per row would cost over 1,300.
+// feasible row: the chunk copy and the result row, about 610 bytes,
+// plus the sweep's own share spread over its rows; stacked bitcoin
+// reads about 714 in all (738 when the finish also sorted a key per
+// row). Building a kilobyte Point per row would cost over 1,300.
 func TestKeepModeBytesPerRow(t *testing.T) {
 	eng := NewEngine(nil)
 	eng.Workers = 1
@@ -172,6 +170,10 @@ func TestKeepModeBytesPerRow(t *testing.T) {
 //     voltage runs at full utilization. A DRAM cap (XCode) clocks the
 //     chip down to a fixed throughput, and then energy per op, which
 //     voltage can lower, sets the heat.
+//
+// It walks keep mode's rows, whose evaluation order holds each voltage
+// column together in ascending voltage, so a column starts wherever the
+// record or the stacking changes from the row before.
 func TestPhysicsInvariants(t *testing.T) {
 	ltc := Sweep{Base: server.Default(litecoin.RCA())}
 	for name, sweep := range map[string]Sweep{
@@ -179,7 +181,11 @@ func TestPhysicsInvariants(t *testing.T) {
 		"litecoin":        ltc,
 		"xcode":           xcodeSweep(t),
 	} {
-		rows := sweepRows(t, sweep)
+		res, err := NewEngine(nil).Explore(sweep, tco.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := res.Points
 		var steps, cappedFalls int
 		for i := range rows {
 			r := &rows[i]

@@ -28,6 +28,7 @@ func Extensions() ([]Artifact, error) {
 			f("%.3f", p.TCOPerOp),
 		})
 	}
+	//lint:ignore foldorder the study sweeps stream (DiscardPoints), and the one goroutine-written part of a core.Result, Points, is laid out by chunk index, not arrival order
 	out = append(out, render("ext-sites", "Geographic siting study (paper §3's Iceland/Georgia argument)",
 		[]string{"site", "kwh_usd", "inlet_C", "PUE", "opt_voltage_V", "TCO_per_GHs"}, rows))
 
@@ -41,6 +42,7 @@ func Extensions() ([]Artifact, error) {
 			p.Name, f("%.2f", p.Voltage), f("%.3f", p.WattsPerOp), f("%.3f", p.TCOPerOp),
 		})
 	}
+	//lint:ignore foldorder the study sweeps stream (DiscardPoints), and the one goroutine-written part of a core.Result, Points, is laid out by chunk index, not arrival order
 	out = append(out, render("ext-cooling", "Forced air versus two-phase immersion (paper §2)",
 		[]string{"cooling", "opt_voltage_V", "W_per_GHs", "TCO_per_GHs"}, rows))
 
@@ -55,6 +57,7 @@ func Extensions() ([]Artifact, error) {
 			f("%.3f", p.WattsPerOp), f("%.3f", p.TCOPerOp),
 		})
 	}
+	//lint:ignore foldorder the study sweeps stream (DiscardPoints), and the one goroutine-written part of a core.Result, Points, is laid out by chunk index, not arrival order
 	out = append(out, render("ext-lifetime", "Server amortization period sensitivity",
 		[]string{"years", "opt_voltage_V", "W_per_GHs", "TCO_per_GHs"}, rows))
 
@@ -83,6 +86,7 @@ func Extensions() ([]Artifact, error) {
 			f("%.3f", p.CO2KgPerOp), f("%.3f", p.EmbodiedKgPerOp), f("%.3f", p.OperationalKgPerOp),
 		})
 	}
+	//lint:ignore foldorder the study sweeps stream (DiscardPoints), and the one goroutine-written part of a core.Result, Points, is laid out by chunk index, not arrival order
 	out = append(out, render("ext-carbon", "TCO versus CO2e Pareto frontier (default carbon model)",
 		[]string{"voltage_V", "die_mm2", "TCO_per_GHs", "kgCO2e_per_GHs", "embodied_kg", "operational_kg"}, rows))
 
@@ -100,6 +104,7 @@ func Extensions() ([]Artifact, error) {
 			f("%.0f", b.GridGCO2ePerKWh), f("%.1f", b.LifetimeYears), f("%.4f", b.Utilization),
 		})
 	}
+	//lint:ignore foldorder the study sweeps stream (DiscardPoints), and the one goroutine-written part of a core.Result, Points, is laid out by chunk index, not arrival order
 	out = append(out, render("ext-carbon-crossover",
 		"ASIC-versus-reusable-substrate carbon break-even utilization by lifetime and grid intensity",
 		[]string{"grid_gCO2e_kWh", "asic_years", "breakeven_utilization"}, rows))

@@ -321,6 +321,7 @@ func RunOnce(ctx context.Context, req *Request, rec *obs.Recorder, log *slog.Log
 	if err != nil {
 		return nil, err
 	}
+	//lint:ignore foldorder DiscardPoints leaves Points nil, and Points, the one goroutine-written part of a core.Result, is laid out by chunk index, not arrival order
 	return marshalResult(can, res)
 }
 

@@ -25,8 +25,13 @@ import (
 // TCO models and datacenter parameters far more often than server
 // geometry, so a thermal plan memoized by one study serves the rest
 // (the cache key covers every geometry-relevant field, so the studies
-// that do vary layout or cooling stay correct).
-var engine = core.NewEngine(nil)
+// that do vary layout or cooling stay correct). It streams: the studies
+// read frontiers and optima, never Result.Points.
+var engine = func() *core.Engine {
+	e := core.NewEngine(nil)
+	e.DiscardPoints = true
+	return e
+}()
 
 // quickSweep trims the Bitcoin design space to the region that contains
 // every optimum, so studies run in tens of milliseconds each.

@@ -1,9 +1,8 @@
 // Command asiclint runs the repository's domain-aware static-analysis
-// suite: unit-conversion discipline (unitconv), float-comparison hygiene
-// (floatcmp), error propagation (droppederr), unit documentation
-// (unitdoc), context discipline (ctxflow), goroutine cancellation
-// (goroleak), locks held across blocking operations (lockheld),
-// unit-mixing arithmetic (unitflow), hot-path allocation budgets
+// suite: float-comparison hygiene (floatcmp), error propagation
+// (droppederr), unit documentation (unitdoc), context discipline
+// (ctxflow), goroutine cancellation (goroleak), locks held across
+// blocking operations (lockheld), hot-path allocation budgets
 // (hotalloc), span lifecycle on all CFG paths (spanend), observability
 // naming conventions (obskeys), nondeterministic data reaching
 // serialized output (detflow) and concurrent fan-in emitted without a

@@ -29,7 +29,7 @@ func main() {
 
 	// 3. Read off the three optimal servers the paper tabulates.
 	fmt.Printf("explored %d feasible designs, %d on the Pareto frontier\n\n",
-		len(result.Points), len(result.Frontier))
+		result.Pruned.Feasible, len(result.Frontier))
 	fmt.Println("energy-optimal:", result.EnergyOptimal.Describe())
 	fmt.Println("cost-optimal:  ", result.CostOptimal.Describe())
 	fmt.Println("TCO-optimal:   ", result.TCOOptimal.Describe())

@@ -15,18 +15,18 @@
 //     post-filters the diagnostics through //lint:ignore suppression
 //     directives (run.go, suppress.go);
 //   - run-wide dataflow facts shared by all analyzers: lazily built
-//     per-function control-flow graphs, a module-local call graph and a
-//     doc-comment index, exposed as Pass.CFG, Pass.CallGraph and
-//     Pass.DocOf (facts.go, backed by internal/analysis/cfg), plus
-//     Pass.Memo, the one run-wide cache an analyzer keeps its own
-//     interprocedural summaries in (the taint engine's, hotalloc's);
+//     per-function control-flow graphs and a module-local call graph,
+//     exposed as Pass.CFG and Pass.CallGraph (facts.go, backed by
+//     internal/analysis/cfg), plus Pass.Memo, the one run-wide cache an
+//     analyzer keeps its own interprocedural summaries in (the taint
+//     engine's, hotalloc's);
 //   - text and JSON diagnostic formatting (the JSON form grouped by
 //     analyzer) shared by cmd/asiclint and the self-test (run.go).
 //
 // The domain analyzers themselves live in subpackages (ctxflow, detflow,
 // droppederr, floatcmp, foldorder, goroleak, hotalloc, lockheld,
-// obskeys, spanend, unitconv, unitdoc, unitflow) and the
-// curated repository-wide suite in internal/analysis/suite.
+// obskeys, spanend, unitdoc) and the curated repository-wide suite in
+// internal/analysis/suite.
 package analysis
 
 import (

@@ -19,8 +19,8 @@ func sampleDiags() []analysis.Diagnostic {
 		},
 		{
 			Pos:      token.Position{Filename: "/elsewhere/other.go", Line: 1, Column: 1},
-			Analyzer: "unitconv",
-			Message:  "magic literal",
+			Analyzer: "unitdoc",
+			Message:  "undocumented unit",
 		},
 	}
 }
@@ -31,7 +31,7 @@ func TestWriteTextRelativize(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "internal/thermal/lane.go:12:3: floatcmp: exact float comparison\n" +
-		"/elsewhere/other.go:1:1: unitconv: magic literal\n"
+		"/elsewhere/other.go:1:1: unitdoc: undocumented unit\n"
 	if got := buf.String(); got != want {
 		t.Errorf("WriteText:\n got %q\nwant %q", got, want)
 	}
@@ -62,7 +62,7 @@ func TestWriteJSON(t *testing.T) {
 	}
 	want := map[string]diag{
 		"floatcmp": {"internal/thermal/lane.go", 12, 3, "floatcmp", "exact float comparison"},
-		"unitconv": {"/elsewhere/other.go", 1, 1, "unitconv", "magic literal"},
+		"unitdoc":  {"/elsewhere/other.go", 1, 1, "unitdoc", "undocumented unit"},
 	}
 	for name, w := range want {
 		got := doc.Analyzers[name].Diagnostics
@@ -107,8 +107,8 @@ func TestWriteGroupedJSON(t *testing.T) {
 	if fc.Diagnostics[0].File != "internal/thermal/lane.go" || fc.Diagnostics[1].File != "internal/core/engine.go" {
 		t.Errorf("group order mangled: %+v", fc.Diagnostics)
 	}
-	if uc := doc.Analyzers["unitconv"]; uc.Count != 1 {
-		t.Errorf("unitconv group = %+v, want 1 finding", uc)
+	if ud := doc.Analyzers["unitdoc"]; ud.Count != 1 {
+		t.Errorf("unitdoc group = %+v, want 1 finding", ud)
 	}
 }
 

@@ -64,8 +64,8 @@ func TestSuiteNamesAreUnique(t *testing.T) {
 		seen[a.Name] = true
 	}
 	for _, name := range []string{
-		"unitconv", "floatcmp", "droppederr", "unitdoc",
-		"ctxflow", "goroleak", "lockheld", "unitflow",
+		"floatcmp", "droppederr", "unitdoc",
+		"ctxflow", "goroleak", "lockheld",
 		"hotalloc", "spanend", "obskeys",
 		"detflow", "foldorder",
 	} {

@@ -16,9 +16,7 @@ import (
 	"asiccloud/internal/analysis/lockheld"
 	"asiccloud/internal/analysis/obskeys"
 	"asiccloud/internal/analysis/spanend"
-	"asiccloud/internal/analysis/unitconv"
 	"asiccloud/internal/analysis/unitdoc"
-	"asiccloud/internal/analysis/unitflow"
 )
 
 // Analyzers returns the full suite in stable order.
@@ -34,9 +32,7 @@ func Analyzers() []*analysis.Analyzer {
 		lockheld.Analyzer,
 		obskeys.Analyzer,
 		spanend.Analyzer,
-		unitconv.Analyzer,
 		unitdoc.Analyzer,
-		unitflow.Analyzer,
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package taint is a reusable worklist-based taint/dataflow engine for
-// asiclint analyzers. It generalizes the ad-hoc propagation that
-// unitflow pioneered — seed facts at declarations, push them through
-// assignments, check them at uses — into the classical four-part taint
-// vocabulary: sources introduce taint, propagation carries it through
-// expressions and statements, sanitizers remove it, and sinks are the
-// program points tainted values must never reach.
+// asiclint analyzers. It casts dataflow checking — seed facts at
+// declarations, push them through assignments, check them at uses — in
+// the classical four-part taint vocabulary: sources introduce taint,
+// propagation carries it through expressions and statements, sanitizers
+// remove it, and sinks are the program points tainted values must never
+// reach.
 //
 // The engine is built on the substrate the analysis framework already
 // provides: per-function control-flow graphs (analysis.Pass.CFG) give

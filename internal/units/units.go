@@ -39,12 +39,6 @@ const (
 
 	// SecondsPerHour is the number of seconds in an hour.
 	SecondsPerHour = 3600
-
-	// SecondsPerDay is the number of seconds in a day.
-	SecondsPerDay = 24 * SecondsPerHour
-
-	// SecondsPerYear is the number of seconds in a (non-leap) year.
-	SecondsPerYear = HoursPerYear * SecondsPerHour
 )
 
 // WattsPerKilowatt converts kW-denominated prices (e.g. $/kWh) into the
@@ -59,18 +53,8 @@ const GramsPerKilogram = 1000.0
 // GToKg converts a mass in g to kg.
 func GToKg(g float64) float64 { return g / GramsPerKilogram }
 
-// KgToG converts a mass in kg to g.
-func KgToG(kg float64) float64 { return kg * GramsPerKilogram }
-
-// KgToTonnes converts a mass in kg to metric tonnes, the scale
-// fleet-level carbon totals are quoted in.
-func KgToTonnes(kg float64) float64 { return kg * 1e-3 }
-
 // MM2ToM2 converts an area in mm² to m².
 func MM2ToM2(mm2 float64) float64 { return mm2 * 1e-6 }
-
-// M2ToMM2 converts an area in m² to mm².
-func M2ToMM2(m2 float64) float64 { return m2 * 1e6 }
 
 // UM2ToMM2 converts an area in µm² (the natural unit of per-gate and
 // per-bitcell layout densities) to mm².
@@ -82,9 +66,6 @@ func WToMW(w float64) float64 { return w * 1e-6 }
 
 // HzToMHz converts a frequency in Hz to MHz.
 func HzToMHz(hz float64) float64 { return hz * 1e-6 }
-
-// MHzToHz converts a frequency in MHz to Hz.
-func MHzToHz(mhz float64) float64 { return mhz * 1e6 }
 
 // GHsToHs converts a hash rate in GH/s to H/s.
 func GHsToHs(ghs float64) float64 { return ghs * 1e9 }
@@ -101,33 +82,6 @@ func MToMM(m float64) float64 { return m * 1e3 }
 // Million is a dimensionless count scale for display ("$M", "millions of
 // GH/s"); it is not a unit conversion.
 const Million = 1e6
-
-// CFMToM3s converts cubic feet per minute to m³/s, the airflow unit used by
-// commercial fan datasheets versus the SI unit used by our duct models.
-func CFMToM3s(cfm float64) float64 { return cfm * 0.000471947 }
-
-// M3sToCFM converts m³/s to cubic feet per minute.
-func M3sToCFM(m3s float64) float64 { return m3s / 0.000471947 }
-
-// CtoK converts Celsius to Kelvin.
-func CtoK(c float64) float64 { return c + 273.15 }
-
-// KtoC converts Kelvin to Celsius.
-func KtoC(k float64) float64 { return k - 273.15 }
-
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// Lerp linearly interpolates between a and b by t in [0, 1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
 
 // ApproxEqual reports whether a and b agree to within a relative tolerance
 // tol (or an absolute tolerance tol when both values are near zero).
@@ -187,29 +141,6 @@ func Bisect(f func(float64) float64, lo, hi, tol float64, maxIter int) (x float6
 	return (lo + hi) / 2, true
 }
 
-// MaximizeGolden finds the x in [lo, hi] that maximizes the unimodal
-// function f via golden-section search.
-func MaximizeGolden(f func(float64) float64, lo, hi, tol float64) (x, fx float64) {
-	const invPhi = 0.6180339887498949
-	a, b := lo, hi
-	c := b - (b-a)*invPhi
-	d := a + (b-a)*invPhi
-	fc, fd := f(c), f(d)
-	for b-a > tol {
-		if fc > fd {
-			b, d, fd = d, c, fc
-			c = b - (b-a)*invPhi
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + (b-a)*invPhi
-			fd = f(d)
-		}
-	}
-	x = (a + b) / 2
-	return x, f(x)
-}
-
 // Money formats a dollar amount with thousands separators, e.g. "$12,686".
 func Money(v float64) string {
 	neg := v < 0
@@ -238,24 +169,4 @@ func group(v int64) string {
 		out = append(out, c)
 	}
 	return string(out)
-}
-
-// SI formats v with an SI magnitude suffix and the given unit, e.g.
-// SI(575e6, "GH/s") → "575.0 MGH/s" is avoided by picking the natural
-// prefix: SI(575e6, "H/s") → "575.0 MH/s".
-func SI(v float64, unit string) string {
-	abs := math.Abs(v)
-	type scale struct {
-		mul    float64
-		prefix string
-	}
-	scales := []scale{
-		{1e12, "T"}, {1e9, "G"}, {1e6, "M"}, {1e3, "k"}, {1, ""},
-	}
-	for _, s := range scales {
-		if abs >= s.mul {
-			return fmt.Sprintf("%.1f %s%s", v/s.mul, s.prefix, unit)
-		}
-	}
-	return fmt.Sprintf("%.3g %s", v, unit)
 }

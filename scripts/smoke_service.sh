@@ -4,6 +4,8 @@
 # guarantees — the daemon's TCO-optimal answer matches the CLI's
 # verbatim, an identical resubmission is served from the cache
 # byte-for-byte, and the cache-hit counter on /metrics accounts for it.
+# The daemon's answer to the committed golden request must also equal,
+# byte for byte, the golden result TestResultGolden pins for RunOnce.
 # It ends by sending SIGTERM during a running sweep, which the daemon
 # must drain: the sweep finishes done and the daemon exits 0.
 # Run from the repository root (make check does).
@@ -49,17 +51,23 @@ done
 base="http://$addr"
 echo "smoke_service: daemon on $base"
 
+# wait_done JOB LABEL polls JOB until it is terminal and fails unless it
+# ended done.
+wait_done() {
+    local state="queued"
+    for _ in $(seq 1 200); do
+        state=$(curl -sf "$base/v1/sweeps/$1" | jq -er .state)
+        [[ "$state" == "done" || "$state" == "failed" || "$state" == "canceled" ]] && break
+        sleep 0.1
+    done
+    [[ "$state" == "done" ]] || fail "$2 $1 ended in state $state"
+}
+
 # Submit the quickstart sweep and poll the job to completion.
 curl -sf -X POST "$base/v1/sweeps" -d '{"app":"bitcoin"}' >"$workdir/post1.json" \
     || fail "POST /v1/sweeps"
 job=$(jq -er .id "$workdir/post1.json")
-state="queued"
-for _ in $(seq 1 200); do
-    state=$(curl -sf "$base/v1/sweeps/$job" | jq -er .state)
-    [[ "$state" == "done" || "$state" == "failed" || "$state" == "canceled" ]] && break
-    sleep 0.1
-done
-[[ "$state" == "done" ]] || fail "job $job ended in state $state"
+wait_done "$job" job
 curl -sf "$base/v1/sweeps/$job/result" >"$workdir/result1.json" || fail "GET result"
 
 # Property 1: the daemon's TCO-optimal point matches the CLI verbatim.
@@ -80,13 +88,7 @@ curl -sf -X POST "$base/v1/sweeps" -d '{"app":"bitcoin","objective":"carbon"}' >
 jq -e '.cached != true' "$workdir/postc.json" >/dev/null \
     || fail "carbon-objective request wrongly shared the tco cache entry"
 jobc=$(jq -er .id "$workdir/postc.json")
-state="queued"
-for _ in $(seq 1 200); do
-    state=$(curl -sf "$base/v1/sweeps/$jobc" | jq -er .state)
-    [[ "$state" == "done" || "$state" == "failed" || "$state" == "canceled" ]] && break
-    sleep 0.1
-done
-[[ "$state" == "done" ]] || fail "carbon job $jobc ended in state $state"
+wait_done "$jobc" "carbon job"
 curl -sf "$base/v1/sweeps/$jobc/result" >"$workdir/resultc.json" || fail "GET carbon result"
 jq -e '.objective == "carbon"' "$workdir/resultc.json" >/dev/null \
     || fail "carbon result does not echo objective=carbon"
@@ -98,6 +100,22 @@ if [[ "$daemon_carbon" != "$cli_carbon" ]]; then
     fail "daemon and CLI disagree on the carbon-optimal design"
 fi
 echo "smoke_service: daemon carbon-optimal matches CLI"
+
+# Property 1c: every field of the HTTP answer, not only describe. The
+# committed golden request, sent verbatim, must come back as exactly the
+# bytes of its golden result. It is a distinct request, so it leaves the
+# cache-hit count of property 3 alone.
+golden=internal/service/testdata/result
+curl -sf -X POST "$base/v1/sweeps" --data-binary "@$golden/bitcoin.request.json" >"$workdir/postg.json" \
+    || fail "golden POST /v1/sweeps"
+jobg=$(jq -er .id "$workdir/postg.json")
+wait_done "$jobg" "golden job"
+curl -sf "$base/v1/sweeps/$jobg/result" >"$workdir/resultg.json" || fail "GET golden result"
+if ! cmp -s "$workdir/resultg.json" "$golden/bitcoin.json"; then
+    diff <(jq -S . "$golden/bitcoin.json") <(jq -S . "$workdir/resultg.json") >&2 || true
+    fail "daemon result differs from $golden/bitcoin.json"
+fi
+echo "smoke_service: daemon result matches $golden/bitcoin.json byte for byte"
 
 # Property 2: an identical resubmission is a cache hit with the exact
 # same bytes.

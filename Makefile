@@ -55,10 +55,14 @@ lint-changed:
 	./scripts/lint_changed.sh
 
 # Refresh every analyzer's golden files. Run after an intentional
-# analyzer-message change; commit the diff.
+# analyzer-message change; commit the diff. Only the packages whose
+# tests import internal/analysis/atest define -update, so the flag goes
+# to those alone (the loader, cfg and suite tests would reject it).
+ATEST := asiccloud/internal/analysis/atest
+GOLDEN_PKGS = $(shell go list -f '{{range .TestImports}}{{if eq . "$(ATEST)"}}{{$$.ImportPath}}{{end}}{{end}}{{range .XTestImports}}{{if eq . "$(ATEST)"}}{{$$.ImportPath}}{{end}}{{end}}' ./internal/analysis/...)
 .PHONY: lint-golden
 lint-golden:
-	go test ./internal/analysis/... -update
+	go test $(GOLDEN_PKGS) -update
 
 # The repo benchmark: every workload BENCHMARK.json lists, in turn,
 # for its run_seconds, untraced, stopping at the first failure. Each

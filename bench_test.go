@@ -278,10 +278,7 @@ func BenchmarkTable7Deathmatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	asicTCO := res.TCOOptimal.TCOPerOp()
-	cpu, err := baseline.Lookup("Bitcoin", "CPU")
-	if err != nil {
-		b.Fatal(err)
-	}
+	cpu := baseline.Table7()[0] // Bitcoin on CPUs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m, err := baseline.Deathmatch(cpu, asicTCO)
@@ -518,8 +515,7 @@ func BenchmarkScryptMine(b *testing.B) {
 	}
 }
 
-// BenchmarkConvNaive and BenchmarkConvIm2col compare the direct
-// convolution against the im2col+GEMM layout accelerators use.
+// BenchmarkConvNaive measures the direct convolution.
 func BenchmarkConvNaive(b *testing.B) {
 	c, err := cnn.NewConv(16, 32, 3, 1, 5)
 	if err != nil {
@@ -532,23 +528,6 @@ func BenchmarkConvNaive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Forward(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkConvIm2col(b *testing.B) {
-	c, err := cnn.NewConv(16, 32, 3, 1, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in, _ := cnn.NewTensor(16, 32, 32)
-	for i := range in.Data {
-		in.Data[i] = float32(i%13) / 13
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.ForwardFast(in); err != nil {
 			b.Fatal(err)
 		}
 	}

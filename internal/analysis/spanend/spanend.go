@@ -207,7 +207,7 @@ func escapes(pass *analysis.Pass, body *ast.BlockStmt, obj types.Object, decl *a
 		}
 		parent := stack[len(stack)-2]
 		if sel, ok := parent.(*ast.SelectorExpr); ok && sel.X == id {
-			return true // receiver of s.End(), s.Child(...), s.Path()...
+			return true // receiver of s.End(), s.Child(...), s.Context()...
 		}
 		esc = true
 		return false

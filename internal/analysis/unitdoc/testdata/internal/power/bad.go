@@ -38,3 +38,12 @@ const (
 	// KindB is the other family.
 	KindB
 )
+
+// Board is a second fixture description.
+type Board struct {
+	// Scale is the upper bound from the paper, a tuning knob.
+	Scale float64 // flagged: the only match is inside a word
+
+	// Rate is the work done per cycle.
+	Rate float64 // fine: "per" names the unit of a rate
+}

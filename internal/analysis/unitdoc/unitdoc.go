@@ -55,15 +55,15 @@ var (
 	unitLetters = regexp.MustCompile(`\b(W|K|V|A|J|N|m|s|g|kg|Pa|Hz|kHz|MHz|GHz|H/s|kH/s|MH/s|GH/s|TH/s|mW|kW|MW|kWh|K/W|W/mK|RPM|CFM|PUE|PerfUnit|GB|MB|KB|GB/s|mm|cm|nm|µm|um|ms|ns|µs|us)\b`)
 
 	// Case-insensitive unit words.
-	unitWords = regexp.MustCompile(`(?i)\b(watt|watts|volt|volts|amp|amps|ampere|amperes|joule|joules|kelvin|kelvins|celsius|pascal|pascals|newton|newtons|meter|meters|metre|metres|gram|grams|kilogram|kilograms|second|seconds|minute|minutes|hour|hours|day|days|year|years|month|months|annual|dollar|dollars|cent|cents|usd|hash|hashes|op|ops|bit|bits|byte|bytes|frame|frames|block|blocks|die|dies|chip|chips|lane|lanes|server|servers|gate|gates|flop|flops|access|accesses|number of|dimensionless|unitless|ratio|fraction|multiplier|percent|percentage|probability|count|exponent|factor|efficiency|index|degree|degrees)\b`)
+	unitWords = regexp.MustCompile(`(?i)\b(watt|watts|volt|volts|amp|amps|ampere|amperes|joule|joules|kelvin|kelvins|celsius|pascal|pascals|newton|newtons|meter|meters|metre|metres|gram|grams|kilogram|kilograms|second|seconds|minute|minutes|hour|hours|day|days|year|years|month|months|annual|dollar|dollars|cent|cents|usd|hash|hashes|op|ops|bit|bits|byte|bytes|frame|frames|block|blocks|die|dies|chip|chips|lane|lanes|server|servers|gate|gates|flop|flops|access|accesses|number of|dimensionless|unitless|ratio|fraction|multiplier|percent|percentage|probability|count|exponent|factor|efficiency|index|degree|degrees|per)\b`)
 
 	// Symbols and typographic units matched as plain substrings.
-	unitSymbols = []string{"°C", "°F", "²", "³", "µ", "$", "%", "Ω", "·K", "·s", "/s", "/kg", "/m", "/W", "/mm", "per "}
+	unitSymbols = []string{"°C", "°F", "²", "³", "µ", "$", "%", "Ω", "·K", "·s", "/s", "/kg", "/m", "/W", "/mm"}
 )
 
 // namesUnit reports whether the comment text mentions any known unit.
 // Comment text arrives with hard line breaks; they are folded to spaces so
-// multi-word tokens ("per cycle") match across wrapped lines.
+// multi-word tokens ("number of") match across wrapped lines.
 func namesUnit(text string) bool {
 	text = strings.Join(strings.Fields(text), " ")
 	// Drop apostrophes so possessives don't fabricate unit letters: in

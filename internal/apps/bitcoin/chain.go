@@ -141,65 +141,8 @@ func (c *Chain) Add(b Block) (becameTip bool, err error) {
 	return false, nil
 }
 
-// Tip returns the heaviest block hash.
-func (c *Chain) Tip() [32]byte { return c.tip }
-
 // Height of the heaviest chain.
 func (c *Chain) Height() int { return c.nodes[c.tip].height }
 
 // TotalWork of the heaviest chain in expected hashes.
 func (c *Chain) TotalWork() *big.Int { return new(big.Int).Set(c.nodes[c.tip].work) }
-
-// Blocks counts all known blocks, including forked-off ones.
-func (c *Chain) Blocks() int { return len(c.nodes) }
-
-// Get returns a known block.
-func (c *Chain) Get(hash [32]byte) (Block, bool) {
-	n, ok := c.nodes[hash]
-	if !ok {
-		return Block{}, false
-	}
-	return n.block, true
-}
-
-// MainChain walks the heaviest chain from genesis to tip.
-func (c *Chain) MainChain() []Block {
-	var rev []Block
-	h := c.tip
-	for {
-		n := c.nodes[h]
-		rev = append(rev, n.block)
-		if h == c.genesis {
-			break
-		}
-		h = n.parent
-	}
-	out := make([]Block, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
-// Contains reports whether the block is on the heaviest chain (as
-// opposed to a stale fork).
-func (c *Chain) Contains(hash [32]byte) bool {
-	n, ok := c.nodes[hash]
-	if !ok {
-		return false
-	}
-	h := c.tip
-	for {
-		cur := c.nodes[h]
-		if cur.height < n.height {
-			return false
-		}
-		if h == hash {
-			return true
-		}
-		if h == c.genesis {
-			return false
-		}
-		h = cur.parent
-	}
-}

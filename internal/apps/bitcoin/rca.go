@@ -45,21 +45,6 @@ func RolledRCA() vlsi.Spec {
 	return spec
 }
 
-// Netlist is a structural model of the unrolled 128-stage pipeline, used
-// to cross-check the published spec against the gate-level estimator:
-// each stage carries the 256-bit state plus 512-bit message schedule in
-// pipeline registers and ~1500 NAND2 of round logic (adders, sigma
-// functions, choose/majority).
-func Netlist() vlsi.Netlist {
-	return vlsi.Netlist{
-		Name:         "bitcoin-sha256d-unrolled",
-		Gates:        2 * Rounds * 1500,
-		Flops:        2 * Rounds * 768,
-		CombActivity: 0.5, // "50% or higher for combinational logic"
-		FlopActivity: 1.0, // "100% for flip flops"
-	}
-}
-
 // RolledNetlist is the in-place variant: one round of logic plus the
 // hash state, message schedule and round sequencing.
 func RolledNetlist() vlsi.Netlist {

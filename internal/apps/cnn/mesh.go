@@ -123,9 +123,6 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // area and power."
 func (s ChipShape) HTLinksPerChip() int { return 2 * (s.A + s.B) }
 
-// InternalLinks counts mesh links served by the on-chip NoC.
-func (s ChipShape) InternalLinks() int { return s.A*(s.B-1) + s.B*(s.A-1) }
-
 // PaperShapes returns the twelve configurations of the paper's
 // Figure 17.
 func PaperShapes() []ChipShape {

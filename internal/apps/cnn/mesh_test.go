@@ -11,15 +11,15 @@ func TestChipShapeGeometry(t *testing.T) {
 	cases := []struct {
 		s            ChipShape
 		nodes, chips int
-		ht, internal int
+		ht           int
 	}{
-		{ChipShape{1, 1}, 1, 64, 4, 0},
-		{ChipShape{2, 2}, 4, 16, 8, 4},
-		{ChipShape{4, 2}, 8, 8, 12, 10},
-		{ChipShape{4, 1}, 4, 16, 10, 3},
-		{ChipShape{8, 1}, 8, 8, 18, 7},
-		{ChipShape{3, 1}, 3, 24, 8, 2}, // partial chips at the edge
-		{ChipShape{5, 2}, 10, 8, 14, 13},
+		{ChipShape{1, 1}, 1, 64, 4},
+		{ChipShape{2, 2}, 4, 16, 8},
+		{ChipShape{4, 2}, 8, 8, 12},
+		{ChipShape{4, 1}, 4, 16, 10},
+		{ChipShape{8, 1}, 8, 8, 18},
+		{ChipShape{3, 1}, 3, 24, 8}, // partial chips at the edge
+		{ChipShape{5, 2}, 10, 8, 14},
 	}
 	for _, c := range cases {
 		if got := c.s.Nodes(); got != c.nodes {
@@ -30,9 +30,6 @@ func TestChipShapeGeometry(t *testing.T) {
 		}
 		if got := c.s.HTLinksPerChip(); got != c.ht {
 			t.Errorf("%v HTLinksPerChip = %d, want %d", c.s, got, c.ht)
-		}
-		if got := c.s.InternalLinks(); got != c.internal {
-			t.Errorf("%v InternalLinks = %d, want %d", c.s, got, c.internal)
 		}
 	}
 	if err := (ChipShape{0, 1}).Validate(); err == nil {
@@ -65,10 +62,17 @@ func TestPaperShapesAreTwelve(t *testing.T) {
 
 func TestDieAreaMatchesPaper(t *testing.T) {
 	// Paper Table 6: the 4x2 chip is 454 mm², the 4x1 chip is 245 mm².
-	if got := DieAreaFor(ChipShape{4, 2}); math.Abs(got-454) > 10 {
+	dieArea := func(s ChipShape) float64 {
+		cfg, _, err := ServerConfig(s, s.ChipsPerSystem())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg.DieArea()
+	}
+	if got := dieArea(ChipShape{4, 2}); math.Abs(got-454) > 10 {
 		t.Errorf("4x2 die = %.0f mm², want ~454", got)
 	}
-	if got := DieAreaFor(ChipShape{4, 1}); math.Abs(got-245) > 10 {
+	if got := dieArea(ChipShape{4, 1}); math.Abs(got-245) > 10 {
 		t.Errorf("4x1 die = %.0f mm², want ~245", got)
 	}
 }

@@ -204,45 +204,3 @@ func TestTrafficGrowsWithNodes(t *testing.T) {
 			r8.TrafficBytes, r2.TrafficBytes)
 	}
 }
-
-func TestForwardFastMatchesNaive(t *testing.T) {
-	for _, tc := range []struct{ inC, outC, k, pad, h, w int }{
-		{3, 8, 3, 1, 16, 16},
-		{1, 1, 3, 0, 8, 8},
-		{4, 6, 5, 2, 12, 10},
-		{2, 3, 1, 0, 7, 9},
-	} {
-		c, err := NewConv(tc.inC, tc.outC, tc.k, tc.pad, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := randomInput(t, tc.inC, tc.h, tc.w, int64(tc.outC))
-		want, err := c.Forward(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.ForwardFast(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.C != want.C || got.H != want.H || got.W != want.W {
-			t.Fatalf("%+v: shape mismatch", tc)
-		}
-		for i := range want.Data {
-			if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-4 {
-				t.Fatalf("%+v: value mismatch at %d: %v vs %v",
-					tc, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
-}
-
-func TestForwardFastErrors(t *testing.T) {
-	c, _ := NewConv(3, 4, 3, 0, 1)
-	if _, err := c.ForwardFast(randomInput(t, 2, 8, 8, 1)); err == nil {
-		t.Error("channel mismatch should fail")
-	}
-	if _, err := c.ForwardFast(randomInput(t, 3, 2, 2, 1)); err == nil {
-		t.Error("collapsing output should fail")
-	}
-}

@@ -38,13 +38,6 @@ const (
 	htPHYPins    = 76
 )
 
-// DieAreaFor reports the die area of a chip of the given shape: cores
-// plus perimeter HyperTransport PHYs. The paper's 4×2 chip is 454 mm²
-// and its 4×1 chip is 245 mm².
-func DieAreaFor(s ChipShape) float64 {
-	return float64(s.Nodes())*NodeSpec().Area + float64(s.HTLinksPerChip())*htPHYAreaMM2
-}
-
 // ServerConfig builds the server configuration for a chip shape and a
 // per-lane chip count. The performance cap encodes that "performance is
 // only dependent on the number of 8x8 DDN systems": surplus chips or

@@ -1,9 +1,6 @@
 package litecoin
 
-import (
-	"asiccloud/internal/apps/bitcoin"
-	"asiccloud/internal/vlsi"
-)
+import "asiccloud/internal/vlsi"
 
 // RCA returns the Litecoin replicated compute accelerator, calibrated to
 // the paper's Table 4 operating points. "Because Litecoin consists of
@@ -31,38 +28,5 @@ func RCA() vlsi.Spec {
 		SRAMPowerFraction:   0.65,
 		SRAMVmin:            0.9,
 		VoltageScalable:     true,
-	}
-}
-
-// Netlist is the structural model behind the spec: one scrypt datapath
-// (Salsa20/8 pipeline plus PBKDF2 front/back ends) beside a 128 KB
-// scratchpad accessed every cycle.
-func Netlist() vlsi.Netlist {
-	return vlsi.Netlist{
-		Name:                 "litecoin-scrypt-core",
-		Gates:                180_000,
-		Flops:                30_000,
-		SRAMBits:             ScratchpadBytes * 8,
-		CombActivity:         0.35,
-		FlopActivity:         0.5,
-		SRAMAccessesPerCycle: 1,
-		SRAMWordBits:         512,
-	}
-}
-
-// HistoricalGenerations reconstructs Litecoin's own specialization ramp
-// for use with the generic network simulator: a long GPU era (scrypt was
-// designed to resist the first ASICs), then 110/55/28 nm scrypt ASICs
-// arriving from 2014 — compressed relative to Bitcoin's ladder, exactly
-// as the paper's §8 SRAM-bound analysis predicts (less to gain from
-// custom silicon, so fewer generations). Peaks are in MH/s and sized so
-// the world reaches the paper's 1,452,000 MH/s (§8) about five years in.
-func HistoricalGenerations() []bitcoin.Generation {
-	return []bitcoin.Generation{
-		{Name: "CPU", Node: 0, LaunchYears: 0.0, RampYears: 0.4, PeakGHs: 40},
-		{Name: "GPU", Node: 0, LaunchYears: 0.8, RampYears: 0.5, PeakGHs: 110_000},
-		{Name: "ASIC 110nm", Node: 110, LaunchYears: 2.6, RampYears: 0.3, PeakGHs: 240_000},
-		{Name: "ASIC 55nm", Node: 55, LaunchYears: 3.1, RampYears: 0.4, PeakGHs: 500_000},
-		{Name: "ASIC 28nm", Node: 28, LaunchYears: 3.8, RampYears: 0.5, PeakGHs: 640_000},
 	}
 }

@@ -173,10 +173,6 @@ const (
 	P = 1
 )
 
-// ScratchpadBytes is the ROMix working set at Litecoin parameters:
-// the 128 KB the paper's RCA keeps in SRAM.
-const ScratchpadBytes = 128 * R * N
-
 // PoWHash computes the Litecoin proof-of-work hash of an 80-byte block
 // header: scrypt with the header as both password and salt.
 func PoWHash(header []byte) ([32]byte, error) {

@@ -57,19 +57,3 @@ func ServerConfig(dramsPerASIC int) (server.Config, error) {
 	cfg.OffPCBBytesPerOp = 0.0157
 	return cfg, nil
 }
-
-// Netlist is the structural model of one transcode RCA: motion-estimation
-// SAD arrays, transform/quantization datapaths, and entropy-coding logic
-// beside ~96 KB of line/search-window SRAM.
-func Netlist() vlsi.Netlist {
-	return vlsi.Netlist{
-		Name:                 "xcode-h265-core",
-		Gates:                1_400_000,
-		Flops:                220_000,
-		SRAMBits:             96 * 1024 * 8,
-		CombActivity:         0.12,
-		FlopActivity:         0.25,
-		SRAMAccessesPerCycle: 2,
-		SRAMWordBits:         128,
-	}
-}

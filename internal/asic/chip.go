@@ -40,7 +40,6 @@ func (c *Chip) Step() {
 			if t.router.in[vnetReply][dirLocal].push(reply) {
 				t.hasJob = false
 				t.busyUntil = -1
-				t.jobsDone++
 			}
 			// Otherwise the RCA stalls holding its result: natural
 			// backpressure when the reply network is congested.
@@ -183,7 +182,6 @@ func (c *Chip) Step() {
 		t := &c.tiles[i]
 		if t.hasJob {
 			t.tempC += c.cfg.HeatPerBusyCycle
-			t.busyCycles++
 			c.stats.BusyCycles++
 		}
 		t.tempC -= c.cfg.CoolPerCycle * (t.tempC - c.cfg.AmbientC)
@@ -205,13 +203,6 @@ func rcaCompute(x uint64) uint64 {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return x
-}
-
-// Run advances the chip the given number of cycles.
-func (c *Chip) Run(cycles int) {
-	for i := 0; i < cycles; i++ {
-		c.Step()
-	}
 }
 
 // RunUntilDrained steps until all injected work has completed or the

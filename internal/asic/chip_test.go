@@ -46,14 +46,14 @@ func TestAllJobsCompleteExactlyOnce(t *testing.T) {
 		chip.Submit(uint64(i+1), uint64(i))
 	}
 	if !chip.RunUntilDrained(1_000_000) {
-		t.Fatalf("chip did not drain: %+v, pending %d", chip.Stats(), chip.Pending())
+		t.Fatalf("chip did not drain: %+v, pending %d", chip.Stats(), len(chip.pending))
 	}
 	s := chip.Stats()
 	if s.Injected != jobs || s.Completed != jobs {
 		t.Fatalf("injected %d / completed %d, want %d", s.Injected, s.Completed, jobs)
 	}
 	seen := map[uint64]bool{}
-	for _, r := range chip.Results() {
+	for _, r := range chip.results {
 		if seen[r.JobID] {
 			t.Fatalf("job %d completed twice", r.JobID)
 		}
@@ -80,7 +80,7 @@ func TestLatencyRespectsPhysics(t *testing.T) {
 	if !chip.RunUntilDrained(100_000) {
 		t.Fatal("did not drain")
 	}
-	rs := chip.Results()
+	rs := chip.results
 	if len(rs) != 1 {
 		t.Fatalf("got %d results", len(rs))
 	}
@@ -107,7 +107,7 @@ func TestRoundRobinPlacementBalances(t *testing.T) {
 		t.Fatal("did not drain")
 	}
 	perTile := map[[2]int]int{}
-	for _, r := range chip.Results() {
+	for _, r := range chip.results {
 		perTile[[2]int{r.TileX, r.TileY}]++
 	}
 	if len(perTile) != cfg.Width*cfg.Height {
@@ -131,7 +131,9 @@ func TestUtilizationUnderLoad(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		chip.Submit(uint64(i+1), 0)
 	}
-	chip.Run(6_000)
+	for i := 0; i < 6_000; i++ {
+		chip.Step()
+	}
 	s := chip.Stats()
 	// One injection port feeds 16 tiles with 64-cycle jobs: the port
 	// supplies one job per cycle, so tiles should be mostly busy.
@@ -178,7 +180,9 @@ func TestThermalThrottling(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		chip.Submit(uint64(i+1), 0)
 	}
-	chip.Run(60_000)
+	for i := 0; i < 60_000; i++ {
+		chip.Step()
+	}
 	s := chip.Stats()
 	if s.ThrottledCycles == 0 {
 		t.Fatal("expected the thermal control loop to throttle injection")
@@ -189,7 +193,7 @@ func TestThermalThrottling(t *testing.T) {
 	if s.MaxTempC > cfg.MaxTjC+cfg.HeatPerBusyCycle*float64(cfg.JobCycles)*2 {
 		t.Errorf("max temp %v far above the sensor limit %v", s.MaxTempC, cfg.MaxTjC)
 	}
-	if !chip.Throttled() && !chip.reopened() {
+	if !chip.throttled() && !chip.reopened() {
 		t.Error("inconsistent throttle state")
 	}
 }
@@ -246,45 +250,6 @@ func TestXYRouting(t *testing.T) {
 	for _, c := range cases {
 		if got := xyOut(c.x, c.y, c.dx, c.dy); got != c.want {
 			t.Errorf("xyOut(%d,%d → %d,%d) = %v, want %v", c.x, c.y, c.dx, c.dy, got, c.want)
-		}
-	}
-}
-
-func TestTileStats(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HeatPerBusyCycle = 0.1
-	chip, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		chip.Submit(uint64(i+1), 0)
-	}
-	if !chip.RunUntilDrained(1_000_000) {
-		t.Fatal("did not drain")
-	}
-	stats := chip.TileStats()
-	if len(stats) != cfg.Width*cfg.Height {
-		t.Fatalf("got %d tile stats", len(stats))
-	}
-	var jobs, busy int64
-	for _, s := range stats {
-		jobs += s.JobsDone
-		busy += s.BusyCycles
-		if s.TempC < cfg.AmbientC {
-			t.Errorf("tile (%d,%d) below ambient", s.X, s.Y)
-		}
-	}
-	if jobs != 64 {
-		t.Errorf("tile job sum = %d, want 64", jobs)
-	}
-	if busy != chip.Stats().BusyCycles {
-		t.Error("tile busy sum disagrees with chip stats")
-	}
-	hot := chip.Hottest()
-	for _, s := range stats {
-		if s.TempC > hot.TempC {
-			t.Error("Hottest missed a tile")
 		}
 	}
 }

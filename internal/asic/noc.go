@@ -76,9 +76,6 @@ type tile struct {
 	hasJob    bool
 	// sensor state.
 	tempC float64
-	// accounting.
-	jobsDone   int64
-	busyCycles int64
 }
 
 // Config parameterizes the chip.
@@ -210,22 +207,8 @@ func (c *Chip) Submit(jobID, payload uint64) {
 	})
 }
 
-// Pending reports jobs not yet injected into the mesh.
-func (c *Chip) Pending() int { return len(c.pending) }
-
-// Results drains collected results.
-func (c *Chip) Results() []Result {
-	r := c.results
-	c.results = nil
-	return r
-}
-
 // Stats returns a snapshot of the accounting counters.
 func (c *Chip) Stats() Stats { return c.stats }
-
-// Throttled reports whether the thermal control loop is currently
-// blocking injection.
-func (c *Chip) Throttled() bool { return c.throttled() }
 
 func (c *Chip) throttled() bool {
 	limit := c.cfg.MaxTjC
@@ -264,39 +247,4 @@ func xyOut(x, y, dstX, dstY int) direction {
 	default:
 		return dirLocal
 	}
-}
-
-// TileStat is one RCA tile's accounting, as read out over the control
-// plane — the paper's Figure 2 shows thermal sensors per ASIC for
-// exactly this visibility.
-type TileStat struct {
-	X, Y       int
-	JobsDone   int64
-	BusyCycles int64
-	TempC      float64
-}
-
-// TileStats returns a snapshot of every tile, row-major.
-func (c *Chip) TileStats() []TileStat {
-	out := make([]TileStat, len(c.tiles))
-	for i := range c.tiles {
-		t := &c.tiles[i]
-		out[i] = TileStat{
-			X: i % c.cfg.Width, Y: i / c.cfg.Width,
-			JobsDone: t.jobsDone, BusyCycles: t.busyCycles, TempC: t.tempC,
-		}
-	}
-	return out
-}
-
-// Hottest returns the tile with the highest sensor reading.
-func (c *Chip) Hottest() TileStat {
-	stats := c.TileStats()
-	best := stats[0]
-	for _, s := range stats[1:] {
-		if s.TempC > best.TempC {
-			best = s
-		}
-	}
-	return best
 }

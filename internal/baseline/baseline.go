@@ -62,27 +62,6 @@ func Table7() []Machine {
 	}
 }
 
-// FPGARows returns the FPGA generation the paper narrates between GPUs
-// and ASICs (Figure 1's "Gen 3") but does not tabulate in Table 7 — an
-// extension row based on the Butterfly Labs Single, the era's popular
-// FPGA miner (~832 MH/s at 80 W for ~$600).
-func FPGARows() []Machine {
-	return []Machine{
-		{Application: "Bitcoin", PerfMetric: "GH/s", Cloud: "FPGA",
-			Hardware: "BFL Single (Spartan-6)", Perf: 0.832, PowerW: 80, CostUSD: 600, LifeYears: 3},
-	}
-}
-
-// Lookup finds the baseline row for an application and cloud kind.
-func Lookup(application, cloud string) (Machine, error) {
-	for _, m := range append(Table7(), FPGARows()...) {
-		if m.Application == application && m.Cloud == cloud {
-			return m, nil
-		}
-	}
-	return Machine{}, fmt.Errorf("baseline: no %s baseline for %q", cloud, application)
-}
-
 // Matchup is one deathmatch comparison.
 type Matchup struct {
 	Application string

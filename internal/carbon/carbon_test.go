@@ -11,13 +11,6 @@ func TestDefaultValidates(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := ForGrid(20)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if m.GridGCO2ePerKWh != 20 {
-		t.Errorf("ForGrid intensity = %v, want 20", m.GridGCO2ePerKWh)
-	}
 }
 
 func TestValidateRejects(t *testing.T) {
@@ -44,7 +37,8 @@ func TestValidateRejects(t *testing.T) {
 		}
 	}
 	// A fully decarbonized grid is valid, not an error.
-	m := ForGrid(0)
+	m := Default()
+	m.GridGCO2ePerKWh = 0
 	if err := m.Validate(); err != nil {
 		t.Errorf("zero grid intensity should validate: %v", err)
 	}
@@ -63,7 +57,8 @@ func TestOperationalKg(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("OperationalKg(100) = %v, want %v", got, want)
 	}
-	if z := ForGrid(0).OperationalKg(100); z != 0 {
+	m.GridGCO2ePerKWh = 0
+	if z := m.OperationalKg(100); z != 0 {
 		t.Errorf("zero-intensity grid: OperationalKg = %v, want 0", z)
 	}
 }

@@ -16,10 +16,10 @@
 // can requeue work at any moment — and the pool answers nojob only when
 // it is genuinely out of work (drained and closed, or idle with nothing
 // in flight), so nojob is the worker's clean exit; any other connection
-// loss surfaces as ErrUnexpectedDisconnect. A coordinator enqueues
-// jobs, calls Close after the last Add, and ranges over Results, which
-// delivers every recorded result losslessly and closes once the pool
-// drains. What a worker sends is untrusted: the first result for each
+// loss surfaces as ErrUnexpectedDisconnect. A coordinator builds the
+// pool with its jobs (NewPool), calls Close, and ranges over Results,
+// which delivers every recorded result losslessly and closes once the
+// pool drains. What a worker sends is untrusted: the first result for each
 // queued job wins, and a result naming a job the pool never queued is
 // acknowledged, logged and ignored.
 //

@@ -84,15 +84,14 @@ type Pool struct {
 	mu      sync.Mutex
 	pending []Job
 	leases  map[uint64]lease
-	jobIDs  map[uint64]bool // every job ID NewPool or Add enqueued
+	jobIDs  map[uint64]bool // every job ID NewPool enqueued
 	done    map[uint64]bool
 	issued  map[uint64]time.Time // last hand-out time of outstanding jobs
 	stats   Stats
 	met     poolMetrics
 	// resBuf holds recorded results until the pump goroutine moves them
 	// to the results channel. Delivery is lossless: the buffer grows as
-	// needed, so jobs enqueued via Add past the channel's construction
-	// capacity can never overflow it.
+	// needed, so record never blocks on a full channel.
 	resBuf  []Result
 	resCond *sync.Cond // signaled on resBuf append and on Close
 	results chan Result
@@ -177,16 +176,16 @@ func (p *Pool) drained() bool {
 
 // idleLocked reports whether the pool has nothing to hand out and
 // nothing outstanding that could be requeued: pending is empty and no
-// issued job is in flight. Distinct from drained — an idle pool may
-// receive more work via Add. Callers hold p.mu.
+// issued job is in flight. Distinct from drained, which also needs
+// Close. Callers hold p.mu.
 func (p *Pool) idleLocked() bool {
 	return len(p.pending) == 0 && len(p.issued) == 0
 }
 
-// Close marks the pool complete: no further Add succeeds, and once
-// every queued job has a recorded result the Results channel is closed.
-// A coordinator calls Close after enqueueing its last job and then
-// ranges over Results until the channel closes. Close is idempotent and
+// Close marks the pool complete: once every queued job has a recorded
+// result the Results channel is closed. A coordinator calls Close after
+// building the pool and then ranges over Results until the channel
+// closes. Close is idempotent and
 // does not interrupt jobs already pending or leased — they still run to
 // completion and their results are still delivered.
 func (p *Pool) Close() {
@@ -308,20 +307,6 @@ func (p *Pool) releaseDeadConn(j Job) {
 	p.mu.Unlock()
 	log.LogAttrs(context.Background(), slog.LevelWarn, "connection died holding job; requeued",
 		slog.Uint64("job_id", j.ID))
-}
-
-// Add enqueues another job. It fails once Close has been called.
-func (p *Pool) Add(j Job) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return errors.New("cloud: pool closed")
-	}
-	p.pending = append(p.pending, j)
-	p.jobIDs[j.ID] = true
-	p.stats.JobsQueued++
-	p.met.queued.Set(float64(len(p.pending)))
-	return nil
 }
 
 // next pops a job, or ok=false when none remain. Expired leases are
@@ -451,13 +436,6 @@ func logExpired(log *slog.Logger, expired []uint64) {
 // and all queued jobs are resolved, so `for range pool.Results()` is
 // the coordinator's drain loop.
 func (p *Pool) Results() <-chan Result { return p.results }
-
-// Remaining reports jobs not yet handed out.
-func (p *Pool) Remaining() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pending)
-}
 
 // Serve accepts worker connections until the context is canceled or the
 // listener fails. Each connection is served on its own goroutine, and

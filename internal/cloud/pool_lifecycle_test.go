@@ -9,16 +9,12 @@ import (
 	"time"
 )
 
-// TestAddAfterCloseErrors pins the Close contract: Close is idempotent,
-// Add fails afterwards, and the Results channel of a closed empty pool
-// closes immediately.
-func TestAddAfterCloseErrors(t *testing.T) {
+// TestCloseEmptyPool pins the Close contract: Close is idempotent, and
+// the Results channel of a closed empty pool closes immediately.
+func TestCloseEmptyPool(t *testing.T) {
 	p := NewPool(nil)
 	p.Close()
 	p.Close() // idempotent
-	if err := p.Add(Job{ID: 1}); err == nil {
-		t.Fatal("Add after Close should fail")
-	}
 	select {
 	case _, ok := <-p.Results():
 		if ok {
@@ -49,19 +45,16 @@ func TestCloseDrainsResults(t *testing.T) {
 	}
 }
 
-// TestLosslessResultsBeyondCapacity pushes far more jobs through Add
-// than the results channel's construction capacity (len(jobs)+16 = 16
-// for an initially-empty pool) with nobody consuming until the end.
-// Before the internal buffer, record dropped every result past the
-// channel capacity.
+// TestLosslessResultsBeyondCapacity records far more results than the
+// results channel holds (shrunk here to 16, below the job count) with
+// nobody consuming until the end. Before the internal buffer, record
+// dropped every result past the channel capacity.
 func TestLosslessResultsBeyondCapacity(t *testing.T) {
 	const jobs = 100
-	p := NewPool(nil)
-	for i := 1; i <= jobs; i++ {
-		if err := p.Add(Job{ID: uint64(i), Payload: make([]byte, 8)}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	p := NewPool(makeJobs(jobs))
+	p.mu.Lock()
+	p.results = make(chan Result, 16)
+	p.mu.Unlock()
 	addr, stop := startPool(t, p)
 	defer stop()
 	if n, err := RunWorker(context.Background(), addr, "w", echoHandler); err != nil || n != jobs {
@@ -156,8 +149,8 @@ func TestReapWithoutGetwork(t *testing.T) {
 	if s.JobsExpired != 1 {
 		t.Fatalf("expired = %d, want exactly the unanswered lease reaped", s.JobsExpired)
 	}
-	if p.Remaining() != 1 {
-		t.Fatalf("remaining = %d, want the reaped job back in pending", p.Remaining())
+	if len(p.pending) != 1 {
+		t.Fatalf("remaining = %d, want the reaped job back in pending", len(p.pending))
 	}
 
 	// Stats alone reaps too: re-issue, lapse, snapshot.

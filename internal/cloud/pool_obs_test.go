@@ -88,7 +88,6 @@ func TestLeaseExpiryUnderConcurrentFleet(t *testing.T) {
 				t.Error("inconsistent stats snapshot")
 				return
 			}
-			_ = p.Remaining()
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()

@@ -73,8 +73,11 @@ func TestSingleWorkerDrainsPool(t *testing.T) {
 	if s.WorkerResults["w1"] != 20 {
 		t.Errorf("w1 results = %d, want 20", s.WorkerResults["w1"])
 	}
-	if p.Remaining() != 0 {
-		t.Errorf("remaining = %d, want 0", p.Remaining())
+	p.mu.Lock()
+	left := len(p.pending)
+	p.mu.Unlock()
+	if left != 0 {
+		t.Errorf("remaining = %d, want 0", left)
 	}
 }
 
@@ -241,22 +244,6 @@ func TestMiningPoolEndToEnd(t *testing.T) {
 	}
 }
 
-func TestAddAfterStart(t *testing.T) {
-	p := NewPool(nil)
-	if err := p.Add(Job{ID: 1, Payload: make([]byte, 8)}); err != nil {
-		t.Fatal(err)
-	}
-	addr, stop := startPool(t, p)
-	defer stop()
-	n, err := RunWorker(context.Background(), addr, "w", echoHandler)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("completed %d, want 1", n)
-	}
-}
-
 func TestWorkerContextCancel(t *testing.T) {
 	p := NewPool(makeJobs(1000))
 	addr, stop := startPool(t, p)
@@ -274,7 +261,10 @@ func TestWorkerContextCancel(t *testing.T) {
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want nil or context.Canceled", err)
 	}
-	if p.Remaining() == 0 {
+	p.mu.Lock()
+	left := len(p.pending)
+	p.mu.Unlock()
+	if left == 0 {
 		t.Error("cancellation should leave work behind")
 	}
 }
@@ -409,14 +399,14 @@ func TestLeaseRequeuesAbandonedJobs(t *testing.T) {
 	if !ok {
 		t.Fatal("no job")
 	}
-	if p.Remaining() != 2 {
-		t.Fatalf("remaining = %d, want 2", p.Remaining())
+	if len(p.pending) != 2 {
+		t.Fatalf("remaining = %d, want 2", len(p.pending))
 	}
 	// Before expiry the job stays leased.
 	p.mu.Lock()
 	p.reapExpiredLocked()
 	p.mu.Unlock()
-	if p.Remaining() != 2 {
+	if len(p.pending) != 2 {
 		t.Error("lease reaped early")
 	}
 	// After expiry the job returns to the queue.

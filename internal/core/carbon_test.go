@@ -8,8 +8,9 @@ import (
 	"asiccloud/internal/tco"
 )
 
-// TestFindCarbonOptimalMatchesBruteForce checks the fast path against
-// Explore's CarbonOptimal under the default carbon model. Both paths
+// TestFindCarbonOptimalMatchesBruteForce checks the fast path, a
+// streaming (DiscardPoints) sweep, against Explore's CarbonOptimal
+// under the default carbon model. Both paths
 // build identical Points, so the winner must match exactly, not just
 // within tolerance.
 func TestFindCarbonOptimalMatchesBruteForce(t *testing.T) {
@@ -18,10 +19,7 @@ func TestFindCarbonOptimalMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := FindCarbonOptimal(sweep, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := exploreDiscard(t, sweep).CarbonOptimal
 	if fast.CO2PerOp() > full.CarbonOptimal.CO2PerOp()*1.005 {
 		t.Errorf("fast CO2e %v vs brute force %v", fast.CO2PerOp(), full.CarbonOptimal.CO2PerOp())
 	}
@@ -38,21 +36,17 @@ func TestFindCarbonOptimalMatchesBruteForce(t *testing.T) {
 // the cheap-electricity TCO shift.
 func TestFindCarbonOptimalCustomModel(t *testing.T) {
 	dirty := smallSweep()
-	cm := carbon.ForGrid(800)
+	cm := carbon.Default()
+	cm.GridGCO2ePerKWh = 800
 	dirty.Carbon = &cm
 
 	clean := smallSweep()
-	zm := carbon.ForGrid(0)
+	zm := carbon.Default()
+	zm.GridGCO2ePerKWh = 0
 	clean.Carbon = &zm
 
-	dirtyOpt, err := FindCarbonOptimal(dirty, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanOpt, err := FindCarbonOptimal(clean, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dirtyOpt := exploreDiscard(t, dirty).CarbonOptimal
+	cleanOpt := exploreDiscard(t, clean).CarbonOptimal
 	if cleanOpt.Carbon.OperationalKg != 0 {
 		t.Errorf("zero-intensity grid should have zero operational carbon, got %v",
 			cleanOpt.Carbon.OperationalKg)
@@ -83,10 +77,7 @@ func TestFindCarbonOptimalCustomModel(t *testing.T) {
 func TestFindCarbonOptimalSparseVoltages(t *testing.T) {
 	sweep := smallSweep()
 	sweep.Voltages = []float64{0.62, 0.40, 0.42, 0.44, 0.46, 0.48, 0.60, 0.64, 0.44}
-	fast, err := FindCarbonOptimal(sweep, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := exploreDiscard(t, sweep).CarbonOptimal
 	inSet := false
 	for _, v := range sweep.Voltages {
 		if math.Abs(fast.Config.Voltage-v) < 1e-12 {
@@ -114,7 +105,7 @@ func TestFindCarbonOptimalRejectsInvalidModel(t *testing.T) {
 	bad := carbon.Default()
 	bad.GridGCO2ePerKWh = math.NaN()
 	sweep.Carbon = &bad
-	if _, err := FindCarbonOptimal(sweep, tco.Default()); err == nil {
+	if _, err := FindTCOOptimal(sweep, tco.Default()); err == nil {
 		t.Error("NaN grid intensity should fail the fast path")
 	}
 	if _, err := Explore(sweep, tco.Default()); err == nil {
@@ -163,7 +154,8 @@ func TestCarbonFrontierShape(t *testing.T) {
 // must be byte-identical to the single-process sweep's.
 func TestChunkedMergeCarbonModel(t *testing.T) {
 	sweep := smallSweep()
-	cm := carbon.ForGrid(20)
+	cm := carbon.Default()
+	cm.GridGCO2ePerKWh = 20
 	cm.LifetimeYears = 3
 	sweep.Carbon = &cm
 	want := exploreDiscard(t, sweep)

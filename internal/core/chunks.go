@@ -15,9 +15,9 @@ import (
 )
 
 // This file is the sweep's one path. Every sweep — ExploreContext in
-// process (and FindTCOOptimal/FindCarbonOptimal, which are streaming
-// ExploreContexts), a distributed worker's EvaluateChunk and the
-// coordinator's ResultMerger — is built from the same pieces:
+// process (and FindTCOOptimal, a streaming ExploreContext), a
+// distributed worker's EvaluateChunk and the coordinator's
+// ResultMerger — is built from the same pieces:
 //
 //   - buildGrid resolves a Sweep into the deterministic voltage grid
 //     and deduplicated geometry work list, with grid-construction

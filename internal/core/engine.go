@@ -329,7 +329,7 @@ type geom struct {
 // geometry's work and returns a context.Canceled- (or
 // DeadlineExceeded-) wrapped error alongside a Result whose Pruned
 // summary exactly accounts for the configurations evaluated so far
-// (Generated == Feasible + PrunedTotal still holds on abort).
+// (Generated == Feasible + the sum of Reasons still holds on abort).
 //
 // Scheduling is deterministic: the geometry list is split into the
 // fixed chunks of the sweep's plan, workers claim chunks dynamically
@@ -353,23 +353,11 @@ func (e *Engine) FindTCOOptimal(sweep Sweep, model tco.Model) (Point, error) {
 	return res.TCOOptimal, err
 }
 
-// FindCarbonOptimal returns the CO2e-optimal design of the sweep, the
-// CarbonOptimal of one streaming sweep (see FindTCOOptimal).
-func (e *Engine) FindCarbonOptimal(sweep Sweep, model tco.Model) (Point, error) {
-	res, err := e.explore(context.Background(), sweep, model, false)
-	return res.CarbonOptimal, err
-}
-
 // FindTCOOptimal is Engine.FindTCOOptimal over a fresh Engine. Callers
 // that also Explore should share one Engine so both reuse the same
 // thermal-plan cache.
 func FindTCOOptimal(sweep Sweep, model tco.Model) (Point, error) {
 	return NewEngine(nil).FindTCOOptimal(sweep, model)
-}
-
-// FindCarbonOptimal is Engine.FindCarbonOptimal over a fresh Engine.
-func FindCarbonOptimal(sweep Sweep, model tco.Model) (Point, error) {
-	return NewEngine(nil).FindCarbonOptimal(sweep, model)
 }
 
 // explore is ExploreContext with row retention chosen per call: keep

@@ -277,9 +277,6 @@ func TestInvalidVoltagesRejected(t *testing.T) {
 		if _, err := FindTCOOptimal(sweep, tco.Default()); err == nil {
 			t.Errorf("FindTCOOptimal accepted voltage grid %v", bad)
 		}
-		if _, err := FindCarbonOptimal(sweep, tco.Default()); err == nil {
-			t.Errorf("FindCarbonOptimal accepted voltage grid %v", bad)
-		}
 	}
 }
 
@@ -301,12 +298,9 @@ func TestFastPathHonorsStacked(t *testing.T) {
 			fastTCO.TCOPerOp(), fastTCO.Config.Stacked,
 			full.TCOOptimal.TCOPerOp(), full.TCOOptimal.Config.Stacked)
 	}
-	fastCO2, err := FindCarbonOptimal(sweep, tco.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fastCO2 := exploreDiscard(t, sweep).CarbonOptimal
 	if !reflect.DeepEqual(fastCO2, full.CarbonOptimal) {
-		t.Errorf("FindCarbonOptimal = %.4g CO2e/op (stacked %v), Explore = %.4g (stacked %v)",
+		t.Errorf("streaming CarbonOptimal = %.4g CO2e/op (stacked %v), Explore = %.4g (stacked %v)",
 			fastCO2.CO2PerOp(), fastCO2.Config.Stacked,
 			full.CarbonOptimal.CO2PerOp(), full.CarbonOptimal.Config.Stacked)
 	}
@@ -393,4 +387,13 @@ func FuzzNormalizeVoltages(f *testing.F) {
 			t.Fatalf("NormalizeVoltages(%v) = %v, %v; want it unchanged", out, again, err)
 		}
 	})
+}
+
+// PrunedTotal sums the per-reason counts.
+func (s PruneSummary) PrunedTotal() int64 {
+	var n int64
+	for _, v := range s.Reasons {
+		n += v
+	}
+	return n
 }

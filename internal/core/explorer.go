@@ -148,15 +148,6 @@ type PruneSummary struct {
 	Duplicates int64 `json:"duplicates"`
 }
 
-// PrunedTotal sums the per-reason counts.
-func (s PruneSummary) PrunedTotal() int64 {
-	var n int64
-	for _, v := range s.Reasons {
-		n += v
-	}
-	return n
-}
-
 func (s PruneSummary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "generated %d, feasible %d", s.Generated, s.Feasible)

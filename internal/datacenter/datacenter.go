@@ -66,16 +66,6 @@ func (r Rack) ServersPerRack(serverWallW float64) (int, error) {
 	return bySpace, nil
 }
 
-// PowerLimited reports whether the rack fills on power before space —
-// true for every ASIC Cloud server in the paper.
-func (r Rack) PowerLimited(serverWallW float64) bool {
-	n, err := r.ServersPerRack(serverWallW)
-	if err != nil {
-		return false
-	}
-	return n < r.Units/r.ServerUnits
-}
-
 // Deployment sizes a machine room for an aggregate performance demand.
 type Deployment struct {
 	Servers     int

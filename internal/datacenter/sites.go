@@ -1,10 +1,6 @@
 package datacenter
 
-import (
-	"fmt"
-
-	"asiccloud/internal/units"
-)
+import "fmt"
 
 // Site captures the geography-dependent inputs the paper's operators
 // optimize over (§3): "KnCminer has a facility in Iceland, because there
@@ -35,16 +31,6 @@ func Sites() []Site {
 	}
 }
 
-// SiteByName looks up a catalog entry.
-func SiteByName(name string) (Site, error) {
-	for _, s := range Sites() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Site{}, fmt.Errorf("datacenter: unknown site %q", name)
-}
-
 // Validate reports whether a site's parameters are physical.
 func (s Site) Validate() error {
 	switch {
@@ -58,10 +44,4 @@ func (s Site) Validate() error {
 		return fmt.Errorf("datacenter: %s: capex must be positive", s.Name)
 	}
 	return nil
-}
-
-// YearlyOpexPerWatt is the site's energy cost per wall watt per year —
-// the figure of merit the paper's operators chased across the planet.
-func (s Site) YearlyOpexPerWatt() float64 {
-	return s.ElectricityPerKWh * s.PUE * units.HoursPerYear / units.WattsPerKilowatt
 }

@@ -83,15 +83,6 @@ func (n Network) Validate() error {
 	return nil
 }
 
-// Power is the total network power on the 12 V domain (control processor
-// and off-PCB PHYs) plus on-PCB endpoint power (dissipated on the ASICs
-// but supplied at fixed I/O voltage).
-func (n Network) Power() float64 {
-	return n.Control.Power +
-		float64(n.OnPCBLinks)*n.OnPCB.Power +
-		float64(n.OffLinks)*n.OffPCB.Power
-}
-
 // Cost is the board-level network cost.
 func (n Network) Cost() float64 {
 	return n.Control.Cost +

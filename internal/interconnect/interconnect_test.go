@@ -46,10 +46,6 @@ func TestNetworkAggregates(t *testing.T) {
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	wantPower := ControlFPGA.Power + 40*SPI.Power + 2*GigE10.Power
-	if got := n.Power(); got != wantPower {
-		t.Errorf("Power = %v, want %v", got, wantPower)
-	}
 	wantCost := ControlFPGA.Cost + 40*SPI.BoardCost + 2*GigE10.BoardCost
 	if got := n.Cost(); got != wantCost {
 		t.Errorf("Cost = %v, want %v", got, wantCost)

@@ -74,22 +74,6 @@ func (s *Span) Duration() time.Duration {
 	return s.dur
 }
 
-// Path returns the slash-separated span path.
-func (s *Span) Path() string {
-	if s == nil {
-		return ""
-	}
-	return s.path
-}
-
-// Name returns the span's own name (the last path segment).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Context returns the span's propagatable identity (zero for nil).
 func (s *Span) Context() SpanContext {
 	if s == nil {

@@ -51,8 +51,8 @@ func TestStartSpanParenting(t *testing.T) {
 	if child.TraceID() != root.TraceID() {
 		t.Error("child changed trace ID")
 	}
-	if child.Path() != "request/job" {
-		t.Errorf("child path = %q, want request/job", child.Path())
+	if child.path != "request/job" {
+		t.Errorf("child path = %q, want request/job", child.path)
 	}
 	_, grand := rec.StartSpan(ctx2, "explore")
 	if grand.TraceID() != root.TraceID() {

@@ -147,3 +147,12 @@ func TestFoldMergeMatchesSingle(t *testing.T) {
 		}
 	}
 }
+
+// Select returns the elements of pts at the given indices.
+func Select[T any](pts []T, idx []int) []T {
+	out := make([]T, 0, len(idx))
+	for _, i := range idx {
+		out = append(out, pts[i])
+	}
+	return out
+}

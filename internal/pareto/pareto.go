@@ -92,15 +92,6 @@ func Frontier[T any](pts []T, x, y func(T) float64) []int {
 	return out
 }
 
-// Select returns the elements of pts at the given indices.
-func Select[T any](pts []T, idx []int) []T {
-	out := make([]T, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, pts[i])
-	}
-	return out
-}
-
 // ArgMin returns the index of the element minimizing f. It returns -1
 // for an empty slice or when every value is NaN; NaN values are never
 // minimal (see Compare).

@@ -83,12 +83,6 @@ func (d DCDC) Cost(outputAmps float64) float64 {
 	return outputAmps * d.CostPerAmp
 }
 
-// Loss returns the heat dissipated by the converters themselves, which
-// lands on the PCB and must be cooled alongside the ASICs.
-func (d DCDC) Loss(railPower float64) float64 {
-	return d.InputPower(railPower) - railPower
-}
-
 // Rail is one chip supply voltage domain and its current demand.
 type Rail struct {
 	Name    string

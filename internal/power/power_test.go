@@ -55,9 +55,6 @@ func TestDCDCPowerAndCost(t *testing.T) {
 	if got := d.InputPower(90); math.Abs(got-100) > 1e-9 {
 		t.Errorf("InputPower(90) = %v, want 100", got)
 	}
-	if got := d.Loss(90); math.Abs(got-10) > 1e-9 {
-		t.Errorf("Loss(90) = %v, want 10", got)
-	}
 	if got := d.Cost(1000); math.Abs(got-330) > 1e-9 {
 		t.Errorf("Cost(1000A) = %v, want $330", got)
 	}

@@ -48,34 +48,42 @@ func geometries(t *testing.T, base server.Config, drams []int) []server.Config {
 // perVoltage is EvaluateRows' contract spelled out one voltage at a
 // time with EvaluateWithPlan: every feasible evaluation in grid order,
 // the voltages at and above the first thermal failure, and the other
-// failures.
-func perVoltage(cfg server.Config, voltages []float64) (want []server.Evaluation, thermalPruned, evalPruned int) {
+// failures. It keeps evaluating past the first thermal failure and
+// returns, as lost, how many of those voltages evaluate feasible: the
+// configurations EvaluateRows' early break would prune wrongly.
+func perVoltage(cfg server.Config, voltages []float64) (want []server.Evaluation, thermalPruned, evalPruned, lost int) {
 	plan, err := server.ThermalPlan(cfg)
 	if err != nil {
-		return nil, 0, 0
+		return nil, 0, 0, 0
 	}
 	for i, v := range voltages {
 		cfg.Voltage = v
 		ev, err := server.EvaluateWithPlan(cfg, plan)
 		switch {
+		case thermalPruned > 0:
+			if err == nil {
+				lost++
+			}
 		case err == nil:
 			want = append(want, ev)
 		case errors.Is(err, server.ErrThermal):
-			return want, len(voltages) - i, evalPruned
+			thermalPruned = len(voltages) - i
 		default:
 			evalPruned++
 		}
 	}
-	return want, 0, evalPruned
+	return want, thermalPruned, evalPruned, lost
 }
 
 // TestEvaluateRowsMatchesPerVoltage checks the sweep's column entry
 // point against EvaluateWithPlan on the stacked bitcoin, litecoin and
 // XCode (1..9 DRAMs) columns and an immersion-cooled bitcoin column:
 // every joined row equals the per-voltage evaluation, and the thermal
-// and eval prune counts equal the per-voltage loop's. Each grid starts
-// with two voltages below the RCA's range, so every column has eval
-// prunes as well as (mostly) thermal ones.
+// and eval prune counts equal the per-voltage loop's. No voltage above
+// a column's first thermal failure may evaluate feasible: EvaluateRows
+// stops there, assuming chip heat never falls as voltage rises. Each
+// grid starts with two voltages below the RCA's range, so every column
+// has eval prunes as well as (mostly) thermal ones.
 func TestEvaluateRowsMatchesPerVoltage(t *testing.T) {
 	xc, err := xcode.ServerConfig(1)
 	if err != nil {
@@ -105,7 +113,11 @@ func TestEvaluateRowsMatchesPerVoltage(t *testing.T) {
 				}
 				for _, stacked := range []bool{false, true} {
 					cfg.Stacked = stacked
-					want, wantThermal, wantEval := perVoltage(cfg, voltages)
+					want, wantThermal, wantEval, lost := perVoltage(cfg, voltages)
+					if lost > 0 {
+						t.Fatalf("%d chips × %d RCAs, %d DRAMs, stacked %v: %d feasible voltages above the first thermal failure",
+							cfg.ChipsPerLane, cfg.RCAsPerChip, cfg.DRAM.PerASIC, stacked, lost)
+					}
 					var rec server.Record
 					var gotThermal, gotEval int
 					rows, gotThermal, gotEval = server.EvaluateRows(&rec, &cfg, &plan, voltages, rows[:0])

@@ -12,7 +12,6 @@ import (
 	"asiccloud/internal/cloud"
 	"asiccloud/internal/core"
 	"asiccloud/internal/obs"
-	"asiccloud/internal/tco"
 )
 
 // Distributed sweep execution: a coordinator partitions one sweep into
@@ -323,19 +322,4 @@ func RunOnce(ctx context.Context, req *Request, rec *obs.Recorder, log *slog.Log
 	}
 	//lint:ignore foldorder DiscardPoints leaves Points nil, and Points, the one goroutine-written part of a core.Result, is laid out by chunk index, not arrival order
 	return marshalResult(can, res)
-}
-
-// planFor exposes the request's resolved sweep plan to tests and
-// callers that need the partition without running anything.
-func planFor(req *Request, chunkSize int) (*core.SweepPlan, core.Sweep, tco.Model, error) {
-	can, err := Canonicalize(req)
-	if err != nil {
-		return nil, core.Sweep{}, tco.Model{}, err
-	}
-	sweep, model, err := can.Plan()
-	if err != nil {
-		return nil, core.Sweep{}, tco.Model{}, err
-	}
-	plan, err := core.PlanSweep(sweep, model, chunkSize)
-	return plan, sweep, model, err
 }

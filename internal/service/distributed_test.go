@@ -15,6 +15,7 @@ import (
 	"asiccloud/internal/cloud"
 	"asiccloud/internal/core"
 	"asiccloud/internal/obs"
+	"asiccloud/internal/tco"
 )
 
 // distRequest is a real bitcoin sweep with enough geometries to split
@@ -473,4 +474,19 @@ func FuzzChunkHandler(f *testing.F) {
 				cr.Chunk, cr.NumChunks, p.Chunk, p.NumChunks)
 		}
 	})
+}
+
+// planFor resolves the request's sweep plan and its partition without
+// running anything.
+func planFor(req *Request, chunkSize int) (*core.SweepPlan, core.Sweep, tco.Model, error) {
+	can, err := Canonicalize(req)
+	if err != nil {
+		return nil, core.Sweep{}, tco.Model{}, err
+	}
+	sweep, model, err := can.Plan()
+	if err != nil {
+		return nil, core.Sweep{}, tco.Model{}, err
+	}
+	plan, err := core.PlanSweep(sweep, model, chunkSize)
+	return plan, sweep, model, err
 }

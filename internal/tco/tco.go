@@ -72,7 +72,7 @@ func ForLifetime(years float64) Model {
 // Validate reports whether the model is usable: every field finite, a
 // positive lifetime, a PUE of at least 1 and no negative markup, rate,
 // price or period. Zero markup, interest and electricity are valid.
-// Both Coefficients of a valid model are then non-negative, so TCO
+// A valid model's TCO is then a·cost + b·watts with a, b ≥ 0, so TCO
 // never falls as cost or watts rise, and the TCO optimum lies on the
 // ($ per op/s, W per op/s) Pareto frontier.
 func (m Model) Validate() error {
@@ -136,22 +136,4 @@ func (m Model) Of(serverCost, watts float64) Breakdown {
 		Electricity:   watts * m.PUE * hours * m.ElectricityPerKWh / units.WattsPerKilowatt,
 		DCInterest:    dcCapex * m.InterestRate * m.DCAmortYears / 2,
 	}
-}
-
-// Coefficients returns the linear weights (a, b) such that
-// TCO = a·serverCost + b·watts. These are the slopes of the iso-TCO
-// lines drawn across the paper's Pareto plots (Figures 12, 14, 15, 17):
-// "diagonal lines represent equal TCO ... with min TCO at lower left".
-func (m Model) Coefficients() (costWeight, wattWeight float64) {
-	b := m.Of(1, 0)
-	w := m.Of(0, 1)
-	return b.Total(), w.Total()
-}
-
-// IsoTCOLine returns, for a given TCO level, the cost intercept and the
-// slope d(cost)/d(watts) of the equal-TCO line in the (watts, cost)
-// plane — useful for plotting over a Pareto frontier.
-func (m Model) IsoTCOLine(tcoLevel float64) (costIntercept, slope float64) {
-	a, b := m.Coefficients()
-	return tcoLevel / a, -b / a
 }

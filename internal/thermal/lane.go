@@ -80,32 +80,6 @@ type Lane struct {
 // PCB after the fan wall and connectors.
 const DefaultLaneLength = 0.60
 
-// NewLane builds a lane with the paper's standard environment (30 °C
-// inlet, 90 °C junction limit, 600 mm usable depth).
-func NewLane(fan Fan, sink HeatSink, chips int, dieAreaMM2 float64, layout Layout) Lane {
-	return Lane{
-		Fan:     fan,
-		Sink:    sink,
-		Chips:   chips,
-		DieArea: dieAreaMM2,
-		Layout:  layout,
-		InletC:  30,
-		MaxTjC:  90,
-		LaneLen: DefaultLaneLength,
-	}
-}
-
-// Validate checks lane geometry, including that the sinks fit the lane.
-func (l Lane) Validate() error {
-	if l.Chips <= 0 {
-		return fmt.Errorf("thermal: lane needs at least one chip")
-	}
-	if l.DieArea <= 0 {
-		return fmt.Errorf("thermal: lane die area must be positive")
-	}
-	return l.validateAir()
-}
-
 // validateAir is Validate without the chip-count and die-area checks:
 // everything it reads (fan, sink, lane depth, temperatures) is the same
 // for any die, so SinkCandidates checks each candidate sink once.
@@ -172,10 +146,9 @@ func (l Lane) Airflow() (sinkFlow, fanFlow float64) {
 // per-chip coefficients k (K/W) such that the junction temperature of
 // chip i at uniform per-chip power P is InletC + k[i]·P. The linearity
 // of the whole network in power is what lets the explorer evaluate
-// thermal feasibility in closed form: JunctionTemps scales every
-// coefficient, and the per-chip power limit needs only the worst one
-// (worstCoeff), without a slice. The air terms are the same for every
-// chip, so they are divided out once.
+// thermal feasibility in closed form: the per-chip power limit needs
+// only the worst coefficient (worstCoeff), without a slice. The air
+// terms are the same for every chip, so they are divided out once.
 type coeffWalk struct {
 	chips     int
 	r, rWorst float64 // K/W junction to local air; rWorst for the last chip
@@ -237,40 +210,6 @@ func worstCoeff(chips int, layout Layout, res Resistance, q float64) float64 {
 	return worst
 }
 
-// JunctionTemps returns the junction temperature of each chip when every
-// chip dissipates powerPerChip watts. Chips downstream breathe air heated
-// by their upstream neighbours: "typically the thermally bottlenecking
-// ASIC is the one in the back."
-// The model includes two air-side corrections beyond the well-mixed
-// mean: the air warms by each chip's own heat while crossing its sink
-// (fins see the mean of inlet and exit), and the hot core of the
-// upstream chip's exhaust plume is not fully mixed when it reaches the
-// next sink. Both penalize lanes that concentrate heat into a few large
-// sources — the effect the paper observes in CFD ("heat generation is
-// more evenly spread across the lane").
-func (l Lane) JunctionTemps(powerPerChip float64) []float64 {
-	q, _ := l.Airflow()
-	w := newCoeffWalk(l.Chips, l.Layout, l.Sink.Resistance(q, l.DieArea), q)
-	temps := make([]float64, l.Chips)
-	for i := range temps {
-		temps[i] = l.InletC + powerPerChip*w.next(i)
-	}
-	return temps
-}
-
-// MaxChipPower returns the highest uniform per-chip power that keeps every
-// junction at or below the limit ("iterative simulations gradually
-// increase the ASICs' power until at least some part of one die reaches
-// the maximum junction temperature").
-func (l Lane) MaxChipPower() float64 {
-	if err := l.Validate(); err != nil {
-		return 0
-	}
-	q, _ := l.Airflow()
-	worst := worstCoeff(l.Chips, l.Layout, l.Sink.Resistance(q, l.DieArea), q)
-	return chipPowerLimit(l.MaxTjC-l.InletC, worst)
-}
-
 // chipPowerLimit is the uniform per-chip power (W) at which the worst
 // junction coefficient worst (K/W) reaches headroom kelvin above the
 // inlet. Junction temperature is linear in power, Tj[i] = inlet +
@@ -280,9 +219,4 @@ func chipPowerLimit(headroom, worst float64) float64 {
 		return 0
 	}
 	return headroom / worst
-}
-
-// MaxLanePower is the total dissipation capacity of the lane.
-func (l Lane) MaxLanePower() float64 {
-	return l.MaxChipPower() * float64(l.Chips)
 }

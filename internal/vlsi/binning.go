@@ -3,7 +3,6 @@ package vlsi
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Binning models process variation: manufactured chips spread around the
@@ -119,56 +118,4 @@ func (b Binning) CloudAdvantage(guardBand float64) (float64, error) {
 		return math.Inf(1), nil
 	}
 	return self / vendor, nil
-}
-
-// SampleFrequencies draws a deterministic sample of relative chip
-// frequencies for simulation (inverse-CDF over a stratified grid, so the
-// sample is reproducible and exactly spans the distribution).
-func (b Binning) SampleFrequencies(n int) ([]float64, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("vlsi: sample size %d must be positive", n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		// Midpoint-stratified quantiles.
-		q := (float64(i) + 0.5) / float64(n)
-		out[i] = 1 + b.Sigma*inverseNormalCDF(q)
-	}
-	sort.Float64s(out)
-	return out, nil
-}
-
-// inverseNormalCDF is the Acklam approximation of Φ⁻¹, accurate to
-// ~1e-9 over (0, 1).
-func inverseNormalCDF(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	bb := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-	const plow = 0.02425
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p > 1-plow:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	default:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((bb[0]*r+bb[1])*r+bb[2])*r+bb[3])*r+bb[4])*r + 1)
-	}
 }

@@ -3,7 +3,6 @@ package vlsi
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestBinningValidate(t *testing.T) {
@@ -97,54 +96,5 @@ func TestBinningErrors(t *testing.T) {
 	}
 	if _, err := b.VendorThroughput(0); err == nil {
 		t.Error("zero promise should fail")
-	}
-	if _, err := b.SampleFrequencies(0); err == nil {
-		t.Error("zero sample should fail")
-	}
-	bad := Binning{Sigma: 0.9}
-	if _, err := bad.SampleFrequencies(5); err == nil {
-		t.Error("invalid model should fail to sample")
-	}
-}
-
-func TestSampleFrequencies(t *testing.T) {
-	b := DefaultBinning()
-	s, err := b.SampleFrequencies(1001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mean ~1.0, stddev ~sigma, sorted.
-	var sum float64
-	for i, v := range s {
-		sum += v
-		if i > 0 && v < s[i-1] {
-			t.Fatal("sample not sorted")
-		}
-	}
-	mean := sum / float64(len(s))
-	if math.Abs(mean-1) > 0.001 {
-		t.Errorf("sample mean = %v, want ~1", mean)
-	}
-	var ss float64
-	for _, v := range s {
-		ss += (v - mean) * (v - mean)
-	}
-	sd := math.Sqrt(ss / float64(len(s)))
-	if math.Abs(sd-b.Sigma)/b.Sigma > 0.03 {
-		t.Errorf("sample stddev = %v, want ~%v", sd, b.Sigma)
-	}
-}
-
-func TestInverseNormalCDFRoundTrip(t *testing.T) {
-	f := func(u uint16) bool {
-		p := (float64(u) + 0.5) / 65536
-		x := inverseNormalCDF(p)
-		return math.Abs(normalCDF(x)-p) < 1e-8
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if !math.IsNaN(inverseNormalCDF(0)) || !math.IsNaN(inverseNormalCDF(1)) {
-		t.Error("endpoints should be NaN")
 	}
 }

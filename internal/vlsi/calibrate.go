@@ -1,38 +1,6 @@
 package vlsi
 
-import (
-	"fmt"
-	"sort"
-)
-
-// FitDelayCurve calibrates a DelayCurve from measured (voltage, frequency)
-// operating points of real silicon — the workflow a user follows with
-// their own shmoo data, mirroring how this repository's 28nm curve was
-// anchored to the paper's published points. Frequencies are normalized to
-// the measurement at the highest voltage.
-func FitDelayCurve(points map[float64]float64) (*DelayCurve, error) {
-	if len(points) < 2 {
-		return nil, fmt.Errorf("vlsi: need at least 2 measured points, got %d", len(points))
-	}
-	vs := make([]float64, 0, len(points))
-	for v, f := range points {
-		if v <= 0 || f <= 0 {
-			return nil, fmt.Errorf("vlsi: non-positive measurement (%.2f V, %.3g Hz)", v, f)
-		}
-		vs = append(vs, v)
-	}
-	sort.Float64s(vs)
-	ref := points[vs[len(vs)-1]]
-	anchors := make(map[float64]float64, len(points))
-	for v, f := range points {
-		anchors[v] = ref / f // delay relative to the fastest point
-	}
-	c, err := NewDelayCurve(anchors)
-	if err != nil {
-		return nil, fmt.Errorf("vlsi: measurements are not monotone in voltage: %w", err)
-	}
-	return c, nil
-}
+import "fmt"
 
 // NodeScaling holds first-order inter-node scaling factors for porting an
 // RCA spec between process generations (the §12 discussion of building on
@@ -50,12 +18,6 @@ type NodeScaling struct {
 // To40nmFrom28nm is the standard one-node-back scaling.
 func To40nmFrom28nm() NodeScaling {
 	return NodeScaling{AreaFactor: 2.0, FreqFactor: 0.75, EnergyFactor: 1.35}
-}
-
-// To20nmFrom28nm is a forward port to the bleeding-edge node the paper's
-// Gen-6 miners used.
-func To20nmFrom28nm() NodeScaling {
-	return NodeScaling{AreaFactor: 0.55, FreqFactor: 1.20, EnergyFactor: 0.75}
 }
 
 // Apply ports a spec to the scaled node. Performance follows frequency;

@@ -5,49 +5,6 @@ import (
 	"testing"
 )
 
-func TestFitDelayCurveFromShmoo(t *testing.T) {
-	// Synthesize shmoo data from the reference curve, then refit it:
-	// the round trip must reproduce the curve at the anchors.
-	ref := Default28nm()
-	const f0 = 830e6
-	points := map[float64]float64{}
-	for _, v := range []float64{0.40, 0.49, 0.62, 0.80, 1.00} {
-		points[v] = f0 / ref.Delay(v)
-	}
-	fit, err := FitDelayCurve(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range points {
-		want := ref.Delay(v) / ref.Delay(1.00)
-		if got := fit.Delay(v); math.Abs(got-want)/want > 1e-9 {
-			t.Errorf("fit.Delay(%v) = %v, want %v", v, got, want)
-		}
-	}
-	// Interpolated points stay monotone.
-	prev := math.Inf(1)
-	for v := 0.40; v <= 1.0; v += 0.01 {
-		d := fit.Delay(v)
-		if d > prev+1e-12 {
-			t.Fatalf("fitted curve not monotone at %v", v)
-		}
-		prev = d
-	}
-}
-
-func TestFitDelayCurveErrors(t *testing.T) {
-	if _, err := FitDelayCurve(map[float64]float64{1.0: 8e8}); err == nil {
-		t.Error("single point should fail")
-	}
-	if _, err := FitDelayCurve(map[float64]float64{0.5: -1, 1.0: 8e8}); err == nil {
-		t.Error("negative frequency should fail")
-	}
-	// Non-monotone silicon (noise) is rejected rather than fit.
-	if _, err := FitDelayCurve(map[float64]float64{0.5: 9e8, 0.7: 4e8, 1.0: 8e8}); err == nil {
-		t.Error("non-monotone measurements should fail")
-	}
-}
-
 func TestNodeScaling40nm(t *testing.T) {
 	base := Spec{
 		Name: "x", PerfUnit: "GH/s", Area: 0.66,
@@ -85,7 +42,7 @@ func TestNodeScalingForward(t *testing.T) {
 		NominalVoltage: 1.0, NominalFreq: 830e6, NominalPerf: 0.83,
 		NominalPowerDensity: 2.0, LeakageFraction: 0.01, VoltageScalable: true,
 	}
-	fwd, err := To20nmFrom28nm().Apply(base, "x-20nm")
+	fwd, err := NodeScaling{AreaFactor: 0.55, FreqFactor: 1.20, EnergyFactor: 0.75}.Apply(base, "x-20nm")
 	if err != nil {
 		t.Fatal(err)
 	}

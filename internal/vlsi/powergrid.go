@@ -28,9 +28,6 @@ type PowerGrid struct {
 	BumpPitch float64
 	// SheetOhms is the upper-metal sheet resistance (Ω/□).
 	SheetOhms float64
-	// MetalFraction is the fraction of the top metal layers dedicated to
-	// power and ground straps.
-	MetalFraction float64
 	// DroopBudget is the allowed static droop as a fraction of VDD.
 	DroopBudget float64
 }
@@ -38,10 +35,9 @@ type PowerGrid struct {
 // DefaultPowerGrid is a dense flip-chip grid.
 func DefaultPowerGrid() PowerGrid {
 	return PowerGrid{
-		BumpPitch:     0.40,
-		SheetOhms:     0.040,
-		MetalFraction: 0.30,
-		DroopBudget:   0.05,
+		BumpPitch:   0.40,
+		SheetOhms:   0.040,
+		DroopBudget: 0.05,
 	}
 }
 
@@ -54,34 +50,10 @@ func (g PowerGrid) Validate() error {
 		return fmt.Errorf("vlsi: bump pitch must be positive")
 	case g.SheetOhms <= 0:
 		return fmt.Errorf("vlsi: sheet resistance must be positive")
-	case g.MetalFraction <= 0 || g.MetalFraction > 1:
-		return fmt.Errorf("vlsi: metal fraction %v outside (0, 1]", g.MetalFraction)
 	case g.DroopBudget <= 0 || g.DroopBudget >= 0.5:
 		return fmt.Errorf("vlsi: droop budget %v outside (0, 0.5)", g.DroopBudget)
 	}
 	return nil
-}
-
-// Droop returns the worst-case static IR droop in volts for a design
-// drawing powerDensity W/mm² at voltage volts.
-func (g PowerGrid) Droop(powerDensity, volts float64) (float64, error) {
-	if err := g.Validate(); err != nil {
-		return 0, err
-	}
-	if powerDensity < 0 || volts <= 0 {
-		return 0, fmt.Errorf("vlsi: power density must be >= 0 and voltage positive")
-	}
-	j := powerDensity / volts // A/mm²
-	return j * g.BumpPitch * g.BumpPitch * g.SheetOhms / (8 * g.MetalFraction), nil
-}
-
-// OK reports whether the design's droop fits the budget.
-func (g PowerGrid) OK(powerDensity, volts float64) (bool, error) {
-	d, err := g.Droop(powerDensity, volts)
-	if err != nil {
-		return false, err
-	}
-	return d <= g.DroopBudget*volts, nil
 }
 
 // RequiredMetalFraction returns the top-metal share needed to hold the
@@ -113,17 +85,3 @@ func (g PowerGrid) RequiredMetalFraction(powerDensity, volts float64) (float64, 
 // met even with a full metal layer; the design must shrink its bump
 // pitch instead.
 var ErrDroopBudget = errors.New("vlsi: droop budget unreachable even at 100% metal; shrink the bump pitch")
-
-// MaxPowerDensity is the highest power density the grid supports at the
-// given voltage within its droop budget.
-func (g PowerGrid) MaxPowerDensity(volts float64) (float64, error) {
-	if err := g.Validate(); err != nil {
-		return 0, err
-	}
-	if volts <= 0 {
-		return 0, fmt.Errorf("vlsi: voltage must be positive")
-	}
-	// droop = (p/v)·k/(8m) <= budget·v  =>  p <= 8·m·budget·v²/k.
-	k := g.BumpPitch * g.BumpPitch * g.SheetOhms
-	return 8 * g.MetalFraction * g.DroopBudget * volts * volts / k, nil
-}

@@ -12,8 +12,6 @@ func TestPowerGridValidate(t *testing.T) {
 	bad := []func(*PowerGrid){
 		func(g *PowerGrid) { g.BumpPitch = 0 },
 		func(g *PowerGrid) { g.SheetOhms = -1 },
-		func(g *PowerGrid) { g.MetalFraction = 0 },
-		func(g *PowerGrid) { g.MetalFraction = 1.1 },
 		func(g *PowerGrid) { g.DroopBudget = 0 },
 		func(g *PowerGrid) { g.DroopBudget = 0.6 },
 	}
@@ -23,56 +21,6 @@ func TestPowerGridValidate(t *testing.T) {
 		if g.Validate() == nil {
 			t.Errorf("mutation %d not rejected", i)
 		}
-	}
-}
-
-func TestDroopScaling(t *testing.T) {
-	g := DefaultPowerGrid()
-	// The paper's point: the same power density needs far more grid at
-	// near-threshold voltage, because current density rises as V falls.
-	dNom, err := g.Droop(2.0, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dNT, err := g.Droop(2.0, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dNT/dNom-2.5) > 1e-9 {
-		t.Errorf("droop ratio 0.4V/1.0V = %v, want 2.5 (1/V scaling)", dNT/dNom)
-	}
-	// Droop is linear in power density.
-	d4, _ := g.Droop(4.0, 1.0)
-	if math.Abs(d4/dNom-2) > 1e-9 {
-		t.Error("droop should be linear in power density")
-	}
-	if d0, _ := g.Droop(0, 1.0); d0 != 0 {
-		t.Error("no power, no droop")
-	}
-	if _, err := g.Droop(1, 0); err == nil {
-		t.Error("zero voltage should fail")
-	}
-}
-
-func TestGridOKRegimes(t *testing.T) {
-	g := DefaultPowerGrid()
-	// Bitcoin at nominal (2 W/mm², 1.0 V): comfortably fine.
-	ok, err := g.OK(2.0, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("2 W/mm² at 1.0 V should fit the default grid")
-	}
-	// The same silicon at deep near-threshold with crypto density is
-	// near or beyond the default grid: the relative droop grows as
-	// 1/V², the paper's "engineered explicitly" regime.
-	okNT, err := g.OK(3.5, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if okNT {
-		t.Error("3.5 W/mm² at 0.4 V should exceed the default droop budget")
 	}
 }
 
@@ -101,31 +49,5 @@ func TestRequiredMetalFraction(t *testing.T) {
 	}
 	if _, err := g.RequiredMetalFraction(-1, 1); err == nil {
 		t.Error("negative power density should fail")
-	}
-}
-
-func TestMaxPowerDensityConsistent(t *testing.T) {
-	g := DefaultPowerGrid()
-	for _, v := range []float64{0.4, 0.7, 1.0} {
-		pmax, err := g.MaxPowerDensity(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// At exactly pmax the droop equals the budget.
-		d, err := g.Droop(pmax, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(d-g.DroopBudget*v) > 1e-12 {
-			t.Errorf("droop at pmax = %v, want %v", d, g.DroopBudget*v)
-		}
-	}
-	lo, _ := g.MaxPowerDensity(0.4)
-	hi, _ := g.MaxPowerDensity(1.0)
-	if lo >= hi {
-		t.Error("supportable power density should grow with voltage")
-	}
-	if _, err := g.MaxPowerDensity(0); err == nil {
-		t.Error("zero voltage should fail")
 	}
 }

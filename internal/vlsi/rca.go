@@ -126,9 +126,6 @@ type OperatingPoint struct {
 	PerfDensity  float64 // PerfUnit per mm²
 }
 
-// TotalPower is the full power of one RCA in watts.
-func (p OperatingPoint) TotalPower() float64 { return p.LogicPower + p.SRAMPower }
-
 // ErrNotScalable is returned when a voltage other than nominal is requested
 // for an RCA that does not support voltage scaling.
 var ErrNotScalable = errors.New("vlsi: RCA does not support voltage scaling")
@@ -195,15 +192,4 @@ func (s *Spec) At(v float64) (OperatingPoint, error) {
 		PowerDensity: total / s.Area,
 		PerfDensity:  perf / s.Area,
 	}, nil
-}
-
-// Nominal evaluates the RCA at its characterization voltage.
-func (s *Spec) Nominal() OperatingPoint {
-	op, err := s.At(s.NominalVoltage)
-	if err != nil {
-		// A validated spec always has a nominal point; surface
-		// programmer errors loudly.
-		panic(err)
-	}
-	return op
 }

@@ -49,7 +49,10 @@ func TestSpecValidate(t *testing.T) {
 
 func TestNominalPoint(t *testing.T) {
 	s := bitcoinLike()
-	op := s.Nominal()
+	op, err := s.At(s.NominalVoltage)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(op.Freq-830e6) > 1 {
 		t.Errorf("nominal freq = %v, want 830 MHz", op.Freq)
 	}
@@ -92,13 +95,13 @@ func TestPowerScalesSuperlinearly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Dynamic power ~ V²f: halving V should cut power by far more than 2x.
-	if high.TotalPower() < 4*low.TotalPower() {
+	if high.LogicPower+high.SRAMPower < 4*(low.LogicPower+low.SRAMPower) {
 		t.Errorf("power at 1.0 V (%v) should be >4x power at 0.5 V (%v)",
-			high.TotalPower(), low.TotalPower())
+			high.LogicPower+high.SRAMPower, low.LogicPower+low.SRAMPower)
 	}
 	// But performance drops too; energy per op must IMPROVE at low voltage.
-	eLow := low.TotalPower() / low.Perf
-	eHigh := high.TotalPower() / high.Perf
+	eLow := (low.LogicPower + low.SRAMPower) / low.Perf
+	eHigh := (high.LogicPower + high.SRAMPower) / high.Perf
 	if eLow >= eHigh {
 		t.Errorf("energy/op at 0.5 V (%v) should beat 1.0 V (%v)", eLow, eHigh)
 	}
@@ -117,7 +120,7 @@ func TestPowerMonotoneInVoltageProperty(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return p1.TotalPower() <= p2.TotalPower()+1e-12 &&
+		return p1.LogicPower+p1.SRAMPower <= p2.LogicPower+p2.SRAMPower+1e-12 &&
 			p1.Perf <= p2.Perf+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -147,10 +150,10 @@ func TestSRAMRailClampsAtVmin(t *testing.T) {
 	// energy than it would for a pure-logic design.
 	pure := bitcoinLike()
 	pOp, _ := pure.At(0.5)
-	pNom := pure.Nominal()
-	sNom := s.Nominal()
-	sramSaving := op.TotalPower() / sNom.TotalPower()
-	logicSaving := pOp.TotalPower() / pNom.TotalPower()
+	pNom, _ := pure.At(pure.NominalVoltage)
+	sNom, _ := s.At(s.NominalVoltage)
+	sramSaving := (op.LogicPower + op.SRAMPower) / (sNom.LogicPower + sNom.SRAMPower)
+	logicSaving := (pOp.LogicPower + pOp.SRAMPower) / (pNom.LogicPower + pNom.SRAMPower)
 	if sramSaving <= logicSaving {
 		t.Errorf("SRAM-heavy design saved more (%v) than pure logic (%v)", sramSaving, logicSaving)
 	}
@@ -186,12 +189,15 @@ func TestLeakageOnlyScalesWithVoltage(t *testing.T) {
 	// in V, independent of frequency.
 	s := bitcoinLike()
 	s.LeakageFraction = 0.999999
-	nom := s.Nominal()
+	nom, err := s.At(s.NominalVoltage)
+	if err != nil {
+		t.Fatal(err)
+	}
 	op, err := s.At(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := op.TotalPower() / nom.TotalPower()
+	ratio := (op.LogicPower + op.SRAMPower) / (nom.LogicPower + nom.SRAMPower)
 	if math.Abs(ratio-0.5) > 0.01 {
 		t.Errorf("pure-leakage power ratio at half voltage = %v, want ~0.5", ratio)
 	}

@@ -131,13 +131,3 @@ func (p Process) DieCost(dieAreaMM2 float64) (float64, error) {
 	good := gross * p.Yield(dieAreaMM2)
 	return p.WaferCost / good, nil
 }
-
-// CostPerGoodMM2 is the effective silicon cost per good mm² at the given
-// die size; larger dies pay a yield penalty.
-func (p Process) CostPerGoodMM2(dieAreaMM2 float64) (float64, error) {
-	c, err := p.DieCost(dieAreaMM2)
-	if err != nil {
-		return 0, err
-	}
-	return c / dieAreaMM2, nil
-}

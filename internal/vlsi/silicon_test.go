@@ -70,8 +70,7 @@ func TestDieCost(t *testing.T) {
 		t.Errorf("small dies should be much cheaper per die: 100mm²=$%.2f vs 600mm²=$%.2f", c100, c600)
 	}
 	// Cost per good mm² must increase with die size (yield effect).
-	pm100, _ := p.CostPerGoodMM2(100)
-	pm600, _ := p.CostPerGoodMM2(600)
+	pm100, pm600 := c100/100, c600/600
 	if pm100 >= pm600 {
 		t.Errorf("cost/mm² should grow with die size: %v vs %v", pm100, pm600)
 	}

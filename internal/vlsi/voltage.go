@@ -2,7 +2,6 @@ package vlsi
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -133,16 +132,3 @@ func mustCurve(anchors map[float64]float64) *DelayCurve {
 // Default28nm returns the calibrated UMC 28nm logic delay–voltage curve
 // used throughout the paper (Figure 5).
 func Default28nm() *DelayCurve { return default28nm }
-
-// AlphaPowerDelay returns a normalized alpha-power-law delay model
-// delay(v) = k · v/(v-vth)^alpha with delay(vnom) = 1. It is provided for
-// modeling process nodes for which no published anchors exist.
-func AlphaPowerDelay(vth, alpha, vnom float64) func(v float64) float64 {
-	norm := vnom / math.Pow(vnom-vth, alpha)
-	return func(v float64) float64 {
-		if v <= vth {
-			return math.Inf(1)
-		}
-		return (v / math.Pow(v-vth, alpha)) / norm
-	}
-}

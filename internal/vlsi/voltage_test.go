@@ -81,16 +81,3 @@ func TestNewDelayCurveRejectsBadInput(t *testing.T) {
 		t.Error("negative delay should fail")
 	}
 }
-
-func TestAlphaPowerDelay(t *testing.T) {
-	f := AlphaPowerDelay(0.3, 1.6, 1.0)
-	if got := f(1.0); math.Abs(got-1) > 1e-12 {
-		t.Errorf("normalized delay at vnom = %v, want 1", got)
-	}
-	if f(0.5) <= f(0.8) {
-		t.Error("alpha-power delay should decrease with voltage")
-	}
-	if !math.IsInf(f(0.3), 1) {
-		t.Error("delay at threshold should be infinite")
-	}
-}

@@ -152,13 +152,15 @@ func benchBitcoinExplore(b *testing.B) {
 }
 
 // BenchmarkRepeatedSweep measures the engine's thermal-plan cache on
-// back-to-back full Bitcoin sweeps in keep mode: the same geometries
-// re-explored on one engine, as the studies and figures do under
-// different economic models (they stream, so they skip the row copies
-// and the gather measured here).
+// back-to-back full Bitcoin sweeps: the same geometries re-explored on
+// one engine, as the studies and figures do under different economic
+// models.
 // "cold" builds a fresh engine every iteration (every plan re-optimized);
 // "warm" shares a primed engine, so heat-sink optimization is entirely
-// cache hits. The warm result must be byte-identical to the cold one.
+// cache hits. Both run keep mode, with its row copies and gather.
+// "warm-stream" is "warm" with DiscardPoints set: the path the daemon,
+// the pool workers, the studies and the figures run. Every sweep's TCO
+// optimum must equal the keep-mode reference's.
 func BenchmarkRepeatedSweep(b *testing.B) {
 	model := tco.Default()
 	ref, err := core.NewEngine(nil).Explore(bitcoinSweep(), model)
@@ -195,6 +197,24 @@ func BenchmarkRepeatedSweep(b *testing.B) {
 		}
 		if st := eng.CacheStats(); st.Hits == 0 {
 			b.Fatalf("warm sweeps never hit the plan cache: %+v", st)
+		}
+	})
+
+	b.Run("warm-stream", func(b *testing.B) {
+		eng := core.NewEngine(nil)
+		eng.DiscardPoints = true
+		if _, err := eng.Explore(bitcoinSweep(), model); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := eng.Explore(bitcoinSweep(), model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.TCOOptimal != ref.TCOOptimal {
+				b.Fatal("warm streaming sweep result drifted")
+			}
 		}
 	})
 }

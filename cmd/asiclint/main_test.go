@@ -68,8 +68,8 @@ func TestFilterByDiffFallsBackWithoutGit(t *testing.T) {
 
 // TestAnalyzerSubsetOnCleanPackage pins -analyzers as a reporting
 // filter over the whole suite: internal/cloud carries //lint:ignore
-// directives for goroleak, lockheld and droppederr, which must still
-// read as known analyzers when only floatcmp is reported.
+// directives for droppederr, which must still read as a known analyzer
+// when only floatcmp is reported.
 func TestAnalyzerSubsetOnCleanPackage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-analyzers", "floatcmp", "../../internal/cloud"}, &stdout, &stderr)

@@ -89,11 +89,10 @@ type Pool struct {
 	issued  map[uint64]time.Time // last hand-out time of outstanding jobs
 	stats   Stats
 	met     poolMetrics
-	// resBuf holds recorded results until the pump goroutine moves them
-	// to the results channel. Delivery is lossless: the buffer grows as
-	// needed, so record never blocks on a full channel.
-	resBuf  []Result
-	resCond *sync.Cond // signaled on resBuf append and on Close
+	// results has one slot per queued job, and record sends at most one
+	// result per queued job ID, so a send never blocks and delivery is
+	// lossless however slowly the consumer reads. Whichever of record
+	// and Close makes the pool drained closes it, exactly once.
 	results chan Result
 	closed  bool
 	// leaseDuration bounds how long a worker may hold a job before it
@@ -114,49 +113,16 @@ func NewPool(jobs []Job) *Pool {
 		jobIDs:  make(map[uint64]bool, len(jobs)),
 		done:    make(map[uint64]bool),
 		issued:  make(map[uint64]time.Time),
-		results: make(chan Result, len(jobs)+16),
+		results: make(chan Result, len(jobs)),
 		log:     obs.NopLogger(),
 		now:     time.Now,
 	}
-	p.resCond = sync.NewCond(&p.mu)
 	for _, j := range jobs {
 		p.jobIDs[j.ID] = true
 	}
 	p.stats.JobsQueued = len(jobs)
 	p.stats.WorkerResults = make(map[string]int)
-	// The pump owns the consumer side of resBuf for the pool's
-	// lifetime; Close is its cancellation signal (it exits after the
-	// closed pool drains).
-	//lint:ignore goroleak the pump exits when Close marks the pool drained; a pool that is never closed intentionally keeps it for the process lifetime
-	go p.pump()
 	return p
-}
-
-// pump moves recorded results from the internal buffer to the results
-// channel, preserving record order. It blocks on the channel rather
-// than dropping, which is what makes Results lossless for slow
-// consumers; once the pool is closed and every queued job has a
-// recorded result, it closes the channel and exits, turning a
-// coordinator's `for range pool.Results()` into a clean termination.
-func (p *Pool) pump() {
-	for {
-		p.mu.Lock()
-		for len(p.resBuf) == 0 && !p.drainedLocked() {
-			//lint:ignore lockheld Cond.Wait atomically releases p.mu while blocked and reacquires it on wake; the lock is never held across the sleep
-			p.resCond.Wait()
-		}
-		batch := p.resBuf
-		p.resBuf = nil
-		finished := len(batch) == 0 && p.drainedLocked()
-		p.mu.Unlock()
-		if finished {
-			close(p.results)
-			return
-		}
-		for _, r := range batch {
-			p.results <- r
-		}
-	}
 }
 
 // drainedLocked reports whether the pool is closed and every queued job
@@ -190,9 +156,14 @@ func (p *Pool) idleLocked() bool {
 // completion and their results are still delivered.
 func (p *Pool) Close() {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return
+	}
 	p.closed = true
-	p.resCond.Broadcast()
-	p.mu.Unlock()
+	if p.drainedLocked() {
+		close(p.results)
+	}
 }
 
 // Instrument attaches an obs recorder: job latency histograms
@@ -384,10 +355,16 @@ func (p *Pool) record(r Result) {
 		p.met.failed.Inc()
 	}
 	p.stats.WorkerResults[r.Worker]++
-	// Lossless delivery: buffer under the lock, let the pump do the
-	// (possibly blocking) channel send outside it.
-	p.resBuf = append(p.resBuf, r)
-	p.resCond.Signal()
+	select {
+	case p.results <- r:
+	default:
+		// results has a slot for every queued job and this is the first
+		// result for its ID, so only a bug can fill it.
+		panic("cloud: results channel full")
+	}
+	if p.drainedLocked() {
+		close(p.results)
+	}
 	expired := p.reapExpiredLocked()
 	log := p.log
 	p.mu.Unlock()
@@ -431,10 +408,11 @@ func logExpired(log *slog.Logger, expired []uint64) {
 }
 
 // Results streams every recorded result in record order. Delivery is
-// lossless — a slow consumer back-pressures the internal buffer instead
-// of dropping — and the channel is closed once Close has been called
-// and all queued jobs are resolved, so `for range pool.Results()` is
-// the coordinator's drain loop.
+// lossless — the channel holds a result for every queued job, so a
+// slow consumer loses none and never blocks the pool — and the channel
+// is closed once Close has been called and all queued jobs are
+// resolved, so `for range pool.Results()` is the coordinator's drain
+// loop.
 func (p *Pool) Results() <-chan Result { return p.results }
 
 // Serve accepts worker connections until the context is canceled or the

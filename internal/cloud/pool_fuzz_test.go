@@ -107,8 +107,8 @@ func FuzzServeConn(f *testing.F) {
 			t.Fatalf("pool reports drained with results for %d of %d queued jobs", len(delivered), jobs)
 		}
 
-		// Resolve the rest so the pool drains and its pump goroutine
-		// exits.
+		// Resolve the rest so the pool drains and closes its results
+		// channel.
 		for id := uint64(1); id <= jobs; id++ {
 			p.record(Result{JobID: id})
 		}

@@ -45,16 +45,14 @@ func TestCloseDrainsResults(t *testing.T) {
 	}
 }
 
-// TestLosslessResultsBeyondCapacity records far more results than the
-// results channel holds (shrunk here to 16, below the job count) with
-// nobody consuming until the end. Before the internal buffer, record
-// dropped every result past the channel capacity.
+// TestLosslessResultsBeyondCapacity records every one of 100 results
+// with nobody reading Results until the end: all must be delivered,
+// each once, and the channel must close once the closed pool drains.
+// Before the results channel had a slot per queued job, record dropped
+// every result past its capacity.
 func TestLosslessResultsBeyondCapacity(t *testing.T) {
 	const jobs = 100
 	p := NewPool(makeJobs(jobs))
-	p.mu.Lock()
-	p.results = make(chan Result, 16)
-	p.mu.Unlock()
 	addr, stop := startPool(t, p)
 	defer stop()
 	if n, err := RunWorker(context.Background(), addr, "w", echoHandler); err != nil || n != jobs {
@@ -62,11 +60,21 @@ func TestLosslessResultsBeyondCapacity(t *testing.T) {
 	}
 	p.Close()
 	got := map[uint64]bool{}
-	for r := range p.Results() {
-		if got[r.JobID] {
-			t.Fatalf("job %d delivered twice", r.JobID)
+	timeout := time.After(10 * time.Second)
+	for done := false; !done; {
+		select {
+		case r, ok := <-p.Results():
+			if !ok {
+				done = true
+				break
+			}
+			if got[r.JobID] {
+				t.Fatalf("job %d delivered twice", r.JobID)
+			}
+			got[r.JobID] = true
+		case <-timeout:
+			t.Fatalf("results channel still open after %d results", len(got))
 		}
-		got[r.JobID] = true
 	}
 	if len(got) != jobs {
 		t.Fatalf("received %d results, want every one of %d", len(got), jobs)

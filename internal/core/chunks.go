@@ -12,6 +12,7 @@ import (
 	"asiccloud/internal/server"
 	"asiccloud/internal/tco"
 	"asiccloud/internal/thermal"
+	"asiccloud/internal/vlsi"
 )
 
 // This file is the sweep's one path. Every sweep — ExploreContext in
@@ -22,12 +23,15 @@ import (
 //   - buildGrid resolves a Sweep into the deterministic voltage grid
 //     and deduplicated geometry work list, with grid-construction
 //     prunes (quantization, duplicates) accounted exactly once;
+//   - buildGrid also computes the RCA's operating point at each grid
+//     voltage, once per sweep: step 1 of the Figure 4 flow does not
+//     depend on the geometry;
 //   - setupGeom resolves one geometry (DRAM subsystem, memoized thermal
 //     plan, embodied carbon) and evalCell walks its voltage columns,
-//     identically wherever it runs, into rows: each feasible
-//     configuration's per-voltage server.Row with its TCO and carbon,
-//     pointing at its geometry's server.Record, one per geometry and
-//     allocated once per chunk;
+//     identically wherever it runs, evaluating each configuration
+//     straight into a row: the per-voltage server.Row with its TCO and
+//     carbon, pointing at its geometry's server.Record, one per geometry
+//     and allocated once per chunk;
 //   - evalChunk evaluates chunk c = work[c*size : (c+1)*size] of the
 //     plan's partition into a sweepAcc, the one fold accumulator.
 //     ExploreContext's workers each fold their chunks into their own
@@ -53,9 +57,15 @@ import (
 // deduplicated geometry work list, and the prune accounting of grid
 // construction itself.
 type sweepGrid struct {
-	base           server.Config
-	model          tco.Model
-	voltages       []float64
+	base     server.Config
+	model    tco.Model
+	voltages []float64
+	// ops[i] is the RCA's operating point at voltages[i], from one
+	// vlsi.Spec.At call per grid voltage; opOK[i] is false where that
+	// call failed, and such a voltage is an eval prune in every column
+	// that reaches it.
+	ops            []vlsi.OperatingPoint
+	opOK           []bool
 	stackedOptions []bool
 	// carbon is the resolved emission model (Sweep.Carbon or the
 	// default), validated once at grid build so every chunk of a sweep
@@ -99,10 +109,9 @@ func buildGrid(sweep Sweep, model tco.Model) (*sweepGrid, error) {
 			return nil, err
 		}
 		// Reject out-of-range grids once, before the sweep: every point
-		// of an out-of-range voltage would otherwise fail inside
-		// vlsi.Spec.At per configuration (constructing an error each
-		// time) and be silently counted as an eval prune. Failing loudly
-		// here is both cheaper and more honest.
+		// of an out-of-range voltage would otherwise fail its operating
+		// point and be silently counted as an eval prune. Failing loudly
+		// here is more honest.
 		lo, hi := sweep.Base.RCA.MinVoltage(), sweep.Base.RCA.MaxVoltage()
 		if voltages[0] < lo-1e-9 || voltages[len(voltages)-1] > hi+1e-9 {
 			return nil, fmt.Errorf(
@@ -118,6 +127,12 @@ func buildGrid(sweep Sweep, model tco.Model) (*sweepGrid, error) {
 			sweep.Base.RCA.MinVoltage(), sweep.Base.RCA.MaxVoltage())
 	}
 	g.voltages = voltages
+	g.ops = make([]vlsi.OperatingPoint, len(voltages))
+	g.opOK = make([]bool, len(voltages))
+	for i, v := range voltages {
+		op, err := sweep.Base.RCA.At(v)
+		g.ops[i], g.opOK[i] = op, err == nil
+	}
 	silicon := sweep.SiliconPerLane
 	if len(silicon) == 0 {
 		silicon = DefaultSiliconPerLane()
@@ -224,10 +239,9 @@ func (grid *sweepGrid) config(g geom) (server.Config, error) {
 // evalCell evaluates one deduplicated geometry cell: setupGeom, then the
 // per-voltage column walk (evalGeometry). Feasible rows, which share
 // *rec, are appended to scratch; every candidate the cell generates is
-// accounted in sum. The returned slices are the (possibly grown)
-// scratch buffers.
-func (e *Engine) evalCell(g geom, grid *sweepGrid, rec *server.Record, scratch []Row, column []server.Row,
-	sum *PruneSummary, ctr *exploreCounters) ([]Row, []server.Row) {
+// accounted in sum. It returns the (possibly grown) scratch.
+func (e *Engine) evalCell(g geom, grid *sweepGrid, rec *server.Record, scratch []Row,
+	sum *PruneSummary, ctr *exploreCounters) []Row {
 
 	sum.Generated += grid.perGeom
 	ctr.configs.Add(grid.perGeom)
@@ -238,10 +252,10 @@ func (e *Engine) evalCell(g geom, grid *sweepGrid, rec *server.Record, scratch [
 	case PruneThermal:
 		ctr.thermal.Add(grid.perGeom)
 	default:
-		return e.evalGeometry(&s, grid, rec, scratch, column, sum, ctr)
+		return e.evalGeometry(&s, grid, rec, scratch, sum, ctr)
 	}
 	sum.add(reason, grid.perGeom)
-	return scratch, column
+	return scratch
 }
 
 // SweepPlan is the deterministic partition of a sweep into chunks: the
@@ -486,16 +500,16 @@ func frontier(f *pareto.Fold[Row], x, y func(Row) float64) []Point {
 
 // chunkWorker is one evaluator's state, reused across the chunks it
 // runs: the accumulator its rows fold into, the sweep's counters, and
-// the row and column scratch buffers. The buffers stop growing once
-// they have seen the largest geometry (the largest chunk when points
-// are kept), so a steady-state sweep does not allocate per
-// configuration, only one geometry-record block per chunk (see
-// BenchmarkRepeatedSweep with -benchmem).
+// the row scratch every configuration is evaluated straight into. The
+// scratch stops growing once it has held the largest geometry (the
+// largest chunk when points are kept), so a steady-state sweep does not
+// allocate per configuration, only one geometry-record block per chunk
+// (see TestWarmStreamingSweepAllocs and BenchmarkRepeatedSweep with
+// -benchmem).
 type chunkWorker struct {
-	acc    sweepAcc
-	ctr    *exploreCounters
-	rows   []Row
-	column []server.Row
+	acc  sweepAcc
+	ctr  *exploreCounters
+	rows []Row
 }
 
 // evalChunk is the sweep's one chunk evaluator: it evaluates chunk c of
@@ -525,7 +539,7 @@ func (e *Engine) evalChunk(ctx context.Context, plan *SweepPlan, c int, w *chunk
 			w.rows = w.rows[:0]
 		}
 		n := len(w.rows)
-		w.rows, w.column = e.evalCell(g, plan.grid, &recs[i], w.rows, w.column, &w.acc.summary, w.ctr)
+		w.rows = e.evalCell(g, plan.grid, &recs[i], w.rows, &w.acc.summary, w.ctr)
 		for j := n; j < len(w.rows); j++ {
 			w.acc.add(&w.rows[j])
 		}

@@ -7,8 +7,13 @@ import (
 	"reflect"
 	"testing"
 
+	"asiccloud/internal/apps/bitcoin"
+	"asiccloud/internal/apps/cnn"
+	"asiccloud/internal/apps/litecoin"
+	"asiccloud/internal/apps/xcode"
 	"asiccloud/internal/server"
 	"asiccloud/internal/tco"
+	"asiccloud/internal/vlsi"
 )
 
 // exploreDiscard runs the single-process streaming sweep that the
@@ -248,4 +253,67 @@ func TestEvaluateChunkErrors(t *testing.T) {
 	if _, err := eng.EvaluateChunk(ctx, plan, 0); err == nil {
 		t.Error("pre-canceled context should abort the chunk")
 	}
+}
+
+// TestOperatingPointTable checks buildGrid's operating-point table
+// against vlsi.Spec.At bit for bit at every grid voltage of the
+// bitcoin, litecoin, XCode and CNN RCAs. The CNN RCA is not voltage
+// scalable, so its grid is its nominal point alone. A bitcoin grid
+// starting 0.5 nV below the RCA's range passes buildGrid's range check
+// but not At, so its first entry must be the failed call's: the zero
+// point, flagged not OK.
+func TestOperatingPointTable(t *testing.T) {
+	btc := server.Default(bitcoin.RCA())
+	for _, tc := range []struct {
+		name     string
+		rca      vlsi.Spec
+		voltages []float64
+		bad      int
+	}{
+		{"bitcoin", bitcoin.RCA(), nil, 0},
+		{"litecoin", litecoin.RCA(), nil, 0},
+		{"xcode", xcode.RCA(), nil, 0},
+		{"cnn", cnn.NodeSpec(), nil, 0},
+		{"bitcoin below range", bitcoin.RCA(), []float64{btc.RCA.MinVoltage() - 5e-10, 0.5}, 1},
+	} {
+		grid, err := buildGrid(Sweep{Base: server.Default(tc.rca), Voltages: tc.voltages}, tco.Default())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(grid.ops) != len(grid.voltages) || len(grid.opOK) != len(grid.voltages) {
+			t.Fatalf("%s: %d operating points and %d flags for %d voltages",
+				tc.name, len(grid.ops), len(grid.opOK), len(grid.voltages))
+		}
+		if !tc.rca.VoltageScalable && len(grid.voltages) != 1 {
+			t.Fatalf("%s: %d grid voltages for an RCA that runs only at its nominal point", tc.name, len(grid.voltages))
+		}
+		bad := 0
+		for i, v := range grid.voltages {
+			want, err := tc.rca.At(v)
+			if grid.opOK[i] != (err == nil) {
+				t.Fatalf("%s, %v V: table OK %v, At error %v", tc.name, v, grid.opOK[i], err)
+			}
+			if !sameBits(grid.ops[i], want) {
+				t.Fatalf("%s, %v V: table %+v, At %+v", tc.name, v, grid.ops[i], want)
+			}
+			if !grid.opOK[i] {
+				bad++
+			}
+		}
+		if bad != tc.bad {
+			t.Errorf("%s: %d failed operating points, want %d", tc.name, bad, tc.bad)
+		}
+	}
+}
+
+// sameBits reports whether every field of a and b holds the same
+// float64 bit pattern.
+func sameBits(a, b vlsi.OperatingPoint) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		if math.Float64bits(va.Field(i).Float()) != math.Float64bits(vb.Field(i).Float()) {
+			return false
+		}
+	}
+	return true
 }

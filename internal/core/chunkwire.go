@@ -14,9 +14,9 @@ import (
 
 // ChunkResult's JSON wire form: records plus rows. A chunk's two
 // frontiers name many of the same points, and every point of one
-// geometry shares its server.Record (the sweep evaluates a geometry's
-// whole voltage column into rows against one record,
-// server.EvaluateRows). So the wire form stores each record and each
+// geometry shares its server.Record (the sweep evaluates each of a
+// geometry's voltage columns through one server.Column into rows
+// against one record). So the wire form stores each record and each
 // point once:
 //
 //   - geoms: per geometry, its server.Record in JSON (Config with

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -241,22 +242,61 @@ func (r *Row) Point() Point {
 }
 
 // evalGeometry evaluates every (stacking option, voltage) configuration
-// of one resolved geometry cell into rows that share rec, appending the
-// feasible ones to rows and returning the (possibly grown) scratch
-// slices. This is the sweep's innermost loop — everything here runs
-// once per candidate configuration, millions of times per sweep, and
-// the ROADMAP's configs/sec budget assumes it is allocation-free in
-// steady state; the hotalloc analyzer enforces that transitively.
+// of one resolved geometry cell straight into rows that share rec,
+// appending the feasible ones to rows (TCO and carbon priced in place)
+// and returning the (possibly grown) scratch. It walks each voltage
+// column itself: one server.Column per stacking option, the grid's
+// operating point at each voltage, and the thermal early break (chip
+// heat grows with voltage, so the first ErrThermal prunes its voltage
+// and every higher one). This is the sweep's innermost loop —
+// everything here runs once per candidate configuration, millions of
+// times per sweep, and the ROADMAP's configs/sec budget assumes it is
+// allocation-free in steady state; the hotalloc analyzer enforces that
+// transitively.
 //
 //asic:hotpath
 func (e *Engine) evalGeometry(s *geomSetup, grid *sweepGrid, rec *server.Record,
-	rows []Row, column []server.Row, sum *PruneSummary, ctr *exploreCounters) ([]Row, []server.Row) {
+	rows []Row, sum *PruneSummary, ctr *exploreCounters) []Row {
 
 	cfg := s.cfg
+	nv := len(grid.ops)
 	for _, stacked := range grid.stackedOptions {
 		cfg.Stacked = stacked
-		col, thermalPruned, evalPruned := server.EvaluateRows(rec, &cfg, &s.plan, grid.voltages, column[:0])
-		column = col
+		col, err := server.NewColumn(rec, &cfg, &s.plan)
+		if err != nil {
+			sum.add(PruneEval, int64(nv))
+			ctr.evalErr.Add(int64(nv))
+			continue
+		}
+		first := len(rows)
+		var thermalPruned, evalPruned int
+		for i := range grid.ops {
+			if !grid.opOK[i] {
+				evalPruned++
+				continue
+			}
+			n := len(rows)
+			if n == cap(rows) {
+				// Room for the column's remaining voltages, or append's
+				// doubling if that is more.
+				//lint:ignore hotalloc grows the per-worker scratch; its capacity tops out at the largest chunk (one geometry when streaming) and growth amortizes to zero
+				rows = slices.Grow(rows, nv-i)
+			}
+			r := &rows[:n+1][n]
+			err := col.Eval(&cfg, &grid.ops[i], &r.Row)
+			if err == nil {
+				r.TCO = grid.model.Of(r.DollarsPerOp, r.WattsPerOp)
+				r.Carbon = grid.carbon.Of(s.embodiedKg, r.Perf, r.WallPower)
+				r.Record = rec
+				rows = rows[:n+1]
+				continue
+			}
+			if errors.Is(err, server.ErrThermal) {
+				thermalPruned = nv - i
+				break
+			}
+			evalPruned++
+		}
 		if thermalPruned > 0 {
 			sum.add(PruneThermal, int64(thermalPruned))
 			ctr.thermal.Add(int64(thermalPruned))
@@ -265,20 +305,11 @@ func (e *Engine) evalGeometry(s *geomSetup, grid *sweepGrid, rec *server.Record,
 			sum.add(PruneEval, int64(evalPruned))
 			ctr.evalErr.Add(int64(evalPruned))
 		}
-		for i := range col {
-			r := &col[i]
-			//lint:ignore hotalloc appends into the per-worker scratch; capacity tops out at the largest chunk and growth amortizes to zero
-			rows = append(rows, Row{
-				Row:    *r,
-				TCO:    grid.model.Of(r.DollarsPerOp, r.WattsPerOp),
-				Carbon: grid.carbon.Of(s.embodiedKg, r.Perf, r.WallPower),
-				Record: rec,
-			})
-			sum.Feasible++
-			ctr.feasible.Inc()
-		}
+		feasible := int64(len(rows) - first)
+		sum.Feasible += feasible
+		ctr.feasible.Add(feasible)
 	}
-	return rows, column
+	return rows
 }
 
 // rowDollars and rowWatts are the two classic Pareto objectives;

@@ -11,9 +11,14 @@ import (
 	"testing"
 	"time"
 
+	"asiccloud/internal/apps/bitcoin"
 	"asiccloud/internal/server"
 	"asiccloud/internal/tco"
 )
+
+// raceEnabled is set under -race (race_test.go), where the runtime
+// allocates on its own and allocation counts mean nothing.
+var raceEnabled bool
 
 func checkAccounting(t *testing.T, s PruneSummary) {
 	t.Helper()
@@ -396,4 +401,37 @@ func (s PruneSummary) PrunedTotal() int64 {
 		n += v
 	}
 	return n
+}
+
+// TestWarmStreamingSweepAllocs guards the streaming hot path, the one
+// the daemon and the pool workers run: a warm DiscardPoints sweep of
+// the bitcoin space must allocate fewer times than it has geometries,
+// so an allocation per configuration or per geometry fails a behaviour
+// test, not only hotalloc's static check. What remains is per chunk
+// (one geometry-record block) and per sweep.
+func TestWarmStreamingSweepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's runtime allocates on its own")
+	}
+	sweep, model := Sweep{Base: server.Default(bitcoin.RCA())}, tco.Default()
+	plan, err := PlanSweep(sweep, model, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(nil)
+	eng.DiscardPoints = true
+	var res Result
+	explore := func() {
+		if res, err = eng.Explore(sweep, model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	explore() // warm the plan cache
+	allocs := testing.AllocsPerRun(10, explore)
+	t.Logf("%.0f allocations per sweep of %d geometries, %d configurations",
+		allocs, plan.Geometries(), res.Pruned.Generated)
+	if allocs >= float64(plan.Geometries()) {
+		t.Errorf("a warm streaming sweep makes %.0f allocations, want fewer than its %d geometries",
+			allocs, plan.Geometries())
+	}
 }

@@ -126,8 +126,9 @@ const (
 	// PruneThermal: no heat sink cools the geometry at any voltage, or
 	// the chip exceeds the cooling limit at this voltage and above.
 	PruneThermal = "thermal_infeasible"
-	// PruneEval: server.EvaluateRows failed for a non-thermal
-	// reason (power delivery, packaging, voltage floor, ...).
+	// PruneEval: evaluation failed for a non-thermal reason: the
+	// column's validation (server.NewColumn), the RCA's operating point
+	// at the voltage, power delivery, packaging, ...
 	PruneEval = "eval_error"
 )
 

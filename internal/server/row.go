@@ -1,10 +1,8 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"asiccloud/internal/interconnect"
 	"asiccloud/internal/power"
@@ -26,9 +24,12 @@ import (
 //     materials and the two Pareto metrics.
 //
 // Join and Split convert between the halves and a full Evaluation.
-// EvaluateRows evaluates a whole voltage column into rows, resolving
-// the terms every voltage shares once per column; EvaluateWithPlan and
-// EvaluateColumn are joins over the same evaluation.
+// A Column is one voltage column resolved once: NewColumn validates it
+// and resolves the terms every voltage shares, and Column.Eval is the
+// per-voltage step, from the RCA's operating point at that voltage into
+// a caller-owned Row. The sweep engine walks its columns itself, with
+// each grid voltage's operating point computed once per sweep;
+// EvaluateWithPlan and EvaluateColumn call the same step.
 
 // Row is the per-voltage half of an Evaluation (see Record for the
 // per-geometry half). Its fields mean what the Evaluation fields of the
@@ -126,51 +127,13 @@ func Split(ev *Evaluation) (Record, Row) {
 	}
 }
 
-// EvaluateRows evaluates the geometry cfg describes, at cfg.Stacked,
-// across an ascending, positive voltage grid, sharing the precomputed
-// thermal plan (cfg.Voltage is ignored). It fills *rec with the
-// geometry's record and appends one row per feasible voltage to out,
-// writing each in place (pass a reused scratch slice to keep the
-// sweep's steady state allocation-free). Chip heat grows monotonically
-// with voltage, so the first ErrThermal prunes every higher voltage:
-// thermalPruned counts the points discarded that way, evalPruned the
-// points that failed evaluation individually. The config is validated
-// once for the whole column, the terms every voltage shares are
-// resolved once, and infeasible points cost no error construction at
-// all — this is the entry point the sweep engine's hot loop uses.
-func EvaluateRows(rec *Record, cfg *Config, plan *thermal.OptimizeResult, voltages []float64, out []Row) (rows []Row, thermalPruned, evalPruned int) {
-	if len(voltages) == 0 {
-		return out, 0, 0
-	}
-	probe := *cfg
-	probe.Voltage = voltages[0]
-	if probe.Validate() != nil {
-		return out, 0, len(voltages)
-	}
-	c := newColumn(rec, cfg, plan)
-	//lint:ignore hotalloc grows the caller's reusable scratch once per column; its capacity tops out at one grid's length and growth amortizes to zero
-	out = slices.Grow(out, len(voltages))
-	for i, v := range voltages {
-		n := len(out)
-		err := c.eval(cfg, v, &out[:n+1][n])
-		if err == nil {
-			out = out[:n+1]
-			continue
-		}
-		if errors.Is(err, ErrThermal) {
-			return out, len(voltages) - i, evalPruned
-		}
-		evalPruned++
-	}
-	return out, 0, evalPruned
-}
-
-// column is what every voltage of one evaluated column shares: the
-// network, die, power, heat-sink, PCB, fan and DRAM terms of the flow
-// that do not depend on the operating point. (The column's Config is
-// passed to eval beside it rather than stored in it, so that escape
-// analysis keeps a caller's Config on the stack.)
-type column struct {
+// Column is one geometry's voltage column resolved for evaluation: the
+// network, die, power-grid, heat-sink, PCB, fan and DRAM terms of the
+// flow that do not depend on the operating point. NewColumn builds it
+// once per column; Eval evaluates one voltage of it. (The column's
+// Config is passed to Eval beside it rather than stored in it, so that
+// escape analysis keeps a caller's Config on the stack.)
+type Column struct {
 	net     interconnect.Network
 	grid    vlsi.PowerGrid
 	dieArea float64
@@ -184,23 +147,44 @@ type column struct {
 	// re-derived per voltage when off-PCB links follow throughput.
 	fanPower, dramPower, offPCB float64
 	extraPins                   int
-	// bom holds the voltage-independent BOM lines; eval fills in the
+	// bom holds the voltage-independent BOM lines; Eval fills in the
 	// packages, the power chain and (with provisioned links) the network.
 	bom BOM
-	// rails is eval's rail scratch; rails[1] is the fixed I/O rail.
+	// rails is Eval's rail scratch; rails[1] is the fixed I/O rail.
 	rails [3]power.Rail
 	// dieAreaErr and dieCostErr are the geometry's die failures,
 	// reported at the flow steps that would find them.
 	dieAreaErr, dieCostErr error
 }
 
-// newColumn resolves the voltage-independent terms of cfg's column and
-// fills *rec. It runs once per column, not per configuration; its
-// errors are geometry properties that ThermalPlan rejects before any
-// swept column starts, so they are built only for hand-built calls.
+// NewColumn validates the column of the geometry cfg describes, at
+// cfg.Stacked (cfg.Voltage is ignored: each Eval supplies a voltage),
+// under the precomputed thermal plan, and resolves the terms every
+// voltage of it shares, filling *rec with the geometry's record. The
+// configuration and the on-die power grid are validated here, once per
+// column, so Eval validates nothing; an error rules out every voltage
+// of the column.
 //
 //asic:coldpath
-func newColumn(rec *Record, cfg *Config, plan *thermal.OptimizeResult) column {
+func NewColumn(rec *Record, cfg *Config, plan *thermal.OptimizeResult) (Column, error) {
+	if err := cfg.validateColumn(); err != nil {
+		return Column{}, err
+	}
+	return newColumn(rec, cfg, plan)
+}
+
+// newColumn is NewColumn for a configuration already validated: it
+// validates the power grid and resolves the voltage-independent terms
+// of cfg's column, filling *rec. The die errors it stores are geometry
+// properties that ThermalPlan rejects before any swept column starts,
+// so they are built only for hand-built calls.
+//
+//asic:coldpath
+func newColumn(rec *Record, cfg *Config, plan *thermal.OptimizeResult) (Column, error) {
+	grid := vlsi.DefaultPowerGrid()
+	if err := grid.Validate(); err != nil {
+		return Column{}, err
+	}
 	net := cfg.network()
 	dieArea := cfg.DieArea()
 	chips := cfg.ChipsPerLane * cfg.Lanes
@@ -214,9 +198,9 @@ func newColumn(rec *Record, cfg *Config, plan *thermal.OptimizeResult) column {
 	}
 	rec.Config.Voltage, rec.Config.Stacked = 0, false
 
-	c := column{
+	c := Column{
 		net:          net,
-		grid:         vlsi.DefaultPowerGrid(),
+		grid:         grid,
 		dieArea:      dieArea,
 		chips:        chips,
 		chipCap:      plan.ChipPower,
@@ -252,7 +236,7 @@ func newColumn(rec *Record, cfg *Config, plan *thermal.OptimizeResult) column {
 		c.bom.HeatSinks = 0
 		c.bom.Fans = 0
 	}
-	return c
+	return c, nil
 }
 
 // offPCBPower is the network's 12 V draw: the control processor plus
@@ -261,22 +245,21 @@ func offPCBPower(n *interconnect.Network) float64 {
 	return n.Control.Power + float64(n.OffLinks)*n.OffPCB.Power
 }
 
-// eval is the allocation-free core of the Figure 4 flow: steps 1-7 for
-// column c of cfg at voltage v, written into *r, with sentinel errors
-// (bare ErrThermal, errDegenerate) on the paths the sweep hits per
-// configuration. Callers that face humans wrap the sentinels with
-// detail; callers that prune millions of points match them with
-// errors.Is and pay nothing. On ErrThermal and errDegenerate *r is
-// complete; on any other error it is partial and must be discarded.
+// Eval is the allocation-free per-voltage step of the Figure 4 flow:
+// steps 2-7 for column c of cfg at operating point op, written into
+// *r. op must be cfg.RCA.At(op.Voltage): step 1, the voltage scaling
+// model, depends on the voltage alone, so a sweep computes it once per
+// grid voltage. Errors on the paths the sweep hits per configuration
+// are bare sentinels (ErrThermal, errDegenerate): callers that face
+// humans wrap them with detail, and callers that prune millions of
+// points match them with errors.Is and pay nothing. On ErrThermal and
+// errDegenerate *r is complete; on any other error it is partial and
+// must be discarded. Chip heat grows monotonically with voltage, so a
+// caller walking a column in ascending voltage prunes the first
+// ErrThermal's voltage and every voltage above it.
 //
 //asic:hotpath
-func (c *column) eval(cfg *Config, v float64, r *Row) error {
-	// 1. Voltage scaling model: the RCA's operating point.
-	op, err := cfg.RCA.At(v)
-	if err != nil {
-		return err
-	}
-
+func (c *Column) Eval(cfg *Config, op *vlsi.OperatingPoint, r *Row) error {
 	// 2. Die composition (resolved once per column).
 	if c.dieAreaErr != nil {
 		return c.dieAreaErr
@@ -330,7 +313,7 @@ func (c *column) eval(cfg *Config, v float64, r *Row) error {
 	// 6. Power delivery.
 	twelveV := c.fanPower + c.dramPower + offPCB
 	if cfg.Stacked {
-		sp, err := power.PlanStack(12, v)
+		sp, err := power.PlanStack(12, op.Voltage)
 		if err != nil {
 			return err
 		}
@@ -345,6 +328,7 @@ func (c *column) eval(cfg *Config, v float64, r *Row) error {
 			c.rails[2] = power.Rail{Name: "sram", Voltage: op.SRAMVoltage, Power: sramPerChip * float64(chips)}
 			n = 3
 		}
+		var err error
 		if r.Delivery, err = power.Plan(cfg.PSU, cfg.DCDC, c.rails[:n], twelveV); err != nil {
 			return err
 		}
@@ -369,7 +353,7 @@ func (c *column) eval(cfg *Config, v float64, r *Row) error {
 	}
 
 	perf := chipPerf * float64(chips)
-	r.Voltage, r.Stacked = v, cfg.Stacked
+	r.Voltage, r.Stacked = op.Voltage, cfg.Stacked
 	r.ThermalOK, r.GridOK = thermalOK, gridOK
 	r.Freq = op.Freq * utilization
 	r.Utilization = utilization

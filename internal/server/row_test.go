@@ -12,6 +12,7 @@ import (
 	"asiccloud/internal/core"
 	"asiccloud/internal/dram"
 	"asiccloud/internal/server"
+	"asiccloud/internal/thermal"
 )
 
 // geometries yields a spread of the paper's sweep geometries around
@@ -45,12 +46,12 @@ func geometries(t *testing.T, base server.Config, drams []int) []server.Config {
 	return out
 }
 
-// perVoltage is EvaluateRows' contract spelled out one voltage at a
-// time with EvaluateWithPlan: every feasible evaluation in grid order,
-// the voltages at and above the first thermal failure, and the other
-// failures. It keeps evaluating past the first thermal failure and
-// returns, as lost, how many of those voltages evaluate feasible: the
-// configurations EvaluateRows' early break would prune wrongly.
+// perVoltage is the column walk's contract spelled out one voltage at
+// a time with EvaluateWithPlan: every feasible evaluation in grid
+// order, the voltages at and above the first thermal failure, and the
+// other failures. It keeps evaluating past the first thermal failure
+// and returns, as lost, how many of those voltages evaluate feasible:
+// the configurations the walk's early break would prune wrongly.
 func perVoltage(cfg server.Config, voltages []float64) (want []server.Evaluation, thermalPruned, evalPruned, lost int) {
 	plan, err := server.ThermalPlan(cfg)
 	if err != nil {
@@ -75,15 +76,51 @@ func perVoltage(cfg server.Config, voltages []float64) (want []server.Evaluation
 	return want, thermalPruned, evalPruned, lost
 }
 
-// TestEvaluateRowsMatchesPerVoltage checks the sweep's column entry
-// point against EvaluateWithPlan on the stacked bitcoin, litecoin and
-// XCode (1..9 DRAMs) columns and an immersion-cooled bitcoin column:
-// every joined row equals the per-voltage evaluation, and the thermal
-// and eval prune counts equal the per-voltage loop's. No voltage above
-// a column's first thermal failure may evaluate feasible: EvaluateRows
-// stops there, assuming chip heat never falls as voltage rises. Each
-// grid starts with two voltages below the RCA's range, so every column
-// has eval prunes as well as (mostly) thermal ones.
+// walkColumn walks cfg's column as the sweep engine does: one
+// NewColumn, then Column.Eval at each voltage's operating point in
+// ascending order into the next slot of rows, stopping at the first
+// ErrThermal, which prunes its voltage and every higher one. A voltage
+// whose operating point fails, or every voltage of a column NewColumn
+// rejects, is an eval prune.
+func walkColumn(rec *server.Record, cfg *server.Config, plan *thermal.OptimizeResult, voltages []float64, rows []server.Row) (
+	_ []server.Row, thermalPruned, evalPruned int) {
+
+	col, err := server.NewColumn(rec, cfg, plan)
+	if err != nil {
+		return rows, 0, len(voltages)
+	}
+	for i, v := range voltages {
+		op, err := cfg.RCA.At(v)
+		if err != nil {
+			evalPruned++
+			continue
+		}
+		n := len(rows)
+		rows = append(rows, server.Row{})
+		switch err := col.Eval(cfg, &op, &rows[n]); {
+		case err == nil:
+		case errors.Is(err, server.ErrThermal):
+			return rows[:n], len(voltages) - i, evalPruned
+		default:
+			rows = rows[:n]
+			evalPruned++
+		}
+	}
+	return rows, 0, evalPruned
+}
+
+// TestEvaluateRowsMatchesPerVoltage checks the rows the sweep's
+// per-voltage step (Column.Eval) evaluates against EvaluateWithPlan on
+// the stacked bitcoin, litecoin and XCode (1..9 DRAMs) columns and an
+// immersion-cooled bitcoin column: walking each column as the sweep
+// does (walkColumn), every joined row equals the per-voltage
+// evaluation, and the thermal and eval prune counts equal the
+// per-voltage loop's; EvaluateColumn, the same walk joined into
+// Evaluations, agrees too. No voltage above a column's first thermal
+// failure may evaluate feasible: the walk stops there, assuming chip
+// heat never falls as voltage rises. Each grid starts with two
+// voltages below the RCA's range, so every column has eval prunes as
+// well as (mostly) thermal ones.
 func TestEvaluateRowsMatchesPerVoltage(t *testing.T) {
 	xc, err := xcode.ServerConfig(1)
 	if err != nil {
@@ -120,7 +157,7 @@ func TestEvaluateRowsMatchesPerVoltage(t *testing.T) {
 					}
 					var rec server.Record
 					var gotThermal, gotEval int
-					rows, gotThermal, gotEval = server.EvaluateRows(&rec, &cfg, &plan, voltages, rows[:0])
+					rows, gotThermal, gotEval = walkColumn(&rec, &cfg, &plan, voltages, rows[:0])
 					if gotThermal != wantThermal || gotEval != wantEval {
 						t.Fatalf("%d chips × %d RCAs, %d DRAMs, stacked %v: prunes (thermal %d, eval %d), per-voltage (%d, %d)",
 							cfg.ChipsPerLane, cfg.RCAsPerChip, cfg.DRAM.PerASIC, stacked,

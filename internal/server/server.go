@@ -126,13 +126,27 @@ func (c Config) network() interconnect.Network {
 	}
 }
 
-// Validate checks configuration sanity before evaluation. The sweep's
-// hot loop validates once per column (EvaluateRows), not once per
-// configuration, so the error formatting here and in the substrate
-// validators it calls is amortized off the per-point path.
+// Validate checks configuration sanity before evaluation. The sweep
+// validates all of it but the voltage once per column (NewColumn), not
+// once per configuration, so the error formatting here and in the
+// substrate validators it calls is amortized off the per-point path.
 //
 //asic:coldpath
 func (c Config) Validate() error {
+	if err := c.validateColumn(); err != nil {
+		return err
+	}
+	if c.Voltage <= 0 {
+		return fmt.Errorf("server: voltage must be positive")
+	}
+	return nil
+}
+
+// validateColumn is Validate without the voltage: the checks every
+// voltage of one column shares.
+//
+//asic:coldpath
+func (c Config) validateColumn() error {
 	if err := c.RCA.Validate(); err != nil {
 		return err
 	}
@@ -142,13 +156,7 @@ func (c Config) Validate() error {
 	if c.ChipsPerLane <= 0 || c.Lanes <= 0 || c.RCAsPerChip <= 0 {
 		return fmt.Errorf("server: chips per lane, lanes and RCAs per chip must be positive")
 	}
-	if c.Voltage <= 0 {
-		return fmt.Errorf("server: voltage must be positive")
-	}
-	if err := c.network().Validate(); err != nil {
-		return err
-	}
-	return nil
+	return c.network().Validate()
 }
 
 // BOM is the itemized server bill of materials in dollars (the paper's
@@ -388,15 +396,24 @@ func Evaluate(cfg Config) (Evaluation, error) {
 }
 
 // EvaluateWithPlan runs the flow with a precomputed thermal plan
-// (obtained from ThermalPlan for the same geometry).
+// (obtained from ThermalPlan for the same geometry): one voltage of the
+// configuration's column, with the RCA's operating point computed for
+// this call.
 func EvaluateWithPlan(cfg Config, best thermal.OptimizeResult) (Evaluation, error) {
 	if err := cfg.Validate(); err != nil {
 		return Evaluation{}, err
 	}
+	op, err := cfg.RCA.At(cfg.Voltage)
+	if err != nil {
+		return Evaluation{}, err
+	}
 	var rec Record
+	c, err := newColumn(&rec, &cfg, &best)
+	if err != nil {
+		return Evaluation{}, err
+	}
 	var r Row
-	c := newColumn(&rec, &cfg, &best)
-	err := c.eval(&cfg, cfg.Voltage, &r)
+	err = c.Eval(&cfg, &op, &r)
 	if err != nil && !errors.Is(err, ErrThermal) && !errors.Is(err, errDegenerate) {
 		return Evaluation{}, err
 	}
@@ -411,17 +428,36 @@ func EvaluateWithPlan(cfg Config, best thermal.OptimizeResult) (Evaluation, erro
 	return ev, err
 }
 
-// EvaluateColumn is EvaluateRows with every feasible row joined into a
-// full Evaluation appended to out, for callers that want whole
-// Evaluations; the thermal and eval prune counts are EvaluateRows'.
+// EvaluateColumn evaluates the geometry cfg describes, at cfg.Stacked,
+// across an ascending voltage grid, sharing the precomputed thermal
+// plan (cfg.Voltage is ignored), and appends every feasible voltage's
+// full Evaluation to out. It walks one Column as the sweep does: the
+// first ErrThermal prunes it and every higher voltage (thermalPruned
+// counts them), and evalPruned counts the voltages that failed
+// otherwise, a failed NewColumn failing all of them.
 func EvaluateColumn(cfg Config, plan thermal.OptimizeResult, voltages []float64, out []Evaluation) (res []Evaluation, thermalPruned, evalPruned int) {
 	var rec Record
-	rows, thermalPruned, evalPruned := EvaluateRows(&rec, &cfg, &plan, voltages, nil)
-	for i := range rows {
-		out = append(out, Evaluation{})
-		Join(&out[len(out)-1], &rec, &rows[i])
+	c, err := NewColumn(&rec, &cfg, &plan)
+	if err != nil {
+		return out, 0, len(voltages)
 	}
-	return out, thermalPruned, evalPruned
+	for i, v := range voltages {
+		var r Row
+		op, err := cfg.RCA.At(v)
+		if err == nil {
+			err = c.Eval(&cfg, &op, &r)
+		}
+		switch {
+		case err == nil:
+			out = append(out, Evaluation{})
+			Join(&out[len(out)-1], &rec, &r)
+		case errors.Is(err, ErrThermal):
+			return out, len(voltages) - i, evalPruned
+		default:
+			evalPruned++
+		}
+	}
+	return out, 0, evalPruned
 }
 
 // errDegenerate flags design points whose Pareto metrics come out NaN

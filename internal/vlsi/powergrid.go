@@ -60,11 +60,10 @@ func (g PowerGrid) Validate() error {
 // droop budget at the given operating point — the explicit engineering
 // the paper says near-threshold high-density ASICs need. It returns an
 // error when even 100% metal cannot meet the budget (the design must
-// shrink its bump pitch instead).
+// shrink its bump pitch instead). The grid must be valid (Validate): a
+// sweep sizes one grid at every voltage of a column and validates it
+// once per column, not on every call.
 func (g PowerGrid) RequiredMetalFraction(powerDensity, volts float64) (float64, error) {
-	if err := g.Validate(); err != nil {
-		return 0, err
-	}
 	if powerDensity < 0 || volts <= 0 {
 		//lint:ignore hotalloc input sanity; the sweep derives both operands from validated configs, so this branch never runs per configuration
 		return 0, fmt.Errorf("vlsi: power density must be >= 0 and voltage positive")

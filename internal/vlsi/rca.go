@@ -60,10 +60,9 @@ type Spec struct {
 }
 
 // Validate reports whether the spec is physically meaningful. A spec
-// that fails validation never enters a sweep — the engine validates
-// before building the grid, and EvaluateRows validates once per
-// column — so the error formatting below is off the per-configuration
-// path.
+// that fails validation never enters a sweep — the engine validates it
+// before building the grid, and server.NewColumn once per column — so
+// the error formatting below is off the per-configuration path.
 //
 //asic:coldpath
 func (s *Spec) Validate() error {
@@ -130,7 +129,9 @@ type OperatingPoint struct {
 // for an RCA that does not support voltage scaling.
 var ErrNotScalable = errors.New("vlsi: RCA does not support voltage scaling")
 
-// At evaluates the RCA at logic voltage v.
+// At evaluates the RCA at logic voltage v. The result depends on the
+// spec and v alone, so a sweep calls it once per grid voltage, not per
+// configuration; each call validates the spec.
 //
 // Dynamic power scales as V²·f with frequency following the delay curve;
 // leakage scales linearly with V (the paper: "The dynamic power is
@@ -145,13 +146,11 @@ func (s *Spec) At(v float64) (OperatingPoint, error) {
 		// Tolerant match: sweep grids reconstruct voltages by repeated
 		// addition, so the nominal point may differ in the last ulp.
 		if !units.ApproxEqual(v, s.NominalVoltage, 1e-9) {
-			//lint:ignore hotalloc the engine pre-validates its grid against the RCA range before sweeping, so this branch only runs for hand-built calls
 			return OperatingPoint{}, fmt.Errorf("%w: %s runs only at %.2f V", ErrNotScalable, s.Name, s.NominalVoltage)
 		}
 	}
 	c := s.curve()
 	if v < c.Min() || v > c.Max() {
-		//lint:ignore hotalloc the engine pre-validates its grid against the RCA range before sweeping, so this branch only runs for hand-built calls
 		return OperatingPoint{}, fmt.Errorf("vlsi: %s: voltage %.2f V outside [%.2f, %.2f]", s.Name, v, c.Min(), c.Max())
 	}
 

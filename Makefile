@@ -48,12 +48,6 @@ lint:
 	mkdir -p results
 	go run ./cmd/asiclint -json ./... > results/lint.json
 
-# Lint only the files changed against a ref (default origin/main if it
-# exists, else HEAD): scripts/lint_changed.sh wraps `asiclint -diff`.
-.PHONY: lint-changed
-lint-changed:
-	./scripts/lint_changed.sh
-
 # Refresh every analyzer's golden files. Run after an intentional
 # analyzer-message change; commit the diff. Only the packages whose
 # tests import internal/analysis/atest define -update, so the flag goes

@@ -2,42 +2,34 @@
 // suite: float-comparison hygiene (floatcmp), error propagation
 // (droppederr), unit documentation (unitdoc), context discipline
 // (ctxflow), goroutine cancellation (goroleak), locks held across
-// blocking operations (lockheld), hot-path allocation budgets
-// (hotalloc), span lifecycle on all CFG paths (spanend), observability
-// naming conventions (obskeys), nondeterministic data reaching
-// serialized output (detflow) and concurrent fan-in emitted without a
-// canonical order (foldorder). Most are dataflow-aware, built
-// on the control-flow graphs and call graph of internal/analysis/cfg;
-// hotalloc, detflow and foldorder are interprocedural, propagating
-// per-function summaries (allocation sites, taint flows) bounded by
-// call depth. It is stdlib-only and offline — packages are parsed and
-// type-checked by internal/analysis without external tooling.
+// blocking operations (lockheld), span lifecycle on all CFG paths
+// (spanend), observability naming conventions (obskeys),
+// nondeterministic data reaching serialized output (detflow) and
+// concurrent fan-in emitted without a canonical order (foldorder). Most
+// are dataflow-aware, built on the control-flow graphs and call graph
+// of internal/analysis/cfg; detflow and foldorder are interprocedural,
+// propagating per-function taint summaries bounded by call depth. It is
+// stdlib-only and offline — packages are parsed and type-checked by
+// internal/analysis without external tooling.
 //
 // Usage:
 //
-//	asiclint [-json] [-analyzers a,b] [-diff ref] [-list] [patterns ...]
+//	asiclint [-json] [-analyzers a,b] [-list] [patterns ...]
 //
 // Patterns are directories, optionally ending in /... (default ./...).
 // The whole suite always runs: loading the packages costs far more than
 // the analyzers, and every //lint:ignore must name a suite analyzer.
 // -analyzers only narrows what is reported, to the named analyzers plus
 // the framework's own "lint" diagnostics about malformed directives.
-// Likewise with -diff, whole packages are still loaded and analyzed
-// (dataflow facts need complete packages) but only diagnostics in .go
-// files that changed versus the given git ref — committed, staged,
-// unstaged or untracked — are reported. When git is missing or the lint
-// root is not a git work tree, -diff degrades to whole-module reporting
-// with a warning on stderr rather than failing. With -json the
-// diagnostics go to stdout as one JSON document grouped by analyzer and
-// to stderr as text lines, so one run gates, prints and leaves the
-// report (`make lint` writes it to results/lint.json). Exit status: 0
-// clean, 1 diagnostics reported, 2 usage or load error. Suppress a
-// finding with a trailing or immediately preceding
+// With -json the diagnostics go to stdout as one JSON document grouped
+// by analyzer and to stderr as text lines, so one run gates, prints and
+// leaves the report (`make lint` writes it to results/lint.json). Exit
+// status: 0 clean, 1 diagnostics reported, 2 usage or load error.
+// Suppress a finding with a trailing or immediately preceding
 // "//lint:ignore analyzer reason" comment.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,9 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "write diagnostics as JSON grouped by analyzer to stdout, and as text to stderr")
 	names := fs.String("analyzers", "", "comma-separated analyzers to report (default all); the whole suite still runs")
 	list := fs.Bool("list", false, "list available analyzers and exit")
-	diffRef := fs.String("diff", "", "only report diagnostics in files changed since this git ref")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: asiclint [-json] [-analyzers a,b] [-diff ref] [-list] [patterns ...]\n")
+		fmt.Fprintf(stderr, "usage: asiclint [-json] [-analyzers a,b] [-list] [patterns ...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -115,13 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if selected != nil {
 		diags = analysis.FilterAnalyzers(diags, selected)
 	}
-	if *diffRef != "" {
-		diags, err = filterByDiff(diags, cwd, *diffRef, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, "asiclint:", err)
-			return 2
-		}
-	}
 	text := stdout
 	if *jsonOut {
 		if err := analysis.WriteGroupedJSON(stdout, diags, cwd); err != nil {
@@ -138,21 +122,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// filterByDiff narrows diags to files changed since ref. When git is
-// missing, or the lint root is not a work tree (tarball checkouts,
-// hermetic CI sandboxes), it degrades to whole-module reporting with a
-// warning: strictly more findings than the filtered run, same exit
-// semantics.
-func filterByDiff(diags []analysis.Diagnostic, cwd, ref string, stderr io.Writer) ([]analysis.Diagnostic, error) {
-	changed, err := analysis.ChangedFiles(cwd, ref)
-	switch {
-	case errors.Is(err, analysis.ErrGitUnavailable):
-		fmt.Fprintf(stderr, "asiclint: -diff %s: %v; reporting the whole module\n", ref, err)
-		return diags, nil
-	case err != nil:
-		return nil, err
-	}
-	return analysis.FilterFiles(diags, changed), nil
 }

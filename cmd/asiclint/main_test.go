@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"asiccloud/internal/analysis"
 	"asiccloud/internal/analysis/suite"
 )
 
@@ -44,25 +43,6 @@ func TestBadFlagExitsTwo(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-nope"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
-	}
-}
-
-// TestFilterByDiffFallsBackWithoutGit pins the -diff degradation path:
-// when git cannot run, every diagnostic is kept (whole-module mode) and
-// the degradation is announced on stderr rather than failing the run.
-func TestFilterByDiffFallsBackWithoutGit(t *testing.T) {
-	t.Setenv("PATH", t.TempDir()) // no git binary findable
-	diags := []analysis.Diagnostic{{Analyzer: "x", Message: "m"}}
-	var stderr bytes.Buffer
-	got, err := filterByDiff(diags, t.TempDir(), "HEAD", &stderr)
-	if err != nil {
-		t.Fatalf("filterByDiff without git: %v", err)
-	}
-	if len(got) != len(diags) {
-		t.Fatalf("fallback dropped diagnostics: got %d, want %d", len(got), len(diags))
-	}
-	if !strings.Contains(stderr.String(), "reporting the whole module") {
-		t.Errorf("fallback not announced on stderr: %s", stderr.String())
 	}
 }
 

@@ -19,13 +19,13 @@
 //     exposed as Pass.CFG and Pass.CallGraph (facts.go, backed by
 //     internal/analysis/cfg), plus Pass.Memo, the one run-wide cache an
 //     analyzer keeps its own interprocedural summaries in (the taint
-//     engine's, hotalloc's);
+//     engine's);
 //   - text and JSON diagnostic formatting (the JSON form grouped by
 //     analyzer) shared by cmd/asiclint and the self-test (run.go).
 //
 // The domain analyzers themselves live in subpackages (ctxflow, detflow,
-// droppederr, floatcmp, foldorder, goroleak, hotalloc, lockheld,
-// obskeys, spanend, unitdoc) and the curated repository-wide suite in
+// droppederr, floatcmp, foldorder, goroleak, lockheld, obskeys,
+// spanend, unitdoc) and the curated repository-wide suite in
 // internal/analysis/suite.
 package analysis
 
@@ -98,7 +98,7 @@ func (d Diagnostic) String() string {
 }
 
 // HasDirective reports whether the comment group carries the given
-// machine directive (e.g. "asic:hotpath"). Directives are comments of
+// machine directive (e.g. "asic:canonical"). Directives are comments of
 // the form "//name" with no space; CommentGroup.Text strips them, so
 // the raw list is scanned.
 func HasDirective(doc *ast.CommentGroup, name string) bool {

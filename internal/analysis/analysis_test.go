@@ -148,18 +148,26 @@ func TestLoaderResolvesModule(t *testing.T) {
 	}
 }
 
+// TestLoaderSkipsTestdata guards the pattern expansion: a relative /...
+// walk must not descend into testdata directories, so the analyzer
+// fixtures and the loadpkg fixture stay invisible to recursive loads.
 func TestLoaderSkipsTestdata(t *testing.T) {
 	l, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkgs, err := l.Load(l.ModuleRoot + "/internal/analysis/...")
+	pkgs, err := l.Load("./...")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
+	var sawCFG bool
 	for _, p := range pkgs {
 		if strings.Contains(p.Path, "testdata") {
 			t.Errorf("recursive load picked up fixture package %s", p.Path)
 		}
+		sawCFG = sawCFG || p.Path == "asiccloud/internal/analysis/cfg"
+	}
+	if !sawCFG {
+		t.Errorf("Load ./... did not descend into internal/analysis/cfg")
 	}
 }

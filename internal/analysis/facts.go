@@ -61,11 +61,11 @@ func (p *Pass) CallGraph() *cfg.CallGraph {
 
 // Memo returns the run-wide value stored under key, computing it with
 // fn on first request. It is how analyzers and their substrates (the
-// taint engine's summaries, hotalloc's allocation summaries) share
-// interprocedural caches across every Pass of one Run without the
-// framework having to know their types. Keys follow the comparable-key
-// discipline of context.Value: a caller passes a private pointer or
-// defined type so two callers can never collide.
+// taint engine's summaries) share interprocedural caches across every
+// Pass of one Run without the framework having to know their types.
+// Keys follow the comparable-key discipline of context.Value: a caller
+// passes a private pointer or defined type so two callers can never
+// collide.
 func (p *Pass) Memo(key any, fn func() any) any {
 	if v, ok := p.facts.memo[key]; ok {
 		return v

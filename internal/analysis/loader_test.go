@@ -48,25 +48,3 @@ func TestLoaderSkipsTestAndTaggedFiles(t *testing.T) {
 		}
 	}
 }
-
-// TestLoaderRecursiveSkipsTestdata guards the pattern expansion: a /...
-// walk must not descend into testdata directories, so the loadpkg
-// fixture stays invisible to ordinary recursive loads.
-func TestLoaderRecursiveSkipsTestdata(t *testing.T) {
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := loader.Load("./cfg/...")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	for _, pkg := range pkgs {
-		if filepath.Base(pkg.Dir) == "loadpkg" {
-			t.Errorf("recursive load descended into testdata: %s", pkg.Path)
-		}
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("Load ./cfg/...: got %d packages, want 1", len(pkgs))
-	}
-}

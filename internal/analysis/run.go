@@ -115,7 +115,7 @@ type jsonDiagnostic struct {
 }
 
 // WriteGroupedJSON emits the diagnostics bucketed by analyzer:
-// {"count": N, "analyzers": {"hotalloc": {"count": n, "diagnostics":
+// {"count": N, "analyzers": {"floatcmp": {"count": n, "diagnostics":
 // [...]}, ...}}. It is asiclint's one JSON form (`make lint` keeps it
 // as results/lint.json): a worklist is tackled one analyzer at a time,
 // so the grouping puts every finding of a kind side by side instead of

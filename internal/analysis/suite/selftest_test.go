@@ -66,7 +66,7 @@ func TestSuiteNamesAreUnique(t *testing.T) {
 	for _, name := range []string{
 		"floatcmp", "droppederr", "unitdoc",
 		"ctxflow", "goroleak", "lockheld",
-		"hotalloc", "spanend", "obskeys",
+		"spanend", "obskeys",
 		"detflow", "foldorder",
 	} {
 		if !seen[name] {

@@ -12,7 +12,6 @@ import (
 	"asiccloud/internal/analysis/floatcmp"
 	"asiccloud/internal/analysis/foldorder"
 	"asiccloud/internal/analysis/goroleak"
-	"asiccloud/internal/analysis/hotalloc"
 	"asiccloud/internal/analysis/lockheld"
 	"asiccloud/internal/analysis/obskeys"
 	"asiccloud/internal/analysis/spanend"
@@ -28,7 +27,6 @@ func Analyzers() []*analysis.Analyzer {
 		floatcmp.Analyzer,
 		foldorder.Analyzer,
 		goroleak.Analyzer,
-		hotalloc.Analyzer,
 		lockheld.Analyzer,
 		obskeys.Analyzer,
 		spanend.Analyzer,

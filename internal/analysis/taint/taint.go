@@ -13,14 +13,13 @@
 // facts are propagated block by block in execution order with a
 // worklist fixpoint over back edges — and the module-local call graph
 // (analysis.Pass.CallGraph) gives it bounded interprocedural reach
-// through memoized per-function summaries, the same design hotalloc
-// uses for allocation facts. A summary records three things about a
-// callee: the taint its results carry regardless of arguments, which
-// parameters flow through to its results (so a helper that returns its
-// argument propagates the argument's taint), and which parameters
-// reach a sink inside its body (so passing a tainted value to a
-// marshaling wrapper is caught at the call site). Summaries are
-// computed by running the same dataflow over the callee with its
+// through memoized per-function summaries. A summary records three
+// things about a callee: the taint its results carry regardless of
+// arguments, which parameters flow through to its results (so a helper
+// that returns its argument propagates the argument's taint), and
+// which parameters reach a sink inside its body (so passing a tainted
+// value to a marshaling wrapper is caught at the call site). Summaries
+// are computed by running the same dataflow over the callee with its
 // parameters seeded with pseudo-kinds, memoized run-wide via
 // analysis.Pass.Memo, and bounded at Spec.MaxDepth hops — beyond the
 // bound callees are trusted clean, which is the noise-over-soundness

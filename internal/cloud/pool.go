@@ -105,7 +105,10 @@ type Pool struct {
 	now func() time.Time
 }
 
-// NewPool creates a pool preloaded with jobs.
+// NewPool creates a pool preloaded with jobs. Job IDs must be distinct:
+// the pool tracks leases and results by ID and drains once every queued
+// job has a result, so a repeated ID could never drain. NewPool panics
+// on a repeated ID, a caller bug.
 func NewPool(jobs []Job) *Pool {
 	p := &Pool{
 		pending: append([]Job(nil), jobs...),
@@ -118,6 +121,9 @@ func NewPool(jobs []Job) *Pool {
 		now:     time.Now,
 	}
 	for _, j := range jobs {
+		if p.jobIDs[j.ID] {
+			panic(fmt.Sprintf("cloud: NewPool: duplicate job ID %d", j.ID))
+		}
 		p.jobIDs[j.ID] = true
 	}
 	p.stats.JobsQueued = len(jobs)

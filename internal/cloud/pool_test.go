@@ -278,6 +278,19 @@ func TestWorkerErrors(t *testing.T) {
 	}
 }
 
+// TestNewPoolRejectsDuplicateIDs: the pool counts one result per
+// distinct ID, so a repeated ID would leave it undrainable and a
+// coordinator ranging over Results would hang. NewPool panics instead,
+// naming the ID.
+func TestNewPoolRejectsDuplicateIDs(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); msg != "cloud: NewPool: duplicate job ID 2" {
+			t.Fatalf("NewPool with a repeated ID: recovered %q, want a panic naming ID 2", msg)
+		}
+	}()
+	NewPool([]Job{{ID: 1}, {ID: 2}, {ID: 2}})
+}
+
 func TestPoolIgnoresDuplicateResults(t *testing.T) {
 	p := NewPool([]Job{{ID: 7}})
 	p.record(Result{JobID: 7, Worker: "a"})

@@ -377,8 +377,6 @@ func newSweepAcc(summary PruneSummary) sweepAcc {
 // add folds one feasible row into both folds; its feasible count is
 // accounted where it is evaluated. The sweep calls add once per
 // feasible configuration, so no fold copies the row unless it survives.
-//
-//asic:hotpath
 func (a *sweepAcc) add(r *Row) {
 	a.fold.AddAt(r.DollarsPerOp, r.WattsPerOp, r)
 	a.cfold.AddAt(r.TCO.Total(), r.Carbon.Total(), r)

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"asiccloud/internal/apps/bitcoin"
+	"asiccloud/internal/apps/litecoin"
+	"asiccloud/internal/apps/xcode"
 	"asiccloud/internal/server"
 	"asiccloud/internal/tco"
 )
@@ -404,34 +406,52 @@ func (s PruneSummary) PrunedTotal() int64 {
 }
 
 // TestWarmStreamingSweepAllocs guards the streaming hot path, the one
-// the daemon and the pool workers run: a warm DiscardPoints sweep of
-// the bitcoin space must allocate fewer times than it has geometries,
-// so an allocation per configuration or per geometry fails a behaviour
-// test, not only hotalloc's static check. What remains is per chunk
-// (one geometry-record block) and per sweep.
+// the daemon and the pool workers run: a warm DiscardPoints sweep must
+// allocate fewer times than it has geometries, so an allocation per
+// configuration or per geometry fails. What remains is per chunk (one
+// geometry-record block) and per sweep. Between them the rows run
+// every branch server.Column.Eval takes per configuration: unstacked
+// and stacked delivery (bitcoin-stacked), the SRAM rail (litecoin),
+// and the DRAM bandwidth cap with throughput-provisioned off-PCB links
+// (xcode).
 func TestWarmStreamingSweepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's runtime allocates on its own")
 	}
-	sweep, model := Sweep{Base: server.Default(bitcoin.RCA())}, tco.Default()
-	plan, err := PlanSweep(sweep, model, 0)
+	xcodeBase, err := xcode.ServerConfig(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(nil)
-	eng.DiscardPoints = true
-	var res Result
-	explore := func() {
-		if res, err = eng.Explore(sweep, model); err != nil {
-			t.Fatal(err)
-		}
-	}
-	explore() // warm the plan cache
-	allocs := testing.AllocsPerRun(10, explore)
-	t.Logf("%.0f allocations per sweep of %d geometries, %d configurations",
-		allocs, plan.Geometries(), res.Pruned.Generated)
-	if allocs >= float64(plan.Geometries()) {
-		t.Errorf("a warm streaming sweep makes %.0f allocations, want fewer than its %d geometries",
-			allocs, plan.Geometries())
+	model := tco.Default()
+	for _, tc := range []struct {
+		name  string
+		sweep Sweep
+	}{
+		{"bitcoin-stacked", Sweep{Base: server.Default(bitcoin.RCA()), Stacked: true}},
+		{"litecoin", Sweep{Base: server.Default(litecoin.RCA())}},
+		{"xcode", Sweep{Base: xcodeBase, DRAMPerASIC: []int{1, 4}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := PlanSweep(tc.sweep, model, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := NewEngine(nil)
+			eng.DiscardPoints = true
+			var res Result
+			explore := func() {
+				if res, err = eng.Explore(tc.sweep, model); err != nil {
+					t.Fatal(err)
+				}
+			}
+			explore() // warm the plan cache
+			allocs := testing.AllocsPerRun(5, explore)
+			t.Logf("%.0f allocations per sweep of %d geometries, %d configurations",
+				allocs, plan.Geometries(), res.Pruned.Generated)
+			if allocs >= float64(plan.Geometries()) {
+				t.Errorf("a warm streaming sweep makes %.0f allocations, want fewer than its %d geometries",
+					allocs, plan.Geometries())
+			}
+		})
 	}
 }

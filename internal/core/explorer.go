@@ -166,8 +166,6 @@ func (s PruneSummary) String() string {
 // add accumulates n prunes under reason. Bookkeeping off the per-
 // configuration path: the sweep calls it at most once per pruned
 // column or geometry, and the lazy map init runs once per summary.
-//
-//asic:coldpath
 func (s *PruneSummary) add(reason string, n int64) {
 	if n <= 0 {
 		return

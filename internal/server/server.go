@@ -130,8 +130,6 @@ func (c Config) network() interconnect.Network {
 // validates all of it but the voltage once per column (NewColumn), not
 // once per configuration, so the error formatting here and in the
 // substrate validators it calls is amortized off the per-point path.
-//
-//asic:coldpath
 func (c Config) Validate() error {
 	if err := c.validateColumn(); err != nil {
 		return err
@@ -144,8 +142,6 @@ func (c Config) Validate() error {
 
 // validateColumn is Validate without the voltage: the checks every
 // voltage of one column shares.
-//
-//asic:coldpath
 func (c Config) validateColumn() error {
 	if err := c.RCA.Validate(); err != nil {
 		return err

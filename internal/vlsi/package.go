@@ -63,7 +63,6 @@ func (m PackageModel) Pins(supplyAmps float64, extraSignalPins int) int {
 // drawing the given current, with extra signal pins for I/O-heavy designs.
 func (m PackageModel) Cost(dieAreaMM2, supplyAmps float64, extraSignalPins int) (float64, error) {
 	if dieAreaMM2 <= 0 {
-		//lint:ignore hotalloc geometry generation only emits positive die areas; this branch never runs per swept configuration
 		return 0, fmt.Errorf("vlsi: package for non-positive die area %.1f mm²", dieAreaMM2)
 	}
 	pins := m.Pins(supplyAmps, extraSignalPins)

@@ -42,8 +42,6 @@ func DefaultPowerGrid() PowerGrid {
 }
 
 // Validate reports whether the grid is physical.
-//
-//asic:coldpath
 func (g PowerGrid) Validate() error {
 	switch {
 	case g.BumpPitch <= 0:
@@ -65,7 +63,6 @@ func (g PowerGrid) Validate() error {
 // once per column, not on every call.
 func (g PowerGrid) RequiredMetalFraction(powerDensity, volts float64) (float64, error) {
 	if powerDensity < 0 || volts <= 0 {
-		//lint:ignore hotalloc input sanity; the sweep derives both operands from validated configs, so this branch never runs per configuration
 		return 0, fmt.Errorf("vlsi: power density must be >= 0 and voltage positive")
 	}
 	j := powerDensity / volts

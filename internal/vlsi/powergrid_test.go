@@ -1,6 +1,7 @@
 package vlsi
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -49,5 +50,25 @@ func TestRequiredMetalFraction(t *testing.T) {
 	}
 	if _, err := g.RequiredMetalFraction(-1, 1); err == nil {
 		t.Error("negative power density should fail")
+	}
+}
+
+// TestDroopFailureAllocatesNothing pins the droop failure as a bare
+// sentinel: server.Column.Eval sizes the grid once per swept
+// configuration and records a failure as GridOK=false, so a dense RCA
+// that misses the budget at every voltage must not format an error per
+// configuration. No published sweep reaches this branch, so the sweep
+// allocation guard in internal/core cannot see it.
+func TestDroopFailureAllocatesNothing(t *testing.T) {
+	g := DefaultPowerGrid()
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		_, err = g.RequiredMetalFraction(100, 0.4)
+	})
+	if !errors.Is(err, ErrDroopBudget) {
+		t.Fatalf("RequiredMetalFraction(100, 0.4) error = %v, want ErrDroopBudget", err)
+	}
+	if allocs != 0 {
+		t.Errorf("droop failure makes %.0f allocations per call, want 0", allocs)
 	}
 }

@@ -63,8 +63,6 @@ type Spec struct {
 // that fails validation never enters a sweep — the engine validates it
 // before building the grid, and server.NewColumn once per column — so
 // the error formatting below is off the per-configuration path.
-//
-//asic:coldpath
 func (s *Spec) Validate() error {
 	switch {
 	case s.Area <= 0:

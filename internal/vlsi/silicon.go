@@ -65,8 +65,6 @@ func TSMC40nm() Process {
 // Validate reports whether the process parameters are usable. Only the
 // error branches allocate, and a process that fails validation never
 // enters a sweep, so the happy path is allocation-free per call.
-//
-//asic:coldpath
 func (p Process) Validate() error {
 	switch {
 	case p.WaferDiameter <= 0:
@@ -116,16 +114,13 @@ func (p Process) DieCost(dieAreaMM2 float64) (float64, error) {
 		return 0, err
 	}
 	if dieAreaMM2 <= 0 {
-		//lint:ignore hotalloc geometry generation only emits positive die areas; this branch never runs per swept configuration
 		return 0, fmt.Errorf("vlsi: die area %.1f mm² must be positive", dieAreaMM2)
 	}
 	if dieAreaMM2 > p.MaxDieArea {
-		//lint:ignore hotalloc the thermal plan rejects oversized dies before evaluation reaches costing; this branch never runs per swept configuration
 		return 0, fmt.Errorf("vlsi: die area %.1f mm² exceeds %s limit of %.0f mm²", dieAreaMM2, p.Name, p.MaxDieArea)
 	}
 	gross := p.DiesPerWafer(dieAreaMM2)
 	if gross < 1 {
-		//lint:ignore hotalloc the thermal plan rejects oversized dies before evaluation reaches costing; this branch never runs per swept configuration
 		return 0, fmt.Errorf("vlsi: die area %.1f mm² does not fit on a %.0f mm wafer", dieAreaMM2, p.WaferDiameter)
 	}
 	good := gross * p.Yield(dieAreaMM2)

@@ -148,15 +148,15 @@ func TestLoaderResolvesModule(t *testing.T) {
 	}
 }
 
-// TestLoaderSkipsTestdata guards the pattern expansion: a relative /...
-// walk must not descend into testdata directories, so the analyzer
-// fixtures and the loadpkg fixture stay invisible to recursive loads.
+// TestLoaderSkipsTestdata guards the expansion of an absolute /...
+// pattern: the walk must not descend into testdata directories, so the
+// analyzer fixtures stay invisible to recursive loads.
 func TestLoaderSkipsTestdata(t *testing.T) {
 	l, err := analysis.NewLoader(".")
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkgs, err := l.Load("./...")
+	pkgs, err := l.Load(l.ModuleRoot + "/internal/analysis/...")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -168,6 +168,6 @@ func TestLoaderSkipsTestdata(t *testing.T) {
 		sawCFG = sawCFG || p.Path == "asiccloud/internal/analysis/cfg"
 	}
 	if !sawCFG {
-		t.Errorf("Load ./... did not descend into internal/analysis/cfg")
+		t.Errorf("Load .../internal/analysis/... did not descend into internal/analysis/cfg")
 	}
 }

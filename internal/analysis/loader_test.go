@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"asiccloud/internal/analysis"
@@ -46,5 +47,30 @@ func TestLoaderSkipsTestAndTaggedFiles(t *testing.T) {
 		if scope.Lookup(sym) != nil {
 			t.Errorf("symbol %s should have been excluded by the loader", sym)
 		}
+	}
+}
+
+// TestLoaderRecursiveSkipsTestdata guards the expansion of a relative
+// /... pattern: loaded from this directory, ./... must reach the
+// analyzer packages below it but not the loadpkg fixture or any other
+// package under testdata.
+func TestLoaderRecursiveSkipsTestdata(t *testing.T) {
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	var sawCFG bool
+	for _, pkg := range pkgs {
+		if filepath.Base(pkg.Dir) == "loadpkg" || strings.Contains(pkg.Path, "testdata") {
+			t.Errorf("recursive load descended into testdata: %s", pkg.Path)
+		}
+		sawCFG = sawCFG || pkg.Path == "asiccloud/internal/analysis/cfg"
+	}
+	if !sawCFG {
+		t.Errorf("Load ./... did not descend into internal/analysis/cfg")
 	}
 }

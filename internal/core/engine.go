@@ -36,10 +36,10 @@ const DefaultChunkSize = 4
 // selects for chunkSize <= 0: the unit a coordinator serves as one pool
 // job. Unlike an in-process claim, a distributed chunk has a fixed cost
 // on top of its per-geometry evaluation: the worker decodes the
-// payload, re-canonicalizes the request and checks its hash, and the
-// chunk's local frontier (30-45 points on XCode) is encoded as records
-// plus rows, base64-framed in the pool message, decoded and split back
-// into rows by the coordinator. Two-worker in-process XCode
+// payload (it re-canonicalizes the request and checks its hash once per
+// sweep, not per chunk), and the chunk's local frontier (30-45 points
+// on XCode) is encoded as records plus rows, base64-framed in the pool
+// message, decoded and split back into rows by the coordinator. Two-worker in-process XCode
 // coordinator sweeps (BenchmarkDistributedSweep's fleet, process CPU
 // time, 2-vCPU VM) fit about 0.17 s of CPU plus 1.5 ms per chunk (chunk
 // sizes 4/16/32/64/128: 0.94/0.38/0.27/0.21/0.19 s per sweep; the

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -32,16 +33,17 @@ import (
 //
 // Chunk identity is stable across processes: the payload carries the
 // full wire Request plus its canonical hash, and the worker
-// re-canonicalizes and verifies the hash before evaluating, so a
-// version-skewed worker (one that would resolve the request to a
-// different design space) refuses the chunk instead of corrupting the
-// merge.
+// re-canonicalizes and verifies the hash before evaluating the first
+// chunk it serves with those request bytes, so a version-skewed worker
+// (one that would resolve the request to a different design space)
+// refuses every chunk instead of corrupting the merge.
 
 // chunkPayload is the cloud.Job payload for one sweep chunk.
 type chunkPayload struct {
-	// Request is the full wire-form request; the worker resolves it
-	// with its own Canonicalize, exactly as a daemon would.
-	Request Request `json:"request"`
+	// Request is the full wire-form request, the same bytes in every
+	// chunk of a sweep; the worker resolves it with its own
+	// Canonicalize, exactly as a daemon would.
+	Request json.RawMessage `json:"request"`
 	// RequestHash is the coordinator's canonical hash; a worker whose
 	// canonicalization disagrees must refuse the chunk.
 	RequestHash string `json:"request_hash"`
@@ -53,46 +55,64 @@ type chunkPayload struct {
 	NumChunks int `json:"num_chunks"`
 }
 
-// planMemo is a worker's last sweep plan, keyed by the request hash the
-// handler has just verified and the chunk size. Every chunk of a sweep
-// resolves to the same plan, so a worker builds the grid once per sweep
-// instead of once per chunk. It is shared by every goroutine running
-// the handler.
+// planMemo is a worker's last verified sweep plan, keyed by the request
+// bytes, request hash and chunk size of the payload it was built for.
+// Every chunk of a sweep carries the same request bytes, so a worker
+// decodes, canonicalizes and verifies the request and builds the grid
+// once per sweep instead of once per chunk. Identical bytes
+// canonicalize identically, so a payload that hits the memo would pass
+// the check again. It is shared by every goroutine running the handler.
 type planMemo struct {
 	mu        sync.Mutex
+	request   json.RawMessage
 	hash      string
 	chunkSize int
 	plan      *core.SweepPlan
 }
 
-// get returns the plan of the canonical request can, whose hash the
-// caller has verified to be hash, building it unless it is the last one.
-func (m *planMemo) get(can Canonical, hash string, chunkSize int) (*core.SweepPlan, error) {
+// get returns the sweep plan of chunk payload p: the memo's when p
+// carries its request bytes, request hash and chunk size, otherwise
+// one built after p's request canonicalizes to its request hash.
+func (m *planMemo) get(p *chunkPayload) (*core.SweepPlan, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.plan != nil && m.hash == hash && m.chunkSize == chunkSize {
+	if m.plan != nil && m.hash == p.RequestHash && m.chunkSize == p.ChunkSize && bytes.Equal(m.request, p.Request) {
 		return m.plan, nil
+	}
+	var req Request
+	if err := json.Unmarshal(p.Request, &req); err != nil {
+		return nil, fmt.Errorf("service: decode chunk payload: %w", err)
+	}
+	can, err := Canonicalize(&req)
+	if err != nil {
+		return nil, fmt.Errorf("service: canonicalize chunk request: %w", err)
+	}
+	if h := can.Hash(); h != p.RequestHash {
+		return nil, fmt.Errorf(
+			"service: request hash mismatch (coordinator %s, worker %s): refusing the chunk — coordinator and worker resolve the request differently (version skew?)",
+			p.RequestHash, h)
 	}
 	sweep, model, err := can.Plan()
 	if err != nil {
 		return nil, err
 	}
-	plan, err := core.PlanSweep(sweep, model, chunkSize)
+	plan, err := core.PlanSweep(sweep, model, p.ChunkSize)
 	if err != nil {
 		return nil, err
 	}
-	m.hash, m.chunkSize, m.plan = hash, chunkSize, plan
+	m.request, m.hash, m.chunkSize, m.plan = p.Request, p.RequestHash, p.ChunkSize, plan
 	return plan, nil
 }
 
 // NewChunkHandler returns the cloud.Handler a distributed sweep worker
-// runs: decode the chunk payload, re-canonicalize the request and
-// verify the coordinator's hash, check the partition against the
-// worker's own plan of the sweep (built once per sweep and shared by
-// every goroutine running the handler), evaluate the chunk on eng
-// (whose thermal-plan cache warms up across chunks of the same sweep),
-// and return the core.ChunkResult in its wire form. The job's
-// traceparent joins the worker's chunk span to the coordinator's trace.
+// runs: decode the chunk payload; unless a chunk with the same request
+// bytes, hash and chunk size was verified before, re-canonicalize the
+// request, verify the coordinator's hash and plan the sweep (once per
+// sweep, shared by every goroutine running the handler); check the
+// partition against that plan; evaluate the chunk on eng (whose
+// thermal-plan cache warms up across chunks of the same sweep); and
+// return the core.ChunkResult in its wire form. The job's traceparent
+// joins the worker's chunk span to the coordinator's trace.
 func NewChunkHandler(eng *core.Engine, rec *obs.Recorder, log *slog.Logger) cloud.Handler {
 	log = obs.OrNop(log)
 	var plans planMemo
@@ -101,17 +121,7 @@ func NewChunkHandler(eng *core.Engine, rec *obs.Recorder, log *slog.Logger) clou
 		if err := json.Unmarshal(j.Payload, &p); err != nil {
 			return nil, fmt.Errorf("service: decode chunk payload: %w", err)
 		}
-		can, err := Canonicalize(&p.Request)
-		if err != nil {
-			return nil, fmt.Errorf("service: canonicalize chunk request: %w", err)
-		}
-		h := can.Hash()
-		if h != p.RequestHash {
-			return nil, fmt.Errorf(
-				"service: request hash mismatch (coordinator %s, worker %s): refusing the chunk — coordinator and worker resolve the request differently (version skew?)",
-				p.RequestHash, h)
-		}
-		plan, err := plans.get(can, h, p.ChunkSize)
+		plan, err := plans.get(&p)
 		if err != nil {
 			return nil, err
 		}
@@ -190,13 +200,18 @@ func RunCoordinator(ctx context.Context, req *Request, ln net.Listener, rec *obs
 		return nil, err
 	}
 
+	request, err := json.Marshal(req)
+	if err != nil {
+		return nil, fmt.Errorf("service: marshal chunk request: %w", err)
+	}
+
 	ctx, root := rec.StartSpan(ctx, "coordinate")
 	defer root.End()
 	hash := can.Hash()
 	jobs := make([]cloud.Job, plan.NumChunks())
 	for c := range jobs {
 		payload, err := json.Marshal(chunkPayload{
-			Request:     *req,
+			Request:     request,
 			RequestHash: hash,
 			ChunkSize:   plan.ChunkSize(),
 			Chunk:       c,

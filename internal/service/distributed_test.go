@@ -32,6 +32,17 @@ func distRequest(t *testing.T) *Request {
 	return &req
 }
 
+// requestJSON is req in the wire form a coordinator puts in every chunk
+// payload of its sweep.
+func requestJSON(t *testing.T, req *Request) json.RawMessage {
+	t.Helper()
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // startCoordinator runs RunCoordinator against a fresh loopback
 // listener, recording into rec, and returns the pool address plus a
 // channel carrying the rendered result bytes.
@@ -211,7 +222,7 @@ func TestDistributedSurvivesWorkerDeath(t *testing.T) {
 func TestChunkHandlerRejectsHashMismatch(t *testing.T) {
 	req := distRequest(t)
 	payload, err := json.Marshal(chunkPayload{
-		Request:     *req,
+		Request:     requestJSON(t, req),
 		RequestHash: "sha256:not-the-real-hash",
 		ChunkSize:   2,
 		Chunk:       0,
@@ -224,6 +235,31 @@ func TestChunkHandlerRejectsHashMismatch(t *testing.T) {
 	_, err = h(cloud.Job{ID: 1, Payload: payload})
 	if err == nil || !strings.Contains(err.Error(), "hash mismatch") {
 		t.Errorf("want hash mismatch error, got %v", err)
+	}
+}
+
+// TestChunkHandlerRejectsWrongHashAfterServing: a worker that has
+// verified and served a chunk of a sweep still refuses the same request
+// bytes under another request hash; only a payload whose request bytes,
+// hash and chunk size all match a verified one skips the check.
+func TestChunkHandlerRejectsWrongHashAfterServing(t *testing.T) {
+	h := NewChunkHandler(core.NewEngine(nil), nil, nil)
+	job := chunkJob(t, distRequest(t), 2, 0)
+	if _, err := h(job); err != nil {
+		t.Fatal(err)
+	}
+	var p chunkPayload
+	if err := json.Unmarshal(job.Payload, &p); err != nil {
+		t.Fatal(err)
+	}
+	p.RequestHash = "sha256:not-the-real-hash"
+	payload, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = h(cloud.Job{ID: 1, Payload: payload})
+	if err == nil || !strings.Contains(err.Error(), "hash mismatch") {
+		t.Errorf("want hash mismatch error after serving the sweep, got %v", err)
 	}
 }
 
@@ -241,7 +277,7 @@ func TestChunkHandlerRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload, err := json.Marshal(chunkPayload{
-		Request:     *req,
+		Request:     requestJSON(t, req),
 		RequestHash: can.Hash(),
 		ChunkSize:   2,
 		Chunk:       10000,
@@ -318,7 +354,7 @@ func chunkJob(t *testing.T, req *Request, size, c int) cloud.Job {
 		t.Fatal(err)
 	}
 	payload, err := json.Marshal(chunkPayload{
-		Request:     *req,
+		Request:     requestJSON(t, req),
 		RequestHash: can.Hash(),
 		ChunkSize:   size,
 		Chunk:       c,
@@ -458,7 +494,11 @@ func FuzzChunkHandler(f *testing.F) {
 		if err := json.Unmarshal(payload, &p); err != nil {
 			t.Fatalf("accepted a payload that does not decode: %v", err)
 		}
-		can, err := Canonicalize(&p.Request)
+		var req Request
+		if err := json.Unmarshal(p.Request, &req); err != nil {
+			t.Fatalf("accepted a request that does not decode: %v", err)
+		}
+		can, err := Canonicalize(&req)
 		if err != nil {
 			t.Fatalf("accepted a request that does not canonicalize: %v", err)
 		}

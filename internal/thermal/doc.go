@@ -18,12 +18,13 @@
 // OptimizeSink searches the heat-sink geometry for the maximum
 // sustainable per-chip power at a given lane. It is two halves split at
 // the die: NewSinkCandidates keeps the buildable sinks of the search
-// grid with their airflow solved, which depends on the lane shape
-// alone, and SinkCandidates.Best scores them at one die area without
-// allocating. core.Engine memoizes both — plans per geometry, which is
-// the service's warm-sweep fast path, and candidate sets per lane
-// shape, so a cold sweep solves airflow once per shape rather than per
-// geometry. Lane.Airflow couples the fan curve to the duct's pressure
-// drop; Best inverts the resistance network, which is linear in power,
-// to the paper's per-chip power budget.
+// grid with their airflow solved and every other term that depends on
+// the lane shape alone, and SinkCandidates.Best scores them at one die
+// area in a few flops per candidate, without allocating. core.Engine
+// memoizes both — plans per geometry, which is the service's
+// warm-sweep fast path, and candidate sets per lane shape, so a cold
+// sweep solves airflow once per shape rather than per geometry.
+// Lane.Airflow couples the fan curve to the duct's pressure drop; Best
+// inverts the resistance network, which is linear in power, to the
+// paper's per-chip power budget.
 package thermal

@@ -89,73 +89,97 @@ func (h HeatSink) hydraulicDiameter() float64 {
 	return 2 * a * b / (a + b)
 }
 
-// channelVelocity for a through-sink flow q (m³/s).
-func (h HeatSink) channelVelocity(q float64) float64 {
-	oa := h.OpenArea()
-	if oa <= 0 {
-		return 0
-	}
-	return q / oa
+// channel holds the terms of the through-sink flow that read the sink
+// but not the flow, so a caller evaluating many flows through one sink
+// (an airflow solve's bisection) computes them once.
+type channel struct {
+	openArea   float64 // frontal area open to airflow (m²)
+	dh         float64 // hydraulic diameter of one channel (m)
+	fRe        float64 // laminar friction factor times Reynolds number
+	depthPerDh float64 // sink depth over hydraulic diameter
 }
 
-// PressureDrop returns the static pressure loss (Pa) of flow q through the
-// sink: developed channel friction plus entrance/exit contraction losses.
-// Deeper sinks and narrower gaps cost more pressure — the effect that
-// drives the optimizer toward shallower sinks as chips per lane grow.
-func (h HeatSink) PressureDrop(q float64) float64 {
+func (h HeatSink) channel() channel {
+	dh := h.hydraulicDiameter()
+	return channel{
+		openArea: h.OpenArea(),
+		dh:       dh,
+		// Laminar parallel-plate friction, f·Re ≈ 96 for high aspect
+		// ratio channels; use 64-96 blend on aspect ratio.
+		fRe:        96.0 - 32.0*(h.Gap/h.FinHeight),
+		depthPerDh: h.Depth / dh,
+	}
+}
+
+// velocity is the channel air speed (m/s) for a through-sink flow q
+// (m³/s). A NaN open area still divides.
+func (c channel) velocity(q float64) float64 {
+	if c.openArea <= 0 {
+		return 0
+	}
+	return q / c.openArea
+}
+
+// pressureDrop returns the static pressure loss (Pa) of flow q (m³/s)
+// through the sink: developed channel friction plus entrance/exit
+// contraction losses. Deeper sinks and narrower gaps cost more pressure
+// — the effect that drives the optimizer toward shallower sinks as
+// chips per lane grow.
+func (c channel) pressureDrop(q float64) float64 {
 	if q <= 0 {
 		return 0
 	}
-	v := h.channelVelocity(q)
-	dh := h.hydraulicDiameter()
-	re := v * dh / units.AirViscosity
+	v := c.velocity(q)
+	re := v * c.dh / units.AirViscosity
 	var f float64
 	if re < 2300 {
-		// Laminar parallel-plate friction, f·Re ≈ 96 for high aspect
-		// ratio channels; use 64-96 blend on aspect ratio.
-		fre := 96.0 - 32.0*(h.Gap/h.FinHeight)
 		if re < 1 {
 			re = 1
 		}
-		f = fre / re
+		f = c.fRe / re
 	} else {
 		f = 0.316 / math.Pow(re, 0.25) // Blasius
 	}
 	dyn := units.AirDensity * v * v / 2
-	friction := f * (h.Depth / dh) * dyn
+	friction := f * c.depthPerDh * dyn
 	// Contraction/expansion loss at the sink faces. In a ducted lane the
 	// sinks nearly abut, so the loss per sink is small.
 	const kEntranceExit = 0.15
 	return friction + kEntranceExit*dyn
 }
 
-// Resistance is the thermal resistance breakdown from junction to the air
-// entering the sink, for through-sink flow q and a die of dieAreaMM2.
-type Resistance struct {
-	TIM        float64 // die → spreader interface (K/W)
-	Spreading  float64 // constriction in the spreader (K/W)
-	Convection float64 // fins → air (K/W)
+// radius is the radius (m) of the disc of areaM2 (m²), the equivalent
+// circle the spreading formula uses for the die and the footprint.
+func radius(areaM2 float64) float64 { return math.Sqrt(areaM2 / math.Pi) }
+
+// spreadTerms are the parts of the spreading resistance that read the
+// die and the sink's footprint but no spreader material, so a search
+// that tries two spreaders on one footprint computes them once.
+type spreadTerms struct {
+	under  bool    // the die is smaller than the footprint; else nothing spreads
+	r1     float64 // die radius (m)
+	baseM2 float64 // footprint area (m²)
+	pw     float64 // (1 - r1/r2)^1.5, the constriction factor
 }
 
-// Total junction-to-inlet-air resistance in K/W.
-func (r Resistance) Total() float64 { return r.TIM + r.Spreading + r.Convection }
+// constriction gathers the spreadTerms of a die of dieM2 (m²) and
+// radius r1 (m) on a footprint of baseM2 (m²) and radius r2 (m).
+func constriction(dieM2, r1, baseM2, r2 float64) spreadTerms {
+	if !(dieM2 < baseM2) {
+		return spreadTerms{}
+	}
+	return spreadTerms{under: true, r1: r1, baseM2: baseM2, pw: math.Pow(1-r1/r2, 1.5)}
+}
 
-// spreading is the spreader's constriction plus base-conduction
-// resistance (K/W) under a die of dieAreaMM2; it reads the sink's
-// footprint and base but not the airflow.
-func (h HeatSink) spreading(dieAreaMM2 float64) float64 {
-	// Spreading resistance (maximum-constriction approximation):
-	// R = (1 - r1/r2)^1.5 / (pi * k * r1).
-	dieM2 := units.MM2ToM2(dieAreaMM2)
-	baseM2 := h.Width * h.Depth
+// resistance finishes the spreading resistance (K/W) for a spreader of
+// conductivity k (W/(m·K)) and thickness (m): the maximum-constriction
+// approximation R = (1 - r1/r2)^1.5 / (pi * k * r1) plus
+// one-dimensional conduction through the base thickness.
+func (s spreadTerms) resistance(k, thickness float64) float64 {
 	var rSpread float64
-	if dieM2 < baseM2 {
-		r1 := math.Sqrt(dieM2 / math.Pi)
-		r2 := math.Sqrt(baseM2 / math.Pi)
-		eps := r1 / r2
-		rSpread = math.Pow(1-eps, 1.5) / (math.Pi * h.BaseMaterial.Conductivity * r1)
-		// One-dimensional conduction through the base thickness.
-		rSpread += h.BaseThickness / (h.BaseMaterial.Conductivity * baseM2)
+	if s.under {
+		rSpread = s.pw / (math.Pi * k * s.r1)
+		rSpread += thickness / (k * s.baseM2)
 	}
 	return rSpread
 }
@@ -166,8 +190,8 @@ func (h HeatSink) spreading(dieAreaMM2 float64) float64 {
 func (h HeatSink) convection(q float64) float64 {
 	// Convection: channel Nusselt number with a developing-flow
 	// enhancement, fin efficiency from the standard tanh model.
-	v := h.channelVelocity(q)
-	dh := h.hydraulicDiameter()
+	ch := h.channel()
+	v, dh := ch.velocity(q), ch.dh
 	var hConv float64
 	if v > 0 {
 		re := v * dh / units.AirViscosity

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"asiccloud/internal/units"
 )
 
 func stdSink() HeatSink {
@@ -206,6 +208,34 @@ func TestFanValidate(t *testing.T) {
 	}
 }
 
+// PressureDrop returns the static pressure loss (Pa) of flow q (m³/s)
+// through the sink, computing its channel terms afresh; Lane.Airflow
+// computes them once per solve and evaluates the same arithmetic.
+func (h HeatSink) PressureDrop(q float64) float64 {
+	return h.channel().pressureDrop(q)
+}
+
+// Resistance is the thermal resistance breakdown from junction to the air
+// entering the sink, for through-sink flow q and a die of dieAreaMM2.
+type Resistance struct {
+	TIM        float64 // die → spreader interface (K/W)
+	Spreading  float64 // constriction in the spreader (K/W)
+	Convection float64 // fins → air (K/W)
+}
+
+// Total junction-to-inlet-air resistance in K/W.
+func (r Resistance) Total() float64 { return r.TIM + r.Spreading + r.Convection }
+
+// spreading is the spreader's constriction plus base-conduction
+// resistance (K/W) under a die of dieAreaMM2, through the terms
+// SinkCandidates.Best shares between its two spreaders.
+func (h HeatSink) spreading(dieAreaMM2 float64) float64 {
+	dieM2 := units.MM2ToM2(dieAreaMM2)
+	baseM2 := h.Width * h.Depth
+	return constriction(dieM2, radius(dieM2), baseM2, radius(baseM2)).
+		resistance(h.BaseMaterial.Conductivity, h.BaseThickness)
+}
+
 // Resistance computes the resistance network at flow q for the given die.
 // The TIM term is inversely proportional to die area — the reason the
 // paper's Figure 6 shows small dies unable to use a big sink, and the
@@ -215,5 +245,133 @@ func (h HeatSink) Resistance(q, dieAreaMM2 float64) Resistance {
 		TIM:        h.TIM.Resistance(dieAreaMM2),
 		Spreading:  h.spreading(dieAreaMM2),
 		Convection: h.convection(q),
+	}
+}
+
+// sameFloat reports whether a and b are the same float64 bit for bit,
+// any NaN matching any other.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// pinSinks is a grid of sinks for the tests that pin rewritten formulas
+// to their earlier form: buildable ones, one too narrow for two fins
+// and one without fin height (both with no open area), and one whose
+// footprint is below a 1 mm² die.
+func pinSinks() []HeatSink {
+	var sinks []HeatSink
+	for _, width := range []float64{0.046, 0.085} {
+		for _, depth := range []float64{0.004, 0.03, 0.1} {
+			for _, gap := range []float64{0.001, 0.002, 0.004} {
+				for _, base := range []Material{Copper, Aluminum} {
+					h := stdSink()
+					h.Width, h.Depth, h.Gap, h.BaseMaterial = width, depth, gap, base
+					sinks = append(sinks, h)
+				}
+			}
+		}
+	}
+	narrow, flat, tiny := stdSink(), stdSink(), stdSink()
+	narrow.Width = 0.001
+	flat.FinHeight = 0
+	tiny.Width, tiny.Depth = 0.0005, 0.0005
+	return append(sinks, narrow, flat, tiny)
+}
+
+// parentChannelVelocity and parentPressureDrop are the pressure-drop
+// formula as it stood before its sink-only terms moved into channel,
+// copied verbatim: the reference PressureDrop must match bit for bit.
+func parentChannelVelocity(h HeatSink, q float64) float64 {
+	oa := h.OpenArea()
+	if oa <= 0 {
+		return 0
+	}
+	return q / oa
+}
+
+func parentPressureDrop(h HeatSink, q float64) float64 {
+	if q <= 0 {
+		return 0
+	}
+	v := parentChannelVelocity(h, q)
+	dh := h.hydraulicDiameter()
+	re := v * dh / units.AirViscosity
+	var f float64
+	if re < 2300 {
+		// Laminar parallel-plate friction, f·Re ≈ 96 for high aspect
+		// ratio channels; use 64-96 blend on aspect ratio.
+		fre := 96.0 - 32.0*(h.Gap/h.FinHeight)
+		if re < 1 {
+			re = 1
+		}
+		f = fre / re
+	} else {
+		f = 0.316 / math.Pow(re, 0.25) // Blasius
+	}
+	dyn := units.AirDensity * v * v / 2
+	friction := f * (h.Depth / dh) * dyn
+	// Contraction/expansion loss at the sink faces. In a ducted lane the
+	// sinks nearly abut, so the loss per sink is small.
+	const kEntranceExit = 0.15
+	return friction + kEntranceExit*dyn
+}
+
+// parentSpreading is the spreading formula as it stood before its
+// material-free terms moved into spreadTerms, copied verbatim.
+func parentSpreading(h HeatSink, dieAreaMM2 float64) float64 {
+	// Spreading resistance (maximum-constriction approximation):
+	// R = (1 - r1/r2)^1.5 / (pi * k * r1).
+	dieM2 := units.MM2ToM2(dieAreaMM2)
+	baseM2 := h.Width * h.Depth
+	var rSpread float64
+	if dieM2 < baseM2 {
+		r1 := math.Sqrt(dieM2 / math.Pi)
+		r2 := math.Sqrt(baseM2 / math.Pi)
+		eps := r1 / r2
+		rSpread = math.Pow(1-eps, 1.5) / (math.Pi * h.BaseMaterial.Conductivity * r1)
+		// One-dimensional conduction through the base thickness.
+		rSpread += h.BaseThickness / (h.BaseMaterial.Conductivity * baseM2)
+	}
+	return rSpread
+}
+
+// TestPressureDropMatchesParent pins PressureDrop, which now evaluates
+// precomputed channel terms, to the earlier formula over sinks with and
+// without open area and flows that are not positive, laminar (clamped
+// below Re 1 and not), turbulent, NaN and infinite.
+func TestPressureDropMatchesParent(t *testing.T) {
+	flows := []float64{math.Inf(-1), -1, 0, 1e-9, 1e-7, 0.002, 0.01, 0.05, 1, math.Inf(1), math.NaN()}
+	var laminar, turbulent int
+	for _, h := range pinSinks() {
+		for _, q := range flows {
+			got, want := h.PressureDrop(q), parentPressureDrop(h, q)
+			if !sameFloat(got, want) {
+				t.Errorf("%+v: PressureDrop(%v) = %v, earlier form %v", h, q, got, want)
+			}
+			if q > 0 && h.OpenArea() > 0 {
+				if re := q / h.OpenArea() * h.hydraulicDiameter() / units.AirViscosity; re < 2300 {
+					laminar++
+				} else if re >= 2300 {
+					turbulent++
+				}
+			}
+		}
+	}
+	if laminar == 0 || turbulent == 0 {
+		t.Fatalf("grid must reach both friction regimes: %d laminar, %d turbulent cases", laminar, turbulent)
+	}
+}
+
+// TestSpreadingMatchesParent pins the spreading term, which now shares
+// its material-free part between spreaders, to the earlier formula
+// over dies below, at and above each footprint and degenerate areas.
+func TestSpreadingMatchesParent(t *testing.T) {
+	areas := []float64{math.Inf(-1), -1, 0, math.SmallestNonzeroFloat64, 1e-3, 0.5, 1, 60, 599.9, 1380, 2000, 1e4, 1e300, math.Inf(1), math.NaN()}
+	for _, h := range pinSinks() {
+		for _, area := range areas {
+			if got, want := h.spreading(area), parentSpreading(h, area); !sameFloat(got, want) {
+				t.Errorf("%+v: spreading(%v) = %v, earlier form %v", h, area, got, want)
+			}
+		}
 	}
 }

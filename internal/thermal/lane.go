@@ -107,8 +107,11 @@ func (l Lane) validateAir() error {
 func (l Lane) Airflow() (sinkFlow, fanFlow float64) {
 	p := l.Layout.params()
 
+	// The sink's channel terms are the same at every flow the
+	// bisections try, so they are computed once per solve.
+	ch, chips := l.Sink.channel(), float64(l.Chips)
 	sinkPathDrop := func(q float64) float64 {
-		return float64(l.Chips) * l.Sink.PressureDrop(q)
+		return chips * ch.pressureDrop(q)
 	}
 	//lint:ignore floatcmp bypassArea==0 is the assigned ducted-layout marker, never computed
 	if p.bypassArea == 0 {
@@ -142,72 +145,51 @@ func (l Lane) Airflow() (sinkFlow, fanFlow float64) {
 	return sinkFlow, fanFlow
 }
 
-// coeffWalk computes, one chip at a time from front to back, the
-// per-chip coefficients k (K/W) such that the junction temperature of
-// chip i at uniform per-chip power P is InletC + k[i]·P. The linearity
-// of the whole network in power is what lets the explorer evaluate
-// thermal feasibility in closed form: the per-chip power limit needs
-// only the worst coefficient (worstCoeff), without a slice. The air
-// terms are the same for every chip, so they are divided out once.
-type coeffWalk struct {
-	chips     int
-	r, rWorst float64 // K/W junction to local air; rWorst for the last chip
-	// first and rest are the K/W a chip's fins see above the upstream
-	// mean: half the chip's own air rise (fins see the mean of inlet
-	// and exit), plus, for every chip but the first, the unmixed plume
-	// of the one ahead of it.
-	first, rest float64
-	step        float64 // K/W mean air rise each chip adds downstream
-	upstream    float64 // K/W accumulated mean air rise so far
-}
-
-// newCoeffWalk starts the walk over a lane of chips in layout whose
-// sinks present res and carry q (m³/s).
-func newCoeffWalk(chips int, layout Layout, res Resistance, q float64) coeffWalk {
-	p := layout.params()
-	w := coeffWalk{
-		chips:  chips,
-		r:      res.Total(),
-		rWorst: res.TIM + res.Spreading + res.Convection/p.uniformity,
-		first:  math.Inf(1),
-		rest:   math.Inf(1),
-		step:   math.Inf(1),
-	}
+// lastChipAir is the air's share (K/W) of the last chip's junction
+// coefficient in a lane of chips whose sinks carry q (m³/s); at uniform
+// per-chip power P, chip i's junction sits at InletC + k[i]·P. The
+// share is the mean air rise every chip ahead adds, plus what the
+// chip's own fins see above that mean: half its own rise (fins see the
+// mean of inlet and exit) and, behind another chip, the unmixed plume
+// of the one ahead. No die enters it, so a sink search computes it once
+// per candidate sink; its additions are a front-to-back walk's, in the
+// walk's order.
+func lastChipAir(chips int, q float64) float64 {
+	first, rest, step := math.Inf(1), math.Inf(1), math.Inf(1)
 	heatCap := units.AirDensity * units.AirSpecificHeat * q // W/K
 	if heatCap > 0 {
 		const plume = 1.5
-		w.first = 1 / (2 * heatCap)
-		w.rest = w.first + plume/heatCap
-		w.step = 1 / heatCap
+		first = 1 / (2 * heatCap)
+		rest = first + plume/heatCap
+		step = 1 / heatCap
 	}
-	return w
+	upstream := 0.0
+	for i := 0; i < chips-1; i++ {
+		upstream += step
+	}
+	if chips == 1 {
+		return upstream + first
+	}
+	return upstream + rest
 }
 
-// next returns chip i's coefficient (K/W); i must run 0, 1, 2, ...
-func (w *coeffWalk) next(i int) float64 {
-	r, extra := w.r, w.rest
-	if i == w.chips-1 {
-		r = w.rWorst
+// worstCoeff is the largest junction coefficient (K/W) of a lane, given
+// the last chip's air terms lastAir (lastChipAir) and rWorst, its K/W
+// from junction to local air with the layout's uniformity derating on
+// the convection. It is the last chip's coefficient lastAir + rWorst,
+// or 0 when that is not positive (NaN included), bit for bit the
+// maximum over a walk of every chip's coefficient: each chip ahead
+// breathes an upstream rise no larger (every step adds a non-negative
+// rise, and rounded addition is monotone), sees a first-chip or plume
+// term no larger (the plume only adds), and a resistance no larger
+// (the derating divides the convection by a uniformity of at most 1).
+// A NaN die makes every coefficient NaN, for which the walk also
+// returns 0.
+func worstCoeff(lastAir, rWorst float64) float64 {
+	if k := lastAir + rWorst; k > 0 {
+		return k
 	}
-	if i == 0 {
-		extra = w.first
-	}
-	k := w.upstream + extra + r
-	w.upstream += w.step
-	return k
-}
-
-// worstCoeff is the largest coefficient (K/W) of a lane of chips in
-// layout whose sinks present res and carry q (m³/s).
-func worstCoeff(chips int, layout Layout, res Resistance, q float64) float64 {
-	w := newCoeffWalk(chips, layout, res, q)
-	worst := 0.0
-	for i := 0; i < chips; i++ {
-		if k := w.next(i); k > worst {
-			worst = k
-		}
-	}
-	return worst
+	return 0
 }
 
 // chipPowerLimit is the uniform per-chip power (W) at which the worst

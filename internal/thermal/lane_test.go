@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"asiccloud/internal/units"
 )
 
 func stdLane(chips int, dieArea float64, layout Layout) Lane {
@@ -141,7 +143,9 @@ func TestJunctionTempsMonotoneInPower(t *testing.T) {
 // extra sink in series costs fan pressure (less flow, so less heat
 // capacity and convection) and pre-heats the air the back chip
 // breathes. The per-chip power limit the sweep prunes by is read off
-// the worst coefficient, so this guards that arithmetic too.
+// the worst coefficient, so this guards that arithmetic too: on every
+// lane, worstCoeff's closed form must equal the largest coefficient of
+// the chip-by-chip walk bit for bit.
 func TestHottestJunctionNeverFallsWithChips(t *testing.T) {
 	const powerPerChip = 5.0 // W
 	cases := 0
@@ -153,12 +157,20 @@ func TestHottestJunctionNeverFallsWithChips(t *testing.T) {
 					for chips := 1; chips <= 60; chips++ {
 						l := stdLane(chips, area, layout)
 						l.Sink.Depth, l.Sink.Gap = depth, gap
-						hottest := slices.Max(l.JunctionTemps(powerPerChip))
+						q, _ := l.Airflow()
+						hottest := slices.Max(l.junctionTempsAt(q, powerPerChip))
 						if hottest < prev {
 							t.Errorf("%v depth=%g gap=%g area=%g: hottest junction falls from %v to %v °C at %d chips",
 								layout, depth, gap, area, prev, hottest, chips)
 						}
 						prev = hottest
+						res := l.Sink.Resistance(q, area)
+						w := newCoeffWalk(chips, layout, res, q)
+						got, want := worstCoeff(lastChipAir(chips, q), w.rWorst), walkWorstCoeff(chips, layout, res, q)
+						if !sameFloat(got, want) {
+							t.Errorf("%v depth=%g gap=%g area=%g chips=%d: worstCoeff = %v, the walk's largest coefficient %v",
+								layout, depth, gap, area, chips, got, want)
+						}
 						cases++
 					}
 				}
@@ -390,6 +402,12 @@ func (l Lane) Validate() error {
 // more evenly spread across the lane").
 func (l Lane) JunctionTemps(powerPerChip float64) []float64 {
 	q, _ := l.Airflow()
+	return l.junctionTempsAt(q, powerPerChip)
+}
+
+// junctionTempsAt is JunctionTemps at the through-sink flow q (m³/s)
+// that Airflow solves.
+func (l Lane) junctionTempsAt(q, powerPerChip float64) []float64 {
 	w := newCoeffWalk(l.Chips, l.Layout, l.Sink.Resistance(q, l.DieArea), q)
 	temps := make([]float64, l.Chips)
 	for i := range temps {
@@ -407,6 +425,140 @@ func (l Lane) MaxChipPower() float64 {
 		return 0
 	}
 	q, _ := l.Airflow()
-	worst := worstCoeff(l.Chips, l.Layout, l.Sink.Resistance(q, l.DieArea), q)
+	return l.maxChipPowerAt(q)
+}
+
+// maxChipPowerAt is MaxChipPower of a valid lane at the through-sink
+// flow q (m³/s) that Airflow solves for it.
+func (l Lane) maxChipPowerAt(q float64) float64 {
+	worst := walkWorstCoeff(l.Chips, l.Layout, l.Sink.Resistance(q, l.DieArea), q)
 	return chipPowerLimit(l.MaxTjC-l.InletC, worst)
+}
+
+// coeffWalk computes, one chip at a time from front to back, the
+// per-chip coefficients k (K/W) such that the junction temperature of
+// chip i at uniform per-chip power P is InletC + k[i]·P. It is the
+// reference for worstCoeff and lastChipAir, which read the largest
+// coefficient off the last chip without walking the others.
+type coeffWalk struct {
+	chips     int
+	r, rWorst float64 // K/W junction to local air; rWorst for the last chip
+	// first and rest are the K/W a chip's fins see above the upstream
+	// mean: half the chip's own air rise (fins see the mean of inlet
+	// and exit), plus, for every chip but the first, the unmixed plume
+	// of the one ahead of it.
+	first, rest float64
+	step        float64 // K/W mean air rise each chip adds downstream
+	upstream    float64 // K/W accumulated mean air rise so far
+}
+
+// newCoeffWalk starts the walk over a lane of chips in layout whose
+// sinks present res and carry q (m³/s).
+func newCoeffWalk(chips int, layout Layout, res Resistance, q float64) coeffWalk {
+	p := layout.params()
+	w := coeffWalk{
+		chips:  chips,
+		r:      res.Total(),
+		rWorst: res.TIM + res.Spreading + res.Convection/p.uniformity,
+		first:  math.Inf(1),
+		rest:   math.Inf(1),
+		step:   math.Inf(1),
+	}
+	heatCap := units.AirDensity * units.AirSpecificHeat * q // W/K
+	if heatCap > 0 {
+		const plume = 1.5
+		w.first = 1 / (2 * heatCap)
+		w.rest = w.first + plume/heatCap
+		w.step = 1 / heatCap
+	}
+	return w
+}
+
+// next returns chip i's coefficient (K/W); i must run 0, 1, 2, ...
+func (w *coeffWalk) next(i int) float64 {
+	r, extra := w.r, w.rest
+	if i == w.chips-1 {
+		r = w.rWorst
+	}
+	if i == 0 {
+		extra = w.first
+	}
+	k := w.upstream + extra + r
+	w.upstream += w.step
+	return k
+}
+
+// walkWorstCoeff is the largest coefficient (K/W) of a lane of chips in
+// layout whose sinks present res and carry q (m³/s), found by walking
+// every chip; 0 when none is positive.
+func walkWorstCoeff(chips int, layout Layout, res Resistance, q float64) float64 {
+	w := newCoeffWalk(chips, layout, res, q)
+	worst := 0.0
+	for i := 0; i < chips; i++ {
+		if k := w.next(i); k > worst {
+			worst = k
+		}
+	}
+	return worst
+}
+
+// parentAirflow is Lane.Airflow as it stood before the sink's channel
+// terms were hoisted out of its bisections, copied verbatim with
+// parentPressureDrop for the method: Airflow must match it bit for bit.
+func parentAirflow(l Lane) (sinkFlow, fanFlow float64) {
+	p := l.Layout.params()
+
+	sinkPathDrop := func(q float64) float64 {
+		return float64(l.Chips) * parentPressureDrop(l.Sink, q)
+	}
+	//lint:ignore floatcmp bypassArea==0 is the assigned ducted-layout marker, never computed
+	if p.bypassArea == 0 {
+		// Ducted: all fan air goes through the sinks; the operating
+		// point is the single crossing of the fan curve and the sink
+		// path resistance.
+		sinkFlow, _ = units.Bisect(func(q float64) float64 {
+			return sinkPathDrop(q) - l.Fan.PressureAt(q)
+		}, 1e-9, l.Fan.MaxFlow, 1e-9, 100)
+		return sinkFlow, sinkFlow
+	}
+	bypassFlow := func(dp float64) float64 {
+		if dp <= 0 {
+			return 0
+		}
+		v := math.Sqrt(2 * dp / (units.AirDensity * p.bypassK))
+		return v * p.bypassArea
+	}
+	// Find operating pressure where fan flow equals sink + bypass flow.
+	imbalance := func(dp float64) float64 {
+		qs, _ := units.Bisect(func(q float64) float64 {
+			return sinkPathDrop(q) - dp
+		}, 0, l.Fan.MaxFlow*4, 1e-9, 100)
+		return l.Fan.FlowAt(dp) - qs - bypassFlow(dp)
+	}
+	dp, _ := units.Bisect(imbalance, 1e-6, l.Fan.MaxPressure-1e-9, 1e-6, 200)
+	sinkFlow, _ = units.Bisect(func(q float64) float64 {
+		return sinkPathDrop(q) - dp
+	}, 0, l.Fan.MaxFlow*4, 1e-9, 100)
+	fanFlow = sinkFlow + bypassFlow(dp)
+	return sinkFlow, fanFlow
+}
+
+// TestAirflowMatchesParent pins Airflow, whose bisections now evaluate
+// the sink's precomputed channel terms, to the earlier form on the
+// ducted and both bypass layouts, over the pinned sinks (open area
+// included and not) and lanes of 1 to 40 chips.
+func TestAirflowMatchesParent(t *testing.T) {
+	for _, layout := range []Layout{LayoutNormal, LayoutStaggered, LayoutDuct} {
+		for _, chips := range []int{1, 5, 40} {
+			for _, h := range pinSinks() {
+				l := NewLane(Default1UFan(), h, chips, 60, layout)
+				sink, fan := l.Airflow()
+				wantSink, wantFan := parentAirflow(l)
+				if !sameFloat(sink, wantSink) || !sameFloat(fan, wantFan) {
+					t.Errorf("%v chips=%d %+v: Airflow = %v, %v; earlier form %v, %v",
+						layout, chips, h, sink, fan, wantSink, wantFan)
+				}
+			}
+		}
+	}
 }
